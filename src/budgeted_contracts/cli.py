@@ -18,7 +18,6 @@ import json
 import random
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__
 from .core import (
@@ -75,7 +74,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--instance", help="instance JSON file")
     sub.add_argument("--out", help="output file (stdout when omitted)")
     sub.add_argument("--seed", type=int, default=None, help="seed for random families")
-    sub.add_argument("--threads", type=int, default=1, help="parallel grid cells")
     sub.add_argument(
         "--verify",
         action="store_true",
@@ -263,31 +261,18 @@ def cmd_pof(args) -> dict[str, str]:
         raise InputError("pof needs --grid or --b")
     obj = objective_from_name(args.objective)
 
-    def cell(b: float):
-        try:
-            inst = _pof_instance(args, b)
-        except InputError:
-            return None  # cell outside the family's validity range
-        report = pof(inst, PofQuery(b=b, B=args.B, objective=obj))
-        return inst, report
-
-    workers = max(1, args.threads)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(cell, grid))
-    else:
-        cells = [cell(b) for b in grid]
-
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(
         ["family", "n", "b", "B", "objective", "max_b", "max_B", "ratio", "bound", "tight"]
     )
     curves: list[tuple[float, str, float, float]] = []
-    for b, got in zip(grid, cells):
-        if got is None:
-            continue
-        inst, rep = got
+    for b in grid:
+        try:
+            inst = _pof_instance(args, b)
+        except InputError:
+            continue  # cell outside the family's validity range
+        rep = pof(inst, PofQuery(b=b, B=args.B, objective=obj))
         tight = rep.ratio is not None and abs(rep.ratio - rep.theoretical_bound) <= 1e-9
         writer.writerow(
             [
@@ -304,14 +289,11 @@ def cmd_pof(args) -> dict[str, str]:
             ]
         )
         if args.emit_curve:
-            for series, series_obj in (
-                ("reward", REWARD),
-                ("welfare", WELFARE),
-            ):
-                for pay, val in value_payment_curve(inst, series_obj):
-                    curves.append((b, series, pay, val))
-            for pay, val in value_payment_curve(inst, REWARD):
-                curves.append((b, "profit_envelope", pay, (1 - pay) * val))
+            reward = value_payment_curve(inst, REWARD)
+            welfare = value_payment_curve(inst, WELFARE)
+            curves += [(b, "reward", p, v) for p, v in reward]
+            curves += [(b, "welfare", p, v) for p, v in welfare]
+            curves += [(b, "profit_envelope", p, (1 - p) * v) for p, v in reward]
 
     out = {"": buf.getvalue()}
     if args.emit_curve:

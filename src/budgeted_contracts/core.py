@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -108,6 +108,25 @@ def floor_tol(x: float, tol: float = EPS) -> int:
     return math.floor(x)
 
 
+def _sum_over(v: Sequence[float], agents: Iterable[int]) -> float:
+    """Sum of v[i] from 0.0 in the order given: unlike ``sum()`` on Python
+    >= 3.12, it rounds exactly as the team tables below do."""
+    total = 0.0
+    for i in agents:
+        total += v[i]
+    return total
+
+
+def _subset_sums(v: Sequence[float], n: int) -> np.ndarray:
+    """Sum of v over every team mask, adding agents in ascending order: the
+    masks [2^i, 2^(i+1)) are the masks [0, 2^i) plus agent i."""
+    v = np.asarray(v)
+    t = np.zeros(1 << n, v.dtype)
+    for i in range(n):
+        t[1 << i : 2 << i] = t[: 1 << i] + v[i]
+    return t
+
+
 # ---------------------------------------------------------------------------
 # set-function representations
 # ---------------------------------------------------------------------------
@@ -129,7 +148,7 @@ class Additive:
         return len(self.values)
 
     def value(self, team: int) -> float:
-        return sum(self.values[i] for i in bits(team))
+        return _sum_over(self.values, bits(team))
 
 
 @dataclass(frozen=True)
@@ -159,7 +178,7 @@ class XosClauses:
 
     def value(self, team: int) -> float:
         idx = team_indices(team)
-        return max(sum(row[i] for i in idx) for row in self.clauses)
+        return max(_sum_over(row, idx) for row in self.clauses)
 
 
 @dataclass(frozen=True)
@@ -200,27 +219,23 @@ def marginal(f: SetFunction, team: int, agent: int) -> float:
     return f.value(team) - f.value(team & ~(1 << agent))
 
 
+def _value_array(f: SetFunction) -> np.ndarray:
+    """f over every team mask, equal to the value oracle bit for bit."""
+    if isinstance(f, Table):
+        return np.asarray(f.values)
+    if isinstance(f, Additive):
+        return _subset_sums(f.values, f.n)
+    acc = _subset_sums(f.clauses[0], f.n)
+    for row in f.clauses[1:]:
+        np.maximum(acc, _subset_sums(row, f.n), out=acc)
+    return acc
+
+
 def to_table(f: SetFunction) -> Table:
     """Materialize any representation as an explicit table."""
     if isinstance(f, Table):
         return f
-    n = f.n
-    size = 1 << n
-    if isinstance(f, Additive):
-        vals = [0.0] * size
-        for m in range(1, size):
-            low = m & -m
-            vals[m] = vals[m ^ low] + f.values[low.bit_length() - 1]
-        return Table(tuple(vals))
-    acc = None
-    for row in f.clauses:
-        vals = [0.0] * size
-        for m in range(1, size):
-            low = m & -m
-            vals[m] = vals[m ^ low] + row[low.bit_length() - 1]
-        arr = np.asarray(vals)
-        acc = arr if acc is None else np.maximum(acc, arr)
-    return Table(tuple(float(v) for v in acc))
+    return Table(tuple(_value_array(f).tolist()))
 
 
 def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
@@ -235,10 +250,8 @@ def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
         return Additive(tuple(f.values[i] for i in agents))
     if isinstance(f, XosClauses):
         return XosClauses(tuple(tuple(row[i] for i in agents) for row in f.clauses))
-    vals = []
-    for m in range(1 << len(agents)):
-        vals.append(f.values[mask_of(agents[j] for j in bits(m))])
-    return Table(tuple(vals))
+    masks = _subset_sums(np.array([1 << i for i in agents], np.int64), len(agents))
+    return Table(tuple(np.asarray(f.values)[masks].tolist()))
 
 
 def demand(f: SetFunction, prices: Sequence[float]) -> int:
@@ -265,7 +278,7 @@ def demand(f: SetFunction, prices: Sequence[float]) -> int:
             if cand in seen:
                 continue
             seen.add(cand)
-            surplus = f.value(cand) - sum(prices[i] for i in bits(cand))
+            surplus = f.value(cand) - _sum_over(prices, bits(cand))
             if (
                 best_surplus is None
                 or surplus > best_surplus
@@ -273,15 +286,7 @@ def demand(f: SetFunction, prices: Sequence[float]) -> int:
             ):
                 best_team, best_surplus = cand, surplus
         return best_team
-    best_team, best_surplus = 0, f.values[0]
-    qsum = [0.0] * len(f.values)
-    for m in range(1, len(f.values)):
-        low = m & -m
-        qsum[m] = qsum[m ^ low] + prices[low.bit_length() - 1]
-        surplus = f.values[m] - qsum[m]
-        if surplus > best_surplus:
-            best_team, best_surplus = m, surplus
-    return best_team
+    return int(np.argmax(np.asarray(f.values) - _subset_sums(prices, f.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +365,25 @@ def payment(inst: Instance, team: int) -> float:
         if total == math.inf:
             return math.inf
     return total
+
+
+def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """Reward and payment of every team mask, as two arrays of length 2^n.
+
+    Entries equal ``value`` and ``payment`` bit for bit. Payments take one
+    pass per agent, so no n x 2^n array is built. Callers check their cap.
+    """
+    f = _value_array(inst.reward)
+    pay = np.zeros(f.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, cost in enumerate(inst.costs):
+            # axis 1 splits teams by agent i: [:, 1] holds it, [:, 0] not
+            split = f.reshape(-1, 2, 1 << i)
+            margin = split[:, 1] - split[:, 0]
+            term = cost / margin
+            term[margin <= 0.0] = 0.0 if cost <= 0.0 else math.inf
+            pay.reshape(-1, 2, 1 << i)[:, 1] += term
+    return f, pay
 
 
 def singleton_payment(inst: Instance, agent: int) -> float:
@@ -478,7 +502,7 @@ def classify(f: SetFunction, cap: int = CLASSIFY_CAP) -> FunctionClasses:
         if isinstance(f, Additive):
             return FunctionClasses(True, True, True)
         raise SizeCapError(f"class verification capped at n <= {cap}")
-    t = np.asarray(to_table(f).values)
+    t = _value_array(f)
     return FunctionClasses(
         _table_is_monotone(t, n),
         _table_is_submodular(t, n),
@@ -510,9 +534,9 @@ def _table_is_subadditive(t: np.ndarray, n: int) -> bool:
 
 
 def is_submodular(f: SetFunction, cap: int = CLASSIFY_CAP) -> bool:
-    """Submodularity check alone (cheaper than a full classification)."""
+    """Submodularity check alone; additive functions pass at any size."""
+    if isinstance(f, Additive):
+        return True
     if f.n > cap:
-        if isinstance(f, Additive):
-            return True
         raise SizeCapError(f"class verification capped at n <= {cap}")
-    return _table_is_submodular(np.asarray(to_table(f).values), f.n)
+    return _table_is_submodular(_value_array(f), f.n)

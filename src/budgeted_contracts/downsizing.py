@@ -34,12 +34,13 @@ from .core import (
     XosClauses,
     _pay_term,
     bits,
-    classify,
+    is_submodular,
     mask_of,
     payment,
+    team_table,
     value,
 )
-from .objectives import REWARD, Objective, Reward, evaluate
+from .objectives import REWARD, Objective, Reward, evaluate, evaluate_all
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def downsize_submodular(
     if team == 0:
         raise InputError("cannot downsize the empty team")
     if check:
-        if not classify(inst.reward, cap=CLASSIFY_CAP).is_submodular:
+        if not is_submodular(inst.reward):
             raise PreconditionError("reward function is not submodular")
         if not isinstance(params.psi, Reward):
             # the reward itself is subadditive whenever it is submodular
@@ -201,7 +202,7 @@ def _certify_xos(inst: Instance) -> bool:
     # condition, otherwise table-backed callers own the precondition.
     if isinstance(inst.reward, (Additive, XosClauses)):
         return True
-    return inst.n <= CLASSIFY_CAP and classify(inst.reward).is_submodular
+    return inst.n <= CLASSIFY_CAP and is_submodular(inst.reward)
 
 
 def _assert_subadditive(psi: Objective, inst: Instance) -> None:
@@ -210,7 +211,7 @@ def _assert_subadditive(psi: Objective, inst: Instance) -> None:
     # this whenever the reward does, despite failing on overlapping pairs).
     if inst.n > 10:
         raise PreconditionError("subadditivity debug check capped at n <= 10")
-    vals = [evaluate(psi, inst, team) for team in range(1 << inst.n)]
+    vals = evaluate_all(psi, inst, *team_table(inst)).tolist()
     for a in range(1 << inst.n):
         rest = ((1 << inst.n) - 1) & ~a
         b = rest

@@ -30,7 +30,6 @@ from typing import Literal
 import numpy as np
 
 from .core import (
-    CLASSIFY_CAP,
     ENUM_CAP,
     EPS,
     Additive,
@@ -40,14 +39,13 @@ from .core import (
     SizeCapError,
     Table,
     XosClauses,
-    _table_is_submodular,
     ceil_tol,
     floor_tol,
-    payment,
+    is_submodular,
     singleton_payment,
-    to_table,
+    team_table,
 )
-from .objectives import REWARD, Objective, evaluate, objective_name
+from .objectives import REWARD, Objective, evaluate_all, objective_name
 from .solvers import brute_force_max
 
 BoundKind = Literal[
@@ -108,7 +106,10 @@ def pof(inst: Instance, query: PofQuery, cap: int = ENUM_CAP) -> PofReport:
     else:
         ratio = hi / lo
     name = objective_name(query.objective)
-    func_class = "submodular" if _submodular_reward(inst) else "xos"
+    try:
+        func_class = "submodular" if is_submodular(inst.reward) else "xos"
+    except SizeCapError:  # too large to verify: take the general bound
+        func_class = "xos"
     kind = pof_bound_kind(name, func_class)
     bound = pof_bound(query.b, query.B, inst.n, name, func_class)
     return PofReport(
@@ -162,14 +163,6 @@ def pof_bound(
         return min(B / b, float(n))
     k = min(floor_tol(1 / b + 0.5), ceil_tol(2 * B / b) - 1, n)
     return max(2.0 - b, k * (2.0 - k * b) / (2.0 - b))
-
-
-def _submodular_reward(inst: Instance) -> bool:
-    if isinstance(inst.reward, Additive):
-        return True
-    if inst.n > CLASSIFY_CAP:
-        return False
-    return _table_is_submodular(np.asarray(to_table(inst.reward).values), inst.n)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +295,16 @@ def value_payment_curve(
     """
     if inst.n > cap:
         raise SizeCapError(f"curve enumeration capped at n <= {cap}")
-    pairs = []
-    for team in range(1 << inst.n):
-        pay = payment(inst, team)
-        if pay == math.inf:
-            continue
-        pairs.append((pay, evaluate(obj, inst, team)))
-    pairs.sort()
-    curve: list[tuple[float, float]] = []
-    best = -math.inf
-    for pay, val in pairs:
-        if val > best:
-            best = val
-            if curve and curve[-1][0] == pay:
-                curve[-1] = (pay, val)
-            else:
-                curve.append((pay, val))
-    return curve
+    f, pay = team_table(inst)
+    finite = pay != math.inf
+    pay, vals = pay[finite], evaluate_all(obj, inst, f, pay)[finite]
+    order = np.lexsort((vals, pay))
+    pay, vals = pay[order], vals[order]
+    # vertices: strict new running maxima, the last one at each payment
+    new = vals > np.concatenate(([-math.inf], np.maximum.accumulate(vals)[:-1]))
+    pay, vals = pay[new], vals[new]
+    last = np.append(pay[1:] != pay[:-1], True)
+    return list(zip(pay[last].tolist(), vals[last].tolist()))
 
 
 def _check_budget_pair(b: float, B: float) -> None:

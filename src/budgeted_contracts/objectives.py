@@ -14,8 +14,11 @@ Both conditions can be verified exhaustively at desk scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
+
+import numpy as np
 
 from .core import (
     ENUM_CAP,
@@ -23,8 +26,11 @@ from .core import (
     Instance,
     InputError,
     SizeCapError,
+    _subset_sums,
+    _sum_over,
     bits,
     profit,
+    team_table,
     value,
 )
 
@@ -79,27 +85,27 @@ def evaluate(obj: Objective, inst: Instance, team: int) -> float:
     if isinstance(obj, Profit):
         return profit(inst, team)
     if isinstance(obj, Welfare):
-        return value(inst.reward, team) - sum(inst.costs[i] for i in bits(team))
-    return sum(
-        w * evaluate(c, inst, team) for c, w in zip(obj.components, obj.weights)
-    )
+        return value(inst.reward, team) - _sum_over(inst.costs, bits(team))
+    total = 0.0  # not sum(): see core._sum_over
+    for c, w in zip(obj.components, obj.weights):
+        total += w * evaluate(c, inst, team)
+    return total
 
 
-def evaluate_given(
-    obj: Objective, inst: Instance, team: int, pay: float, val: float
-) -> float:
-    """Evaluate with payment and reward precomputed (solver hot loop)."""
+def evaluate_all(
+    obj: Objective, inst: Instance, f: np.ndarray, pay: np.ndarray
+) -> np.ndarray:
+    """``evaluate`` on every team mask, bit for bit, from ``core.team_table``."""
     if isinstance(obj, Reward):
-        return val
+        return f
     if isinstance(obj, Profit):
-        if val == 0.0:
-            return 0.0
-        return -float("inf") if pay == float("inf") else (1.0 - pay) * val
+        with np.errstate(invalid="ignore"):
+            earned = np.where(pay == math.inf, -math.inf, (1.0 - pay) * f)
+        return np.where(f == 0.0, 0.0, earned)
     if isinstance(obj, Welfare):
-        return val - sum(inst.costs[i] for i in bits(team))
+        return f - _subset_sums(inst.costs, inst.n)
     return sum(
-        w * evaluate_given(c, inst, team, pay, val)
-        for c, w in zip(obj.components, obj.weights)
+        w * evaluate_all(c, inst, f, pay) for c, w in zip(obj.components, obj.weights)
     )
 
 
@@ -119,17 +125,17 @@ def check_best_conditions(
     """Exhaustively verify the sandwich and single-agent-drop conditions."""
     if inst.n > cap:
         raise SizeCapError(f"objective verification capped at n <= {cap}")
-    singles = [evaluate(obj, inst, 1 << i) for i in range(inst.n)]
-    for team in range(1 << inst.n):
-        phi = evaluate(obj, inst, team)
-        if not (profit(inst, team) <= phi + tol):
+    f, pay = team_table(inst)
+    phi = evaluate_all(obj, inst, f, pay)
+    if not (np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + tol)
+            and np.all(phi <= f + tol)):
+        return False
+    # dropping agent i: phi(S) <= f(S - {i}) + phi({i}) for every S holding i
+    for i in range(inst.n):
+        split_phi = phi.reshape(-1, 2, 1 << i)
+        split_f = f.reshape(-1, 2, 1 << i)
+        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + tol):
             return False
-        if not (phi <= value(inst.reward, team) + tol):
-            return False
-        for i in bits(team):
-            rest = value(inst.reward, team & ~(1 << i))
-            if not (phi <= rest + singles[i] + tol):
-                return False
     return True
 
 
@@ -142,7 +148,7 @@ def key_property_gap(
     objective and rhs = k * MaxRewardLight(budget) + max_i phi({i}), where
     k is 1 for submodular rewards and 2 otherwise. Callers assert lhs <= rhs.
     """
-    from .core import classify
+    from .core import is_submodular
     from .solvers import brute_force_max
 
     if inst.n > cap:
@@ -151,6 +157,6 @@ def key_property_gap(
         raise InputError("budget must lie in (0, 1]")
     lhs = brute_force_max(obj, inst, budget, cap=cap).value
     mrl = brute_force_max(REWARD, inst, budget, light_only=True, cap=cap).value
-    coeff = 1.0 if classify(inst.reward).is_submodular else 2.0
+    coeff = 1.0 if is_submodular(inst.reward) else 2.0
     best_single = max(evaluate(obj, inst, 1 << i) for i in range(inst.n))
     return lhs, coeff * mrl + best_single

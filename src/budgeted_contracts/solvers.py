@@ -30,9 +30,9 @@ from .core import (
     light_agents,
     payment,
     profit,
-    value,
+    team_table,
 )
-from .objectives import Objective, Reward, Welfare, evaluate, evaluate_given
+from .objectives import Objective, Reward, Welfare, evaluate, evaluate_all
 
 #: Payment comparisons inside the dynamic programs use a tighter tolerance
 #: than the general checker tolerance to avoid drift across table cells.
@@ -66,20 +66,18 @@ def brute_force_max(
         raise SizeCapError(f"brute force capped at n <= {cap}")
     if budget <= 0:
         raise InputError("budget must be positive")
-    light = light_agents(inst) if light_only else (1 << inst.n) - 1
-    best_team, best_value = 0, None
-    examined = 0
-    for team in range(1 << inst.n):
-        if team & ~light:
-            continue
-        examined += 1
-        pay = payment(inst, team)
-        if pay > budget + EPS:
-            continue
-        val = evaluate_given(obj, inst, team, pay, value(inst.reward, team))
-        if best_value is None or val > best_value:
-            best_team, best_value = team, val
-    return SolveResult(best_team, best_value, payment(inst, best_team), examined)
+    f, pay = team_table(inst)
+    allowed = ~(pay > budget + EPS)
+    light = (1 << inst.n) - 1
+    if light_only:
+        light = light_agents(inst)
+        allowed &= (np.arange(1 << inst.n) & ~light) == 0
+    # the empty team is allowed and has a finite value, so the first
+    # maximum below is an allowed team: the smallest bitmask among ties
+    vals = evaluate_all(obj, inst, f, pay)
+    best = int(np.argmax(np.where(allowed, vals, -math.inf)))
+    examined = 1 << light.bit_count()
+    return SolveResult(best, float(vals[best]), float(pay[best]), examined)
 
 
 # ---------------------------------------------------------------------------

@@ -104,8 +104,6 @@ def test_pof_reproducible_and_verified(tmp_path):
     first = out.read_bytes()
     assert main(args + ["--verify"]) == 0
     assert out.read_bytes() == first
-    assert main(args + ["--threads", "4"]) == 0
-    assert out.read_bytes() == first
 
 
 def test_pof_emit_curve(tmp_path):

@@ -48,6 +48,11 @@ def test_value_xos_separation(separation):
     assert value(separation.reward, 0b110) == pytest.approx(3 / 5)
 
 
+def test_empty_team_value_is_float():
+    for f in (Additive((0.25, 0.5)), XosClauses(((0.25, 0.5), (0.5, 0.0)))):
+        assert type(value(f, 0)) is float
+
+
 def test_marginal_examples(separation, uniform4):
     assert marginal(separation.reward, ALL3, 2) == pytest.approx(1 / 5)
     add = Additive((0.3, 0.2))
@@ -333,12 +338,19 @@ def test_demand_clause_scan_equals_exhaustive(row1, row2, prices):
 
 
 def test_to_table_matches_direct_queries():
-    # dyadic corpora keep sums exact, so materialized tables must agree
-    # with direct clause evaluation on every team
-    for inst in xos_corpus(10, seed=305, n_hi=8):
-        table = to_table(inst.reward)
-        for team in range(1 << inst.n):
-            assert table.values[team] == value(inst.reward, team)
+    # tables add agents in the oracle's order, so they agree bit for bit
+    # even where float sums depend on that order (the non-dyadic clauses)
+    nondyadic = XosClauses(
+        (
+            (0.13, 0.07, 0.21, 0.11, 0.03, 0.17, 0.09),
+            (0.05, 0.19, 0.02, 0.14, 0.23, 0.06, 0.12),
+        )
+    )
+    rewards = [inst.reward for inst in xos_corpus(10, seed=305, n_hi=8)]
+    for f in rewards + [nondyadic, Additive(nondyadic.clauses[0])]:
+        table = to_table(f)
+        for team in range(1 << f.n):
+            assert table.values[team] == value(f, team)
 
 
 def test_restrict_matches_subtable(separation):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -55,6 +56,7 @@ CASES = {
     "solve-xos9-light": ["solve", "--instance", "xos9", "--objective", "reward", "--budget", "0.5", "--light-only"],
     "solve-cov8-profit": ["solve", "--instance", "cov8", "--objective", "profit", "--budget", "0.5"],
     "solve-cov8-welfare": ["solve", "--instance", "cov8", "--objective", "welfare", "--budget", "0.3"],
+    "solve-alb6-welfare": ["solve", "--instance", "alb6", "--objective", "welfare", "--budget", "0.6"],
     "solve-add10-reward": ["solve", "--instance", "add10", "--objective", "reward", "--budget", "0.3"],
     "solve-add10-fptas-profit": ["solve", "--instance", "add10", "--objective", "profit", "--budget", "0.5", "--method", "fptas"],
     "solve-add10-fptas-welfare": ["solve", "--instance", "add10", "--objective", "welfare", "--budget", "0.5", "--method", "fptas", "--epsilon", "0.05"],
@@ -66,9 +68,11 @@ CASES = {
     "check-cov8": ["check", "--instance", "cov8"],
     "check-sublb8": ["check", "--instance", "sublb8"],
     "check-nondyadic": ["check", "--instance", "nondyadic"],
+    "check-sep": ["check", "--instance", "sep"],
     "downsize-cov8-submodular": ["downsize", "--instance", "cov8", "--set", "0,1,2,3,4,5,6", "--m", "3"],
     "downsize-add10-submodular": ["downsize", "--instance", "add10", "--set", "0,2,3,5,7,8,9", "--m", "4"],
     "downsize-xos9-xos": ["downsize", "--instance", "xos9", "--set", "0,1,2,4,5,7,8", "--m", "5", "--mode", "xos"],
+    "downsize-sep-xos": ["downsize", "--instance", "sep", "--set", "0,1,2", "--m", "3", "--mode", "xos"],
     "downsize-nondyadic-xos": ["downsize", "--instance", "nondyadic", "--set", "0,1,2,3,4,5,6", "--m", "3", "--mode", "xos"],
     "reduce-xos9-xos": ["reduce", "--instance", "xos9", "--from", "profit@0.5", "--to", "reward@0.5", "--path", "xos"],
     "reduce-cov8-submodular": ["reduce", "--instance", "cov8", "--from", "welfare@0.5", "--to", "profit@0.5", "--path", "submodular"],
@@ -119,8 +123,6 @@ def test_golden_output(name, instance_paths, tmp_path):
 
 def record() -> None:
     """Rewrite ``tests/golden/`` from the current code."""
-    import tempfile
-
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.iterdir():
         old.unlink()

@@ -10,17 +10,22 @@ from budgeted_contracts import (
     Profit,
     Reward,
     SizeCapError,
+    Table,
     Welfare,
+    XosClauses,
     check_best_conditions,
     evaluate,
     gen_subadditive_lb,
     key_property_gap,
     objective_name,
+    payment,
     profit,
+    to_table,
     value,
 )
+from budgeted_contracts.core import team_table
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
-from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
+from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE, evaluate_all
 
 ALL4 = 0b1111
 
@@ -89,19 +94,37 @@ def test_best_conditions_cap():
         check_best_conditions(REWARD, inst, cap=1)
 
 
-def test_evaluate_given_matches_evaluate():
-    from budgeted_contracts import payment
-    from budgeted_contracts.objectives import evaluate_given
+def _nondyadic_instances(count, seed):
+    """XOS and table instances whose float sums depend on the adding order."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = 3 + k % 5
+        rows = [[rng.random() / n for _ in range(n)] for _ in range(1 + k % 3)]
+        costs = [rng.random() / (2 * n) for _ in range(n)]
+        reward = XosClauses(tuple(map(tuple, rows)))
+        if k % 2:
+            reward = Table(tuple(min(1.0, v * 1.1) for v in to_table(reward).values))
+        out.append(Instance(n, tuple(costs), reward))
+    return out
 
+
+def test_evaluate_all_matches_evaluate():
     mix = Convex((REWARD, PROFIT, WELFARE), (0.2, 0.3, 0.5))
-    for inst in xos_corpus(6, seed=506, n_hi=6):
+    corpus = (
+        xos_corpus(6, seed=506, n_hi=6)
+        + submodular_corpus(4, seed=507, n_hi=6)
+        + _nondyadic_instances(10, seed=508)
+    )
+    for inst in corpus:
+        f, pay = team_table(inst)
+        for obj in (REWARD, PROFIT, WELFARE, mix):
+            table = evaluate_all(obj, inst, f, pay)
+            for team in range(1 << inst.n):
+                assert table[team] == evaluate(obj, inst, team)
         for team in range(1 << inst.n):
-            pay = payment(inst, team)
-            val = value(inst.reward, team)
-            for obj in (REWARD, PROFIT, WELFARE, mix):
-                assert evaluate_given(obj, inst, team, pay, val) == evaluate(
-                    obj, inst, team
-                )
+            assert f[team] == value(inst.reward, team)
+            assert pay[team] == payment(inst, team)
 
 
 def test_sandwich_pointwise():
