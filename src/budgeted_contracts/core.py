@@ -88,6 +88,18 @@ def _check_team(team: int, n: int) -> None:
         raise InputError(f"team {team:#b} has agents outside 0..{n - 1}")
 
 
+def check_budget(budget: float) -> None:
+    """Reject a budget outside (0, 1]; NaN fails every comparison."""
+    if not 0 < budget <= 1:
+        raise InputError(f"budget must lie in (0, 1], got {budget!r}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """Reject an accuracy outside (0, 1); NaN fails every comparison."""
+    if not 0 < epsilon < 1:
+        raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+
+
 def ceil_tol(x: float, tol: float = EPS) -> int:
     """Ceiling that snaps to the nearest integer first.
 

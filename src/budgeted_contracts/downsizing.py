@@ -32,6 +32,7 @@ from .core import (
     InputError,
     PreconditionError,
     XosClauses,
+    _check_team,
     _pay_term,
     bits,
     is_submodular,
@@ -91,6 +92,7 @@ def downsize_submodular(
     remainder. ``check=True`` verifies the submodularity precondition
     exhaustively (small n only).
     """
+    _check_team(team, inst.n)
     if team == 0:
         raise InputError("cannot downsize the empty team")
     if check:
@@ -148,6 +150,7 @@ def recover_marginals_xos(inst: Instance, kept: int, team: int) -> int:
     marginal is zero count as satisfying the condition (the 0/0 case) and
     are never removed; ratio ties drop the smallest index.
     """
+    _check_team(team, inst.n)
     if kept & ~team:
         raise InputError("kept agents must form a subset of the team")
     f = inst.reward

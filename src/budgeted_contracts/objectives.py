@@ -29,6 +29,7 @@ from .core import (
     _subset_sums,
     _sum_over,
     bits,
+    check_budget,
     profit,
     team_table,
     value,
@@ -153,8 +154,7 @@ def key_property_gap(
 
     if inst.n > cap:
         raise SizeCapError(f"gap verification capped at n <= {cap}")
-    if not 0 < budget <= 1:
-        raise InputError("budget must lie in (0, 1]")
+    check_budget(budget)
     lhs = brute_force_max(obj, inst, budget, cap=cap).value
     mrl = brute_force_max(REWARD, inst, budget, light_only=True, cap=cap).value
     coeff = 1.0 if is_submodular(inst.reward) else 2.0

@@ -27,10 +27,10 @@ from typing import Callable, Literal
 from .core import (
     EPS,
     Instance,
-    InputError,
     PreconditionError,
     SolverContractError,
     bits,
+    check_budget,
     light_agents,
     mask_of,
     payment,
@@ -75,8 +75,8 @@ class ScaledInstance:
 
 def scale_instance(inst: Instance, budget: float, budget_prime: float) -> ScaledInstance:
     """Build the light-restricted instance with costs scaled by B'/B."""
-    _check_budget(budget)
-    _check_budget(budget_prime)
+    check_budget(budget)
+    check_budget(budget_prime)
     agents = tuple(bits(light_agents(inst)))
     scale = budget_prime / budget
     if not agents:
@@ -103,7 +103,7 @@ def reduce_to_mrl(
     its downsized version plus every budget-feasible singleton (and the empty
     team); the pool member maximizing the objective is returned.
     """
-    _check_budget(budget)
+    check_budget(budget)
     light = light_agents(inst)
     if mrl_team & ~light:
         raise PreconditionError("hub input must contain only light agents")
@@ -218,7 +218,3 @@ def _best_by(pool: list[int], score: Callable[[int], float]) -> int:
             best_team, best_score = team, s
     return best_team
 
-
-def _check_budget(budget: float) -> None:
-    if not 0 < budget <= 1:
-        raise InputError("budgets must lie in (0, 1]")

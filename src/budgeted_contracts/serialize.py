@@ -74,6 +74,8 @@ def instance_to_dict(inst: Instance) -> dict:
 
 
 def instance_from_dict(d: dict) -> Instance:
+    if not isinstance(d, dict):
+        raise InputError(f"an instance must be a JSON object, got {type(d).__name__}")
     try:
         return Instance(
             n=int(d["n"]),

@@ -7,12 +7,15 @@ table (guess the largest singleton value in the optimum, round all rewards to
 multiples of a delta grid, then tabulate the cheapest team per rounded-reward
 level), and a classic value-rounding knapsack FPTAS for reward and welfare,
 which for additive rewards are plain knapsack problems with item weights
-c_i / f({i}).
+c_i / f({i}). Both schemes run one 0/1 dynamic program over rounded levels
+(Ibarra-Kim 1975, Lawler 1979): a single payment row updated in place per
+item, plus a boolean take matrix from which teams are reconstructed.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,6 +29,8 @@ from .core import (
     PreconditionError,
     SizeCapError,
     ceil_tol,
+    check_budget,
+    check_epsilon,
     floor_tol,
     light_agents,
     payment,
@@ -64,8 +69,7 @@ def brute_force_max(
     """
     if inst.n > cap:
         raise SizeCapError(f"brute force capped at n <= {cap}")
-    if budget <= 0:
-        raise InputError("budget must be positive")
+    check_budget(budget)
     f, pay = team_table(inst)
     allowed = ~(pay > budget + EPS)
     light = (1 << inst.n) - 1
@@ -78,6 +82,53 @@ def brute_force_max(
     best = int(np.argmax(np.where(allowed, vals, -math.inf)))
     examined = 1 << light.bit_count()
     return SolveResult(best, float(vals[best]), float(pay[best]), examined)
+
+
+# ---------------------------------------------------------------------------
+# the cheapest-payment-per-level dynamic program shared by both FPTAS
+# ---------------------------------------------------------------------------
+
+#: An item of the level DP: (agent, rounded level, payment weight).
+Item = tuple[int, int, float]
+
+
+def _cheapest_per_level(
+    items: Sequence[Item], n_levels: int, at_least: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Minimal payment per level over 0/1 choices of items, and what was taken.
+
+    Returns the final payment row (level 0 costs nothing, unreachable levels
+    are infinite) and the items x (n_levels + 1) boolean take matrix:
+    ``take[s, k]`` is True exactly where item s lowered level k's payment.
+    With ``at_least`` a level counts teams whose level sum reaches it (an
+    item lifts every level below its own, the clamp at 0); otherwise the sum
+    must hit the level exactly and an item leaves levels below its own alone.
+    """
+    cur = np.full(n_levels + 1, math.inf)
+    cur[0] = 0.0
+    cand = np.empty_like(cur)
+    take = np.empty((len(items), n_levels + 1), dtype=bool)
+    for s, (_, lev, weight) in enumerate(items):
+        np.add(cur[: n_levels + 1 - lev], weight, out=cand[lev:])
+        cand[:lev] = cur[0] + weight if at_least else math.inf
+        np.less(cand, cur, out=take[s])
+        np.minimum(cur, cand, out=cur)
+    return cur, take
+
+
+def _walk_back(take: np.ndarray, items: Sequence[Item], level: int) -> int:
+    """Reconstruct the team behind ``level`` from a take matrix.
+
+    An exact-level table never takes an item below its own level, so the
+    clamp at 0 acts only on at-least tables.
+    """
+    team, k = 0, level
+    for s in range(len(items) - 1, -1, -1):
+        if take[s, k]:
+            agent, lev, _ = items[s]
+            team |= 1 << agent
+            k = max(k - lev, 0)
+    return team
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +145,7 @@ class FptasParams:
     delta: float
 
     def __post_init__(self):
-        if not 0 < self.epsilon < 1:
-            raise InputError("epsilon must lie in (0, 1)")
+        check_epsilon(self.epsilon)
         if self.anchor <= 0:
             raise InputError("anchor must be positive")
 
@@ -106,16 +156,17 @@ class RoundedTable:
 
     Level k holds the minimum of sum_i c_i / f({i}) over teams whose rounded
     reward reaches k * delta * anchor; rounded rewards are exact multiples of
-    delta * anchor, so levels are exact integers. Unreachable levels carry an
-    infinite payment. Teams are reconstructed on demand from the retained
-    dynamic-programming stages.
+    delta * anchor, so levels are exact integers. ``payments`` is the read-only
+    float64 row of these minima; unreachable levels carry an infinite payment.
+    Teams are reconstructed on demand from a boolean take matrix, one row per
+    item, that records where each item lowered a level's payment.
     """
 
     params: FptasParams
     n_levels: int
-    payments: tuple[float, ...]
-    _stages: np.ndarray = field(repr=False)
-    _items: tuple[tuple[int, int, float], ...] = field(repr=False)
+    payments: np.ndarray
+    _take: np.ndarray = field(repr=False)
+    _items: tuple[Item, ...] = field(repr=False)
 
     def team(self, level: int) -> int:
         """Reconstruct the stored team for a level (inf level raises)."""
@@ -123,14 +174,7 @@ class RoundedTable:
             raise InputError("level out of range")
         if self.payments[level] == math.inf:
             raise InputError("level is unreachable")
-        team, k = 0, level
-        for stage in range(len(self._items), 0, -1):
-            agent, lev, weight = self._items[stage - 1]
-            if self._stages[stage][k] == self._stages[stage - 1][k]:
-                continue
-            team |= 1 << agent
-            k = max(k - lev, 0)
-        return team
+        return _walk_back(self._take, self._items, level)
 
 
 def build_rounded_table(inst: Instance, epsilon: float, anchor: float) -> RoundedTable:
@@ -147,17 +191,13 @@ def build_rounded_table(inst: Instance, epsilon: float, anchor: float) -> Rounde
             continue  # contributes no reward; never lowers a level's payment
         items.append((i, min(floor_tol(v / grid), n_levels), inst.costs[i] / v))
 
-    stages = np.full((len(items) + 1, n_levels + 1), math.inf)
-    stages[0][0] = 0.0
-    for s, (_, lev, weight) in enumerate(items, start=1):
-        prev = stages[s - 1]
-        shifted = prev[np.maximum(np.arange(n_levels + 1) - lev, 0)]
-        stages[s] = np.minimum(prev, shifted + weight)
+    payments, take = _cheapest_per_level(items, n_levels, at_least=True)
+    payments.flags.writeable = False
     return RoundedTable(
         params=params,
         n_levels=n_levels,
-        payments=tuple(float(p) for p in stages[-1]),
-        _stages=stages,
+        payments=payments,
+        _take=take,
         _items=tuple(items),
     )
 
@@ -172,10 +212,8 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
     its true profit.
     """
     values = _additive_values(inst)
-    if not 0 < budget <= 1:
-        raise InputError("budget must lie in (0, 1]")
-    if not 0 < epsilon < 1:
-        raise InputError("epsilon must lie in (0, 1)")
+    check_budget(budget)
+    check_epsilon(epsilon)
     anchors = sorted({v for v in values if v > 0})
     if not anchors:
         return SolveResult(0, profit(inst, 0), 0.0, 1)
@@ -186,13 +224,17 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
         table = build_rounded_table(inst, epsilon, anchor)
         examined += table.n_levels + 1
         grid = table.params.delta * anchor
-        best_level, best_proxy = 0, 0.0
-        for k, pay in enumerate(table.payments):
-            if pay > budget + PAY_TOL:
-                continue
-            proxy = (1.0 - pay) * k * grid
-            if proxy > best_proxy:
-                best_level, best_proxy = k, proxy
+        pay = table.payments
+        # pay[0] is 0.0, so no 0 * inf arises; argmax takes the lowest level
+        # among ties, and level 0 stands unless some proxy is positive
+        proxy = np.where(
+            pay > budget + PAY_TOL,
+            -math.inf,
+            (1.0 - pay) * np.arange(table.n_levels + 1) * grid,
+        )
+        best_level = int(np.argmax(proxy))
+        if proxy[best_level] <= 0.0:
+            best_level = 0
         candidates.append(table.team(best_level))
 
     best_team, best_profit = 0, profit(inst, 0)
@@ -215,10 +257,8 @@ def knapsack_fptas(
     values = _additive_values(inst)
     if not isinstance(obj, (Reward, Welfare)):
         raise PreconditionError("knapsack reduction applies to reward or welfare only")
-    if not 0 < budget <= 1:
-        raise InputError("budget must lie in (0, 1]")
-    if not 0 < epsilon < 1:
-        raise InputError("epsilon must lie in (0, 1)")
+    check_budget(budget)
+    check_epsilon(epsilon)
 
     items = []
     for i, v in enumerate(values):
@@ -233,26 +273,13 @@ def knapsack_fptas(
         return SolveResult(0, evaluate(obj, inst, 0), 0.0, 1)
 
     scale = epsilon * max(w for _, _, w in items) / len(items)
-    levels = [max(floor_tol(w / scale), 0) for _, _, w in items]
-    total = sum(levels)
-    stages = np.full((len(items) + 1, total + 1), math.inf)
-    stages[0][0] = 0.0
-    for s, ((_, weight, _), lev) in enumerate(zip(items, levels), start=1):
-        prev = stages[s - 1]
-        stages[s] = prev.copy()
-        if lev == 0:
-            # zero rounded value never helps the value side
-            continue
-        stages[s][lev:] = np.minimum(prev[lev:], prev[:-lev] + weight)
-    feasible = np.nonzero(stages[-1] <= budget + PAY_TOL)[0]
-    best_level = int(feasible.max())
-
-    team, k = 0, best_level
-    for s in range(len(items), 0, -1):
-        if stages[s][k] == stages[s - 1][k]:
-            continue
-        team |= 1 << items[s - 1][0]
-        k -= levels[s - 1]
+    dp_items = [
+        (i, max(floor_tol(worth / scale), 0), weight) for i, weight, worth in items
+    ]
+    total = sum(lev for _, lev, _ in dp_items)
+    payments, take = _cheapest_per_level(dp_items, total, at_least=False)
+    best_level = int(np.nonzero(payments <= budget + PAY_TOL)[0].max())
+    team = _walk_back(take, dp_items, best_level)
     return SolveResult(
         team, evaluate(obj, inst, team), payment(inst, team), total + 1
     )

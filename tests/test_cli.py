@@ -142,6 +142,43 @@ def test_exit_codes(tmp_path, capsys):
                    "--objective", "reward") == 2
 
 
+def _one_input_error(capsys) -> None:
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: ") and err.count("\n") == 1, err
+
+
+@pytest.fixture
+def two_agent_file(tmp_path):
+    path = tmp_path / "two.json"
+    save_instance(Instance(2, (0.1, 0.1), Additive((0.5, 0.5))), str(path))
+    return path
+
+
+@pytest.mark.parametrize("budget", ["nan", "5", "0"])
+@pytest.mark.parametrize("method", ["brute", "fptas"])
+@pytest.mark.parametrize("objective", ["profit", "reward"])
+def test_solve_rejects_budget_outside_unit_interval(
+    two_agent_file, capsys, budget, method, objective
+):
+    assert run_cli("solve", "--instance", two_agent_file, "--objective", objective,
+                   "--budget", budget, "--method", method) == 2
+    _one_input_error(capsys)
+
+
+@pytest.mark.parametrize("mode", ["submodular", "xos"])
+def test_downsize_rejects_agents_out_of_range(two_agent_file, capsys, mode):
+    assert run_cli("downsize", "--instance", two_agent_file, "--set", "0,9",
+                   "--m", 3, "--mode", mode) == 2
+    _one_input_error(capsys)
+
+
+def test_instance_file_must_be_an_object(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2, 3]")
+    assert run_cli("check", "--instance", path) == 2
+    _one_input_error(capsys)
+
+
 def test_gen_random_families_seeded(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

@@ -28,6 +28,8 @@ GENERATED = {
     "xos6": ["--family", "random-xos", "--n", "6", "--clauses", "4", "--seed", "4"],
     "cov8": ["--family", "random-submodular", "--n", "8", "--seed", "5"],
     "add10": ["--family", "random-additive", "--n", "10", "--seed", "3"],
+    "add40": ["--family", "random-additive", "--n", "40", "--seed", "7"],
+    "add63": ["--family", "random-additive", "--n", "63", "--seed", "8"],
     "alb6": ["--family", "additive-lb", "--n", "6", "--b", "0.3"],
     "sublb8": ["--family", "subadd-lb", "--n", "8", "--b", "0.3"],
     "sep": ["--family", "xos-sep", "--b", "0.45"],
@@ -60,6 +62,10 @@ CASES = {
     "solve-add10-reward": ["solve", "--instance", "add10", "--objective", "reward", "--budget", "0.3"],
     "solve-add10-fptas-profit": ["solve", "--instance", "add10", "--objective", "profit", "--budget", "0.5", "--method", "fptas"],
     "solve-add10-fptas-welfare": ["solve", "--instance", "add10", "--objective", "welfare", "--budget", "0.5", "--method", "fptas", "--epsilon", "0.05"],
+    "solve-add40-fptas-profit": ["solve", "--instance", "add40", "--objective", "profit", "--budget", "0.5", "--method", "fptas", "--epsilon", "0.02"],
+    "solve-add63-fptas-profit": ["solve", "--instance", "add63", "--objective", "profit", "--budget", "0.4", "--method", "fptas", "--epsilon", "0.1"],
+    "solve-add63-fptas-reward": ["solve", "--instance", "add63", "--objective", "reward", "--budget", "0.4", "--method", "fptas", "--epsilon", "0.1"],
+    "solve-add63-fptas-welfare": ["solve", "--instance", "add63", "--objective", "welfare", "--budget", "0.6", "--method", "fptas", "--epsilon", "0.1"],
     "solve-nondyadic-profit": ["solve", "--instance", "nondyadic", "--objective", "profit", "--budget", "0.6"],
     "solve-nondyadic-reward": ["solve", "--instance", "nondyadic", "--objective", "reward", "--budget", "0.6"],
     "solve-nondyadic-welfare": ["solve", "--instance", "nondyadic", "--objective", "welfare", "--budget", "0.6"],

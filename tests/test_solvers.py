@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 
 import pytest
 
@@ -16,7 +18,11 @@ from budgeted_contracts import (
     value,
 )
 from budgeted_contracts.core import ceil_tol
-from budgeted_contracts.corpora import additive_corpus, submodular_corpus
+from budgeted_contracts.corpora import (
+    additive_corpus,
+    random_additive_instance,
+    submodular_corpus,
+)
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
 ALL3 = 0b111
@@ -43,8 +49,9 @@ def test_brute_force_contract(separation):
 def test_brute_force_cap_and_budget(separation):
     with pytest.raises(SizeCapError):
         brute_force_max(REWARD, separation, 1.0, cap=2)
-    with pytest.raises(InputError):
-        brute_force_max(REWARD, separation, 0.0)
+    for budget in (0.0, 1.5, math.nan):
+        with pytest.raises(InputError):
+            brute_force_max(REWARD, separation, budget)
 
 
 def test_light_only_never_beats_unrestricted():
@@ -81,7 +88,7 @@ def test_rounded_table_invariants():
 
     # exhaustive oracle: cheapest team whose rounded reward reaches level k
     grid = table.params.delta * table.params.anchor
-    for k in range(0, table.n_levels + 1, 7):
+    for k in range(table.n_levels + 1):
         best = math.inf
         for team in range(8):
             lvl = sum(
@@ -146,10 +153,22 @@ def test_fptas_preconditions(uniform4):
     inst = Instance(2, (0.1, 0.1), Additive((0.5, 0.5)))
     with pytest.raises(PreconditionError):
         fptas_additive_profit(uniform4, 1.0, 0.1)  # table-backed reward
-    with pytest.raises(InputError):
-        fptas_additive_profit(inst, 1.0, 0.0)
-    with pytest.raises(InputError):
-        fptas_additive_profit(inst, 1.5, 0.1)
+    for budget, eps in ((1.0, 0.0), (1.0, math.nan), (1.5, 0.1), (math.nan, 0.1)):
+        with pytest.raises(InputError):
+            fptas_additive_profit(inst, budget, eps)
+
+
+def test_fptas_memory_stays_small():
+    # the take matrix is one byte per (item, level); a float64 table per
+    # stage held 26 MB here and peaked above 50 MB with its temporaries
+    inst = random_additive_instance(random.Random(40), 40)
+    tracemalloc.start()
+    try:
+        fptas_additive_profit(inst, 0.5, 0.02)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_fptas_zero_values():
@@ -199,5 +218,6 @@ def test_knapsack_preconditions():
     inst = Instance(2, (0.1, 0.1), Additive((0.5, 0.5)))
     with pytest.raises(PreconditionError):
         knapsack_fptas(inst, 1.0, 0.1, PROFIT)
-    with pytest.raises(InputError):
-        knapsack_fptas(inst, 1.0, 1.0, REWARD)
+    for budget, eps in ((1.0, 1.0), (1.0, math.nan), (5.0, 0.1), (math.nan, 0.1)):
+        with pytest.raises(InputError):
+            knapsack_fptas(inst, budget, eps, REWARD)
