@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 from budgeted_contracts import (
-    DownsizeParams,
     brute_force_max,
     brute_solver,
     downsize_submodular,
@@ -56,7 +55,7 @@ def downsizing_sweep(cfg: SweepConfig) -> None:
             if val_team == 0.0:
                 continue
             for m in cfg.shrink_params:
-                res = downsize_submodular(inst, team, DownsizeParams(m))
+                res = downsize_submodular(inst, team, m)
                 worst_obj[m] = min(worst_obj[m], res.objective_after / val_team)
                 if res.subset.bit_count() > 1:
                     worst_pay[m] = max(worst_pay[m], res.payment_after / pay_team)

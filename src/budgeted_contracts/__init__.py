@@ -42,7 +42,6 @@ from .corpora import (
     xos_corpus,
 )
 from .downsizing import (
-    DownsizeParams,
     DownsizeResult,
     downsize_submodular,
     downsize_xos,
@@ -82,7 +81,6 @@ from .reductions import (
     scale_instance,
 )
 from .solvers import (
-    FptasParams,
     RoundedTable,
     SolveResult,
     brute_force_max,

@@ -22,6 +22,7 @@ import time
 from . import __version__
 from .core import (
     CLASSIFY_CAP,
+    EPS,
     ContractsError,
     InputError,
     ceil_tol,
@@ -35,7 +36,7 @@ from .corpora import (
     random_submodular_instance,
     random_xos_instance,
 )
-from .downsizing import DownsizeParams, downsize_submodular, downsize_xos
+from .downsizing import downsize_submodular, downsize_xos
 from .frugality import (
     PofQuery,
     gen_additive_lb,
@@ -71,9 +72,7 @@ def _fmt(x) -> str:
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--instance", help="instance JSON file")
     sub.add_argument("--out", help="output file (stdout when omitted)")
-    sub.add_argument("--seed", type=int, default=None, help="seed for random families")
     sub.add_argument(
         "--verify",
         action="store_true",
@@ -89,6 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("solve", help="maximize an objective under a budget")
+    p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--objective", default="profit", choices=["reward", "profit", "welfare"])
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--method", default="brute", choices=["brute", "fptas"])
@@ -97,12 +97,14 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("downsize", help="shrink a team's payment, keep value")
+    p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--set", required=True, help="comma-separated agent indices")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--mode", default="submodular", choices=["submodular", "xos"])
     _add_common(p)
 
     p = subs.add_parser("reduce", help="solve one objective/budget via another")
+    p.add_argument("--instance", help="instance JSON file")
     p.add_argument("--from", dest="from_spec", required=True, metavar="OBJ@B")
     p.add_argument("--to", dest="to_spec", required=True, metavar="OBJ@B")
     p.add_argument("--solver", default="brute", choices=sorted(SOLVERS))
@@ -146,9 +148,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--eps", type=float, default=None)
     p.add_argument("--clauses", type=int, default=3)
+    p.add_argument("--seed", type=int, default=None, help="seed for random families")
     _add_common(p)
 
     p = subs.add_parser("check", help="classify a reward and verify objectives")
+    p.add_argument("--instance", help="instance JSON file")
     _add_common(p)
 
     return parser
@@ -191,7 +195,7 @@ def cmd_downsize(args) -> dict[str, str]:
         raise InputError(f"bad --set {args.set!r}") from exc
     check = inst.n <= CLASSIFY_CAP  # enforce class preconditions at desk scale
     if args.mode == "submodular":
-        res = downsize_submodular(inst, team, DownsizeParams(args.m), check=check)
+        res = downsize_submodular(inst, team, args.m, check=check)
     else:
         res = downsize_xos(inst, team, args.m, check=check)
     body = jsonable(res)
@@ -231,6 +235,8 @@ def _parse_grid(spec: str) -> list[float]:
     while start + k * step <= stop + 1e-12:
         out.append(round(start + k * step, 10))
         k += 1
+    if not out:
+        raise InputError(f"--grid {spec!r} has no points")
     return out
 
 
@@ -267,13 +273,15 @@ def cmd_pof(args) -> dict[str, str]:
         ["family", "n", "b", "B", "objective", "max_b", "max_B", "ratio", "bound", "tight"]
     )
     curves: list[tuple[float, str, float, float]] = []
+    skipped: list[InputError] = []
     for b in grid:
         try:
             inst = _pof_instance(args, b)
-        except InputError:
-            continue  # cell outside the family's validity range
+        except InputError as exc:
+            skipped.append(exc)  # cell outside the family's validity range
+            continue
         rep = pof(inst, PofQuery(b=b, B=args.B, objective=obj))
-        tight = rep.ratio is not None and abs(rep.ratio - rep.theoretical_bound) <= 1e-9
+        tight = rep.ratio is not None and abs(rep.ratio - rep.theoretical_bound) <= EPS
         writer.writerow(
             [
                 args.family,
@@ -294,6 +302,8 @@ def cmd_pof(args) -> dict[str, str]:
             curves += [(b, "reward", p, v) for p, v in reward]
             curves += [(b, "welfare", p, v) for p, v in welfare]
             curves += [(b, "profit_envelope", p, (1 - p) * v) for p, v in reward]
+    if len(skipped) == len(grid):
+        raise skipped[0]
 
     out = {"": buf.getvalue()}
     if args.emit_curve:
@@ -380,9 +390,8 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 if existing != body:
                     raise InputError(f"verification failed: {path} differs")
-        hashes = {}
-        if args.instance:
-            hashes[args.instance] = file_sha256(args.instance)
+        instance = getattr(args, "instance", None)
+        hashes = {instance: file_sha256(instance)} if instance else {}
         for key, body in outputs.items():
             path = _out_path_for(args, key)
             if path is None:
@@ -394,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
                 command=argv,
                 instance_hashes=hashes,
                 tool_version=__version__,
-                seed=args.seed,
+                seed=getattr(args, "seed", None),
                 wall_time_s=time.perf_counter() - start,
             )
             write_manifest(manifest, path)

@@ -23,13 +23,10 @@ import numpy as np
 #: Absolute tolerance for feasibility / equilibrium / class checkers.
 EPS = 1e-9
 
-#: Teams are bitmasks, so agent counts are capped well below word size.
-MAX_AGENTS = 63
-
-#: Default cap for exhaustive subset enumeration (equilibria, brute force).
+#: Cap on n for exhaustive subset enumeration (equilibria, brute force).
 ENUM_CAP = 20
 
-#: Default cap for exhaustive function-class verification.
+#: Cap on n for exhaustive function-class verification.
 CLASSIFY_CAP = 16
 
 
@@ -100,22 +97,22 @@ def check_epsilon(epsilon: float) -> None:
         raise InputError(f"epsilon must lie in (0, 1), got {epsilon!r}")
 
 
-def ceil_tol(x: float, tol: float = EPS) -> int:
+def ceil_tol(x: float) -> int:
     """Ceiling that snaps to the nearest integer first.
 
     Guards quantities like 2B/b that are integral in exact arithmetic but
     land an ulp off in floats; a raw ceil would then be off by one.
     """
     nearest = round(x)
-    if abs(x - nearest) <= tol:
+    if abs(x - nearest) <= EPS:
         return int(nearest)
     return math.ceil(x)
 
 
-def floor_tol(x: float, tol: float = EPS) -> int:
+def floor_tol(x: float) -> int:
     """Floor with the same snap-to-integer guard as :func:`ceil_tol`."""
     nearest = round(x)
-    if abs(x - nearest) <= tol:
+    if abs(x - nearest) <= EPS:
         return int(nearest)
     return math.floor(x)
 
@@ -322,8 +319,6 @@ class Instance:
         object.__setattr__(self, "costs", tuple(float(c) for c in self.costs))
         if self.n < 1:
             raise InputError("instance needs at least one agent")
-        if self.n > MAX_AGENTS:
-            raise InputError(f"at most {MAX_AGENTS} agents are supported")
         if len(self.costs) != self.n:
             raise InputError("cost vector length must equal the agent count")
         if any(c < 0 or not math.isfinite(c) for c in self.costs):
@@ -437,9 +432,7 @@ def optimal_contract_for(inst: Instance, team: int) -> Contract:
     return Contract(tuple(alpha))
 
 
-def is_nash_equilibrium(
-    inst: Instance, contract: Contract, team: int, tol: float = EPS
-) -> bool:
+def is_nash_equilibrium(inst: Instance, contract: Contract, team: int) -> bool:
     """Check the pure-equilibrium conditions of a contract for a team.
 
     Team members must not gain by shirking, and outsiders must not gain by
@@ -454,20 +447,18 @@ def is_nash_equilibrium(
         a = contract.alpha[i]
         bit = 1 << i
         if team & bit:
-            if a * f_team - inst.costs[i] < a * f.value(team & ~bit) - tol:
+            if a * f_team - inst.costs[i] < a * f.value(team & ~bit) - EPS:
                 return False
         else:
-            if a * f_team < a * f.value(team | bit) - inst.costs[i] - tol:
+            if a * f_team < a * f.value(team | bit) - inst.costs[i] - EPS:
                 return False
     return True
 
 
-def enumerate_equilibria(
-    inst: Instance, contract: Contract, cap: int = ENUM_CAP
-) -> list[int]:
+def enumerate_equilibria(inst: Instance, contract: Contract) -> list[int]:
     """All equilibrium teams of a contract, in ascending bitmask order."""
-    if inst.n > cap:
-        raise SizeCapError(f"equilibrium enumeration capped at n <= {cap}")
+    if inst.n > ENUM_CAP:
+        raise SizeCapError(f"equilibrium enumeration capped at n <= {ENUM_CAP}")
     return [
         team
         for team in range(1 << inst.n)
@@ -500,7 +491,7 @@ class FunctionClasses:
     is_subadditive: bool
 
 
-def classify(f: SetFunction, cap: int = CLASSIFY_CAP) -> FunctionClasses:
+def classify(f: SetFunction) -> FunctionClasses:
     """Exhaustively verify monotonicity, submodularity, and subadditivity.
 
     Submodularity is checked through the equivalent pairwise
@@ -510,10 +501,10 @@ def classify(f: SetFunction, cap: int = CLASSIFY_CAP) -> FunctionClasses:
     analytically; other representations raise.
     """
     n = f.n
-    if n > cap:
+    if n > CLASSIFY_CAP:
         if isinstance(f, Additive):
             return FunctionClasses(True, True, True)
-        raise SizeCapError(f"class verification capped at n <= {cap}")
+        raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
     t = _value_array(f)
     return FunctionClasses(
         _table_is_monotone(t, n),
@@ -545,10 +536,10 @@ def _table_is_subadditive(t: np.ndarray, n: int) -> bool:
     return all(np.all(t[masks | m] <= t[m] + t + EPS) for m in range(1 << n))
 
 
-def is_submodular(f: SetFunction, cap: int = CLASSIFY_CAP) -> bool:
+def is_submodular(f: SetFunction) -> bool:
     """Submodularity check alone; additive functions pass at any size."""
     if isinstance(f, Additive):
         return True
-    if f.n > cap:
-        raise SizeCapError(f"class verification capped at n <= {cap}")
+    if f.n > CLASSIFY_CAP:
+        raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
     return _table_is_submodular(_value_array(f), f.n)

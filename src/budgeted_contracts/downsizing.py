@@ -27,10 +27,12 @@ from dataclasses import dataclass
 
 from .core import (
     CLASSIFY_CAP,
+    EPS,
     Additive,
     Instance,
     InputError,
     PreconditionError,
+    SizeCapError,
     XosClauses,
     _check_team,
     _pay_term,
@@ -42,18 +44,6 @@ from .core import (
     value,
 )
 from .objectives import REWARD, Objective, Reward, evaluate, evaluate_all
-
-
-@dataclass(frozen=True)
-class DownsizeParams:
-    """Target parameter M >= 3 and the subadditive objective to preserve."""
-
-    m: int
-    psi: Objective = REWARD
-
-    def __post_init__(self):
-        if not isinstance(self.m, int) or self.m < 3:
-            raise InputError("downsizing parameter m must be an integer >= 3")
 
 
 @dataclass(frozen=True)
@@ -80,7 +70,7 @@ def _result(
 
 
 def downsize_submodular(
-    inst: Instance, team: int, params: DownsizeParams, check: bool = False
+    inst: Instance, team: int, m: int, psi: Objective = REWARD, check: bool = False
 ) -> DownsizeResult:
     """Bag-filling downsizing for submodular rewards.
 
@@ -89,18 +79,20 @@ def downsize_submodular(
     Otherwise the remaining agents are consumed in ascending index order
     into bags that stop once their share sum passes p(S)/M; the first bag
     preserving the psi fraction is returned, falling back to the unconsumed
-    remainder. ``check=True`` verifies the submodularity precondition
-    exhaustively (small n only).
+    remainder. ``psi`` may be any subadditive objective; ``check=True``
+    verifies the submodularity precondition exhaustively (small n only).
     """
+    if not isinstance(m, int) or m < 3:
+        raise InputError("downsizing parameter m must be an integer >= 3")
     _check_team(team, inst.n)
     if team == 0:
         raise InputError("cannot downsize the empty team")
     if check:
         if not is_submodular(inst.reward):
             raise PreconditionError("reward function is not submodular")
-        if not isinstance(params.psi, Reward):
+        if not isinstance(psi, Reward):
             # the reward itself is subadditive whenever it is submodular
-            _assert_subadditive(params.psi, inst)
+            _assert_subadditive(psi, inst)
     f = inst.reward
     f_team = f.value(team)
     share = {
@@ -108,16 +100,16 @@ def downsize_submodular(
         for i in bits(team)
     }
     pay_team = sum(share.values())
-    threshold = pay_team / params.m
-    floor = evaluate(params.psi, inst, team) / (params.m - 1)
+    threshold = pay_team / m
+    floor = evaluate(psi, inst, team) / (m - 1)
 
     outliers = [i for i in bits(team) if share[i] > threshold]
     for i in outliers:
-        if evaluate(params.psi, inst, 1 << i) >= floor:
-            return _result(inst, team, 1 << i, params.psi, singleton_exit=True)
+        if evaluate(psi, inst, 1 << i) >= floor:
+            return _result(inst, team, 1 << i, psi, singleton_exit=True)
 
     queue = [i for i in bits(team) if share[i] <= threshold]
-    if len(outliers) >= params.m - 1:
+    if len(outliers) >= m - 1:
         # With M-1 outliers (more is impossible: each share exceeds p/M),
         # the piece accounting would run out of bags, but folding the
         # cheapest outlier into the remainder still works: the remainder's
@@ -126,19 +118,19 @@ def downsize_submodular(
         # the other M-2 outliers each failed the value floor above.
         cheapest = min(outliers, key=lambda i: (share[i], i))
         fold = mask_of(queue) | (1 << cheapest)
-        return _result(inst, team, fold, params.psi, singleton_exit=False)
+        return _result(inst, team, fold, psi, singleton_exit=False)
     pos = 0
-    for _ in range(params.m - len(outliers) - 2):
+    for _ in range(m - len(outliers) - 2):
         bag, bag_sum = 0, 0.0
         while pos < len(queue) and bag_sum <= threshold:
             i = queue[pos]
             pos += 1
             bag |= 1 << i
             bag_sum += share[i]
-        if evaluate(params.psi, inst, bag) >= floor:
-            return _result(inst, team, bag, params.psi, singleton_exit=False)
+        if evaluate(psi, inst, bag) >= floor:
+            return _result(inst, team, bag, psi, singleton_exit=False)
     remainder = mask_of(queue[pos:])
-    return _result(inst, team, remainder, params.psi, singleton_exit=False)
+    return _result(inst, team, remainder, psi, singleton_exit=False)
 
 
 def recover_marginals_xos(inst: Instance, kept: int, team: int) -> int:
@@ -187,7 +179,7 @@ def downsize_xos(
     """
     if check and not _certify_xos(inst):
         raise PreconditionError("reward representation cannot be certified XOS")
-    inner = downsize_submodular(inst, team, DownsizeParams(m, REWARD), check=False)
+    inner = downsize_submodular(inst, team, m)
     recovered = recover_marginals_xos(inst, inner.subset, team)
     return DownsizeResult(
         subset=recovered,
@@ -212,14 +204,14 @@ def _assert_subadditive(psi: Objective, inst: Instance) -> None:
     # The guarantee accounting splits teams into disjoint pieces, so only
     # subadditivity across disjoint pairs is required (welfare satisfies
     # this whenever the reward does, despite failing on overlapping pairs).
-    if inst.n > 10:
-        raise PreconditionError("subadditivity debug check capped at n <= 10")
+    if inst.n > CLASSIFY_CAP:
+        raise SizeCapError(f"subadditivity debug check capped at n <= {CLASSIFY_CAP}")
     vals = evaluate_all(psi, inst, *team_table(inst)).tolist()
     for a in range(1 << inst.n):
         rest = ((1 << inst.n) - 1) & ~a
         b = rest
         while True:
-            if vals[a | b] > vals[a] + vals[b] + 1e-9:
+            if vals[a | b] > vals[a] + vals[b] + EPS:
                 raise PreconditionError("psi is not subadditive on this instance")
             if b == 0:
                 break

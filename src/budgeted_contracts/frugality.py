@@ -87,7 +87,7 @@ class PofReport:
     bound_kind: BoundKind
 
 
-def pof(inst: Instance, query: PofQuery, cap: int = ENUM_CAP) -> PofReport:
+def pof(inst: Instance, query: PofQuery) -> PofReport:
     """Realized price of frugality of one instance via exhaustive optima."""
     if query.singletons_feasible_at_b:
         worst = max(singleton_payment(inst, i) for i in range(inst.n))
@@ -95,8 +95,8 @@ def pof(inst: Instance, query: PofQuery, cap: int = ENUM_CAP) -> PofReport:
             raise PreconditionError(
                 "singletons_feasible_at_b set but some singleton exceeds b"
             )
-    hi = brute_force_max(query.objective, inst, query.B, cap=cap).value
-    lo = brute_force_max(query.objective, inst, query.b, cap=cap).value
+    hi = brute_force_max(query.objective, inst, query.B).value
+    lo = brute_force_max(query.objective, inst, query.b).value
     if lo <= 0.0:
         if query.singletons_feasible_at_b:
             raise PreconditionError(
@@ -285,16 +285,14 @@ def gen_profit_lb_k(b: float, B: float, k: int, eps: float) -> Instance:
     )
 
 
-def value_payment_curve(
-    inst: Instance, obj: Objective, cap: int = ENUM_CAP
-) -> list[tuple[float, float]]:
+def value_payment_curve(inst: Instance, obj: Objective) -> list[tuple[float, float]]:
     """Breakpoints of the step function p -> best objective at budget p.
 
     Returns (payment, value) vertices sorted by payment, keeping only
     points where the running maximum increases; plot-ready step data.
     """
-    if inst.n > cap:
-        raise SizeCapError(f"curve enumeration capped at n <= {cap}")
+    if inst.n > ENUM_CAP:
+        raise SizeCapError(f"curve enumeration capped at n <= {ENUM_CAP}")
     f, pay = team_table(inst)
     finite = pay != math.inf
     pay, vals = pay[finite], evaluate_all(obj, inst, f, pay)[finite]

@@ -120,28 +120,26 @@ def objective_name(obj: Objective) -> str:
     return "convex"
 
 
-def check_best_conditions(
-    obj: Objective, inst: Instance, cap: int = ENUM_CAP, tol: float = EPS
-) -> bool:
+def check_best_conditions(obj: Objective, inst: Instance) -> bool:
     """Exhaustively verify the sandwich and single-agent-drop conditions."""
-    if inst.n > cap:
-        raise SizeCapError(f"objective verification capped at n <= {cap}")
+    if inst.n > ENUM_CAP:
+        raise SizeCapError(f"objective verification capped at n <= {ENUM_CAP}")
     f, pay = team_table(inst)
     phi = evaluate_all(obj, inst, f, pay)
-    if not (np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + tol)
-            and np.all(phi <= f + tol)):
+    if not (np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + EPS)
+            and np.all(phi <= f + EPS)):
         return False
     # dropping agent i: phi(S) <= f(S - {i}) + phi({i}) for every S holding i
     for i in range(inst.n):
         split_phi = phi.reshape(-1, 2, 1 << i)
         split_f = f.reshape(-1, 2, 1 << i)
-        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + tol):
+        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + EPS):
             return False
     return True
 
 
 def key_property_gap(
-    obj: Objective, inst: Instance, budget: float, cap: int = ENUM_CAP
+    obj: Objective, inst: Instance, budget: float
 ) -> tuple[float, float]:
     """Gap check behind the heavy/light split of the reduction machinery.
 
@@ -152,11 +150,11 @@ def key_property_gap(
     from .core import is_submodular
     from .solvers import brute_force_max
 
-    if inst.n > cap:
-        raise SizeCapError(f"gap verification capped at n <= {cap}")
+    if inst.n > ENUM_CAP:
+        raise SizeCapError(f"gap verification capped at n <= {ENUM_CAP}")
     check_budget(budget)
-    lhs = brute_force_max(obj, inst, budget, cap=cap).value
-    mrl = brute_force_max(REWARD, inst, budget, light_only=True, cap=cap).value
+    lhs = brute_force_max(obj, inst, budget).value
+    mrl = brute_force_max(REWARD, inst, budget, light_only=True).value
     coeff = 1.0 if is_submodular(inst.reward) else 2.0
     best_single = max(evaluate(obj, inst, 1 << i) for i in range(inst.n))
     return lhs, coeff * mrl + best_single

@@ -38,8 +38,8 @@ from .core import (
     singleton_payment,
     value,
 )
-from .downsizing import DownsizeParams, downsize_submodular, downsize_xos
-from .objectives import REWARD, Objective, evaluate
+from .downsizing import downsize_submodular, downsize_xos
+from .objectives import Objective, evaluate
 from .solvers import brute_force_max
 
 Path = Literal["xos", "submodular"]
@@ -115,9 +115,7 @@ def reduce_to_mrl(
         if path == "xos":
             pool.append(downsize_xos(inst, mrl_team, 5).subset)
         else:
-            pool.append(
-                downsize_submodular(inst, mrl_team, DownsizeParams(3, REWARD)).subset
-            )
+            pool.append(downsize_submodular(inst, mrl_team, 3).subset)
     pool.extend(
         1 << i for i in range(inst.n) if singleton_payment(inst, i) <= budget + EPS
     )

@@ -26,14 +26,24 @@ from .objectives import Convex, Objective, Profit, Reward, Welfare
 
 
 def _real(x: Any) -> float:
-    if isinstance(x, str):
-        try:
-            return float(x)
-        except ValueError as exc:
-            raise InputError(f"bad decimal string {x!r}") from exc
-    if isinstance(x, (int, float)):
-        return float(x)
-    raise InputError(f"expected a real number, got {type(x).__name__}")
+    """A finite float from a JSON number or a decimal string."""
+    if type(x) not in (float, int, str):  # a JSON true/false is not a number
+        raise InputError(f"expected a real number, got {type(x).__name__}")
+    try:
+        v = float(x)
+    except ValueError as exc:
+        raise InputError(f"bad decimal string {x!r}") from exc
+    except OverflowError as exc:
+        raise InputError("number too large for a float") from exc
+    if not math.isfinite(v):
+        raise InputError(f"expected a finite real number, got {x!r}")
+    return v
+
+
+def _list(x: Any, what: str) -> list:
+    if not isinstance(x, list):
+        raise InputError(f"{what} must be a list, got {type(x).__name__}")
+    return x
 
 
 def team_to_list(team: int) -> list[int]:
@@ -55,13 +65,16 @@ def reward_to_dict(f: SetFunction) -> dict:
 
 
 def reward_from_dict(d: dict) -> SetFunction:
+    if not isinstance(d, dict):
+        raise InputError(f"reward must be an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind == "additive":
-        return Additive(tuple(_real(v) for v in d["values"]))
+        return Additive(tuple(_real(v) for v in _list(d["values"], "values")))
     if kind == "xos":
-        return XosClauses(tuple(tuple(_real(v) for v in row) for row in d["clauses"]))
+        rows = (_list(row, "a clause") for row in _list(d["clauses"], "clauses"))
+        return XosClauses(tuple(tuple(_real(v) for v in row) for row in rows))
     if kind == "table":
-        return Table(tuple(_real(v) for v in d["values"]))
+        return Table(tuple(_real(v) for v in _list(d["values"], "values")))
     raise InputError(f"unknown reward type {kind!r}")
 
 
@@ -77,9 +90,12 @@ def instance_from_dict(d: dict) -> Instance:
     if not isinstance(d, dict):
         raise InputError(f"an instance must be a JSON object, got {type(d).__name__}")
     try:
+        n = d["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise InputError(f"n must be an integer, got {type(n).__name__}")
         return Instance(
-            n=int(d["n"]),
-            costs=tuple(_real(c) for c in d["costs"]),
+            n=n,
+            costs=tuple(_real(c) for c in _list(d["costs"], "costs")),
             reward=reward_from_dict(d["reward"]),
         )
     except KeyError as exc:
@@ -88,7 +104,13 @@ def instance_from_dict(d: dict) -> Instance:
 
 def load_instance(path: str) -> Instance:
     with open(path, "r", encoding="utf-8") as fh:
-        return instance_from_dict(json.load(fh))
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # valid JSON, e.g. an integer too long to convert
+            raise InputError(str(exc)) from exc
+    return instance_from_dict(data)
 
 
 def save_instance(inst: Instance, path: str) -> None:

@@ -59,7 +59,6 @@ def brute_force_max(
     inst: Instance,
     budget: float,
     light_only: bool = False,
-    cap: int = ENUM_CAP,
 ) -> SolveResult:
     """Exhaustive maximum of an objective over budget-feasible teams.
 
@@ -67,8 +66,8 @@ def brute_force_max(
     Ties break toward the smaller bitmask; the empty team is always feasible,
     so the result is never worse than incentivizing nobody.
     """
-    if inst.n > cap:
-        raise SizeCapError(f"brute force capped at n <= {cap}")
+    if inst.n > ENUM_CAP:
+        raise SizeCapError(f"brute force capped at n <= {ENUM_CAP}")
     check_budget(budget)
     f, pay = team_table(inst)
     allowed = ~(pay > budget + EPS)
@@ -136,33 +135,20 @@ def _walk_back(take: np.ndarray, items: Sequence[Item], level: int) -> int:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FptasParams:
-    """Accuracy epsilon, the guessed anchor value, and delta = epsilon / n."""
-
-    epsilon: float
-    anchor: float
-    delta: float
-
-    def __post_init__(self):
-        check_epsilon(self.epsilon)
-        if self.anchor <= 0:
-            raise InputError("anchor must be positive")
-
-
 @dataclass(frozen=True, eq=False)
 class RoundedTable:
     """Cheapest team per rounded-reward level.
 
     Level k holds the minimum of sum_i c_i / f({i}) over teams whose rounded
-    reward reaches k * delta * anchor; rounded rewards are exact multiples of
-    delta * anchor, so levels are exact integers. ``payments`` is the read-only
-    float64 row of these minima; unreachable levels carry an infinite payment.
-    Teams are reconstructed on demand from a boolean take matrix, one row per
-    item, that records where each item lowered a level's payment.
+    reward reaches k * grid, where grid = (epsilon / n) * anchor; rounded
+    rewards are exact multiples of grid, so levels are exact integers.
+    ``payments`` is the read-only float64 row of these minima; unreachable
+    levels carry an infinite payment. Teams are reconstructed on demand from
+    a boolean take matrix, one row per item, that records where each item
+    lowered a level's payment.
     """
 
-    params: FptasParams
+    grid: float
     n_levels: int
     payments: np.ndarray
     _take: np.ndarray = field(repr=False)
@@ -180,10 +166,13 @@ class RoundedTable:
 def build_rounded_table(inst: Instance, epsilon: float, anchor: float) -> RoundedTable:
     """Tabulate minimal payments per rounded-reward level for one anchor."""
     values = _additive_values(inst)
+    check_epsilon(epsilon)
+    if anchor <= 0:
+        raise InputError("anchor must be positive")
     n = inst.n
-    params = FptasParams(epsilon=epsilon, anchor=anchor, delta=epsilon / n)
-    grid = params.delta * anchor
-    n_levels = ceil_tol(n / params.delta)
+    delta = epsilon / n
+    grid = delta * anchor
+    n_levels = ceil_tol(n / delta)
 
     items = []
     for i, v in enumerate(values):
@@ -194,7 +183,7 @@ def build_rounded_table(inst: Instance, epsilon: float, anchor: float) -> Rounde
     payments, take = _cheapest_per_level(items, n_levels, at_least=True)
     payments.flags.writeable = False
     return RoundedTable(
-        params=params,
+        grid=grid,
         n_levels=n_levels,
         payments=payments,
         _take=take,
@@ -207,9 +196,9 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
 
     For each candidate anchor (a distinct positive singleton value), build
     the rounded table and keep the budget-feasible level maximizing the
-    proxy profit (1 - payment) * level * delta * anchor, preferring lower
-    levels on ties; the best candidate team across anchors is returned with
-    its true profit.
+    proxy profit (1 - payment) * level * grid, preferring lower levels on
+    ties; the best candidate team across anchors is returned with its true
+    profit.
     """
     values = _additive_values(inst)
     check_budget(budget)
@@ -223,14 +212,13 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
     for anchor in anchors:
         table = build_rounded_table(inst, epsilon, anchor)
         examined += table.n_levels + 1
-        grid = table.params.delta * anchor
         pay = table.payments
         # pay[0] is 0.0, so no 0 * inf arises; argmax takes the lowest level
         # among ties, and level 0 stands unless some proxy is positive
         proxy = np.where(
             pay > budget + PAY_TOL,
             -math.inf,
-            (1.0 - pay) * np.arange(table.n_levels + 1) * grid,
+            (1.0 - pay) * np.arange(table.n_levels + 1) * table.grid,
         )
         best_level = int(np.argmax(proxy))
         if proxy[best_level] <= 0.0:

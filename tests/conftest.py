@@ -19,3 +19,9 @@ def uniform4():
 def single_agent():
     """One agent, cost 1/2, certain success on effort."""
     return Instance(1, (0.5,), Additive((1.0,)))
+
+
+@pytest.fixture
+def additive21():
+    """21 free agents worth 1/100 each: one agent past the enumeration cap."""
+    return Instance(21, (0.0,) * 21, Additive((0.01,) * 21))

@@ -15,7 +15,6 @@ import pytest
 from budgeted_contracts import (
     Additive,
     Contract,
-    DownsizeParams,
     Instance,
     PofQuery,
     bits,
@@ -70,7 +69,7 @@ def test_criterion_01_submodular_downsizing_guarantee():
             val_team = value(inst.reward, team)
             for m in (3, 4, 5, 8):
                 runs += 1
-                res = downsize_submodular(inst, team, DownsizeParams(m))
+                res = downsize_submodular(inst, team, m)
                 ok = (
                     res.subset != 0
                     and (res.subset & ~team) == 0

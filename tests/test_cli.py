@@ -1,10 +1,20 @@
+import copy
 import csv
+import importlib
+import inspect
+import io
 import json
+import math
+import pkgutil
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import budgeted_contracts
 from budgeted_contracts import Additive, Instance, brute_force_max, gen_xos_separation
 from budgeted_contracts.cli import main
 from budgeted_contracts.objectives import PROFIT
@@ -177,6 +187,125 @@ def test_instance_file_must_be_an_object(tmp_path, capsys):
     path.write_text("[1, 2, 3]")
     assert run_cli("check", "--instance", path) == 2
     _one_input_error(capsys)
+
+
+_ONE_AGENT = {"n": 1, "costs": [0.1], "reward": {"type": "additive", "values": [0.5]}}
+
+
+def _one_agent_with(**fields) -> str:
+    return json.dumps({**_ONE_AGENT, **fields})
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_one_agent_with(reward=[1, 2]), id="reward-list"),
+    pytest.param(_one_agent_with(n="two"), id="n-string"),
+    pytest.param(_one_agent_with(n=1.5), id="n-float"),
+    pytest.param(_one_agent_with(n=True), id="n-bool"),
+    pytest.param('{"n": 1' + "0" * 5000 + "}", id="n-too-many-digits"),
+    pytest.param(_one_agent_with(costs=5), id="costs-number"),
+    pytest.param(_one_agent_with(costs="1"), id="costs-string"),
+    pytest.param(_one_agent_with(costs=[10**400]), id="cost-overflows-float"),
+    pytest.param(_one_agent_with(reward={"type": "xos", "clauses": 5}), id="clauses-number"),
+    pytest.param(_one_agent_with(reward={"type": "xos", "clauses": [5]}), id="clause-number"),
+    pytest.param(_one_agent_with(reward={"type": "additive", "values": ["nan"]}),
+                 id="nan-string"),
+    pytest.param(_one_agent_with(reward={"type": "additive", "values": [math.nan]}),
+                 id="nan-literal"),
+    pytest.param(_one_agent_with(reward={"type": "table", "values": [0.0, math.nan]}),
+                 id="nan-in-table"),
+    pytest.param(_one_agent_with(reward={"type": "additive", "values": [True]}),
+                 id="value-bool"),
+])
+def test_instance_file_fields_are_validated(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run_cli("check", "--instance", path) == 2
+    _one_input_error(capsys)
+
+
+_FUZZ_BASES = [
+    {"n": 3, "costs": [0.1, 0.1, 0.0],
+     "reward": {"type": "additive", "values": [0.3, 0.3, 0.2]}},
+    {"n": 3, "costs": [0.2, 0.2, 0.0],
+     "reward": {"type": "xos", "clauses": [[0.4, 0.4, 0.2], [0.0, 0.0, 0.4]]}},
+    {"n": 3, "costs": [0.1, 0.1, 0.1],
+     "reward": {"type": "table", "values": [0.0, 0.2, 0.2, 0.4, 0.2, 0.4, 0.4, 0.6]}},
+]
+_FUZZ_MENU = ["abc", math.nan, math.inf, -1, 2.5, True, None, [], {}, [[]], 10**400]
+
+
+def _field_paths(node, prefix=()):
+    """Every key or index path below a JSON node."""
+    keys = node if isinstance(node, dict) else range(len(node))
+    for key in keys:
+        yield prefix + (key,)
+        if isinstance(node[key], (dict, list)):
+            yield from _field_paths(node[key], prefix + (key,))
+
+
+_FUZZ_FIELDS = [(base, path) for base in _FUZZ_BASES for path in _field_paths(base)]
+
+
+@given(st.sampled_from(_FUZZ_FIELDS), st.sampled_from(_FUZZ_MENU))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_cli_contract_on_mutated_instance_files(tmp_path_factory, field, replacement):
+    base, path = field
+    doc = copy.deepcopy(base)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = replacement
+    inst_path = tmp_path_factory.getbasetemp() / "fuzz.json"
+    inst_path.write_text(json.dumps(doc))
+    for argv in (["check"], ["solve", "--budget", "0.5"]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main(argv + ["--instance", str(inst_path)])
+        err = err.getvalue()
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("grid", ["b=0.1:0.9:0.2", "b=0.9:0.1:0.1"])
+def test_pof_sweep_without_a_valid_cell_is_rejected(capsys, grid):
+    # n = 5 is odd, outside subadd-lb's range in every cell; the second
+    # grid has no cells at all
+    assert run_cli("pof", "--family", "subadd-lb", "--n", 5, "--grid", grid) == 2
+    _one_input_error(capsys)
+
+
+def test_more_than_63_agents(tmp_path, capsys):
+    assert Instance(64, (0.0,) * 64, Additive((0.0,) * 64)).n == 64
+    path = tmp_path / "add100.json"
+    assert run_cli("gen", "--family", "random-additive", "--n", 100, "--seed", 1,
+                   "--out", path) == 0
+    for objective in ("reward", "profit"):
+        assert run_cli("solve", "--instance", path, "--objective", objective,
+                       "--budget", 0.5, "--method", "fptas") == 0
+        got = json.loads(capsys.readouterr().out)
+        assert got["value"] > 0 and got["payment"] <= 0.5 + 1e-9
+
+
+def test_no_caller_settable_caps_tolerances_or_ignored_flags():
+    for mod in pkgutil.iter_modules(budgeted_contracts.__path__):
+        module = importlib.import_module(f"budgeted_contracts.{mod.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj):
+                continue
+            if getattr(obj, "__module__", "") != module.__name__:
+                continue
+            try:
+                params = inspect.signature(obj).parameters
+            except ValueError:
+                continue
+            assert not {"cap", "tol"} & set(params), f"{module.__name__}.{name}"
+    for argv in (["solve", "--budget", "0.5", "--seed", "1"],
+                 ["pof", "--family", "xos-sep", "--b", "0.5", "--instance", "x"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_gen_random_families_seeded(tmp_path):

@@ -138,9 +138,9 @@ def test_enumerate_equilibria(single_agent):
     assert enumerate_equilibria(inst, Contract((0.0, 0.0))) == [0]
 
 
-def test_enumeration_cap(single_agent):
+def test_enumeration_cap(additive21):
     with pytest.raises(SizeCapError):
-        enumerate_equilibria(single_agent, Contract((0.5,)), cap=0)
+        enumerate_equilibria(additive21, Contract((0.0,) * 21))
 
 
 def test_below_threshold_contracts_have_unique_idle_equilibrium(single_agent):
@@ -232,8 +232,8 @@ def test_classify_subadditivity_violation():
 
 def test_classify_cap():
     with pytest.raises(SizeCapError):
-        classify(Table(tuple([0.0] * 32)), cap=4)
-    assert classify(Additive((0.001,) * 30), cap=16).is_submodular
+        classify(Table((0.0,) * (1 << 17)))
+    assert classify(Additive((0.001,) * 30)).is_submodular
 
 
 # ---------------------------------------------------------------------------

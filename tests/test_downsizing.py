@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from budgeted_contracts import (
     Additive,
-    DownsizeParams,
     DownsizeResult,
     Instance,
     InputError,
     PreconditionError,
+    SizeCapError,
     Table,
     XosClauses,
     bits,
@@ -31,37 +31,38 @@ ALL3 = 0b111
 ALL4 = 0b1111
 
 
-def test_params_validation():
-    with pytest.raises(InputError):
-        DownsizeParams(2)
-    with pytest.raises(InputError):
-        DownsizeParams(3.0)  # must be a true integer
+def test_params_validation(uniform4):
+    for m in (2, 3.0):  # 3.0 fails too: m must be a true integer
+        with pytest.raises(InputError):
+            downsize_submodular(uniform4, ALL4, m)
+        with pytest.raises(InputError):
+            downsize_xos(uniform4, ALL4, m)
 
 
 def test_bag_trace_uniform_family(uniform4):
     # shares are 1/4 each, no outliers; the first bag closes at {0, 1}
-    res = downsize_submodular(uniform4, ALL4, DownsizeParams(4))
+    res = downsize_submodular(uniform4, ALL4, 4)
     assert res.subset == 0b0011
     assert res.payment_after == pytest.approx(0.5)
     assert res.objective_after == pytest.approx(0.5)
     assert res.objective_after >= res.objective_before / 3 - 1e-9
     assert not res.singleton_exit
 
-    res3 = downsize_submodular(uniform4, ALL4, DownsizeParams(3))
+    res3 = downsize_submodular(uniform4, ALL4, 3)
     assert res3.subset == 0b0011
     assert res3.payment_after <= (2 / 3) * res3.payment_before + 1e-9
     assert res3.objective_after >= res3.objective_before / 2 - 1e-9
 
 
 def test_singleton_team_returned_unchanged(uniform4):
-    res = downsize_submodular(uniform4, 0b0100, DownsizeParams(5))
+    res = downsize_submodular(uniform4, 0b0100, 5)
     assert res.subset == 0b0100
     assert res.payment_after == res.payment_before
 
 
 def test_empty_team_rejected(uniform4):
     with pytest.raises(InputError):
-        downsize_submodular(uniform4, 0, DownsizeParams(3))
+        downsize_submodular(uniform4, 0, 3)
     with pytest.raises(InputError):
         downsize_xos(uniform4, 0, 3)
 
@@ -71,7 +72,7 @@ def test_outlier_fold_regression():
     # threshold; neither alone preserves half the value, so the cheapest
     # one must be folded into the remainder.
     inst = Instance(3, (0.1, 0.11, 0.11), Additive((0.25, 0.25, 0.25)))
-    res = downsize_submodular(inst, ALL3, DownsizeParams(3))
+    res = downsize_submodular(inst, ALL3, 3)
     assert res.subset == 0b011
     assert res.objective_after >= res.objective_before / 2 - 1e-9
     assert res.payment_after <= (2 / 3) * res.payment_before + 1e-9
@@ -81,10 +82,16 @@ def test_outlier_fold_regression():
 def test_debug_checks():
     not_submodular = Instance(2, (0.1, 0.1), Table((0.0, 0.1, 0.1, 0.5)))
     with pytest.raises(PreconditionError):
-        downsize_submodular(not_submodular, 0b11, DownsizeParams(3), check=True)
+        downsize_submodular(not_submodular, 0b11, 3, check=True)
     ok = Instance(2, (0.1, 0.1), Additive((0.25, 0.25)))
-    res = downsize_submodular(ok, 0b11, DownsizeParams(3, WELFARE), check=True)
+    res = downsize_submodular(ok, 0b11, 3, WELFARE, check=True)
     assert res.subset
+    # the disjoint-pair subadditivity check of psi runs up to CLASSIFY_CAP
+    mid = Instance(11, (0.01,) * 11, Additive((0.05,) * 11))
+    assert downsize_submodular(mid, 0b11, 3, WELFARE, check=True).subset
+    big = Instance(17, (0.01,) * 17, Additive((0.05,) * 17))
+    with pytest.raises(SizeCapError):
+        downsize_submodular(big, 0b11, 3, WELFARE, check=True)
 
 
 def test_recover_marginals_examples(separation):
@@ -151,7 +158,7 @@ def test_submodular_guarantee_with_welfare_psi():
             if payment(inst, team) == math.inf:
                 continue
             for m in (3, 4):
-                res = downsize_submodular(inst, team, DownsizeParams(m, WELFARE))
+                res = downsize_submodular(inst, team, m, WELFARE)
                 assert res.objective_after >= res.objective_before / (m - 1) - 1e-9
                 assert (
                     res.payment_after <= (2 / m) * res.payment_before + 1e-9
@@ -202,12 +209,12 @@ def test_bag_stage_query_budget(uniform4):
     counter = CountingTable(uniform4.reward, [])
     inst = Instance(uniform4.n, uniform4.costs, counter)
     m = 5
-    downsize_submodular(inst, ALL4, DownsizeParams(m))
+    downsize_submodular(inst, ALL4, m)
     assert len(counter.calls) <= 4 * (uniform4.n + m + 4)
 
 
 def test_result_fields(uniform4):
-    res = downsize_submodular(uniform4, ALL4, DownsizeParams(4))
+    res = downsize_submodular(uniform4, ALL4, 4)
     assert isinstance(res, DownsizeResult)
     assert res.payment_before == pytest.approx(payment(uniform4, ALL4))
     assert res.payment_after == pytest.approx(payment(uniform4, res.subset))
@@ -233,7 +240,7 @@ def test_downsizing_guarantee_property(case):
     inst, team, m = case
     pay_team = payment(inst, team)
     val_team = value(inst.reward, team)
-    res = downsize_submodular(inst, team, DownsizeParams(m))
+    res = downsize_submodular(inst, team, m)
     assert res.subset and (res.subset & ~team) == 0
     assert res.objective_after >= val_team / (m - 1) - 1e-9
     assert (

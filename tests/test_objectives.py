@@ -88,10 +88,9 @@ def test_best_conditions_on_subadditive_construction():
         assert check_best_conditions(obj, inst)
 
 
-def test_best_conditions_cap():
-    inst = Instance(2, (0.1, 0.1), Additive((0.2, 0.2)))
+def test_best_conditions_cap(additive21):
     with pytest.raises(SizeCapError):
-        check_best_conditions(REWARD, inst, cap=1)
+        check_best_conditions(REWARD, additive21)
 
 
 def _nondyadic_instances(count, seed):

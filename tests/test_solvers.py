@@ -46,9 +46,9 @@ def test_brute_force_contract(separation):
     assert res.value == pytest.approx(2 / 5)  # the free agent alone
 
 
-def test_brute_force_cap_and_budget(separation):
+def test_brute_force_cap_and_budget(separation, additive21):
     with pytest.raises(SizeCapError):
-        brute_force_max(REWARD, separation, 1.0, cap=2)
+        brute_force_max(REWARD, additive21, 1.0)
     for budget in (0.0, 1.5, math.nan):
         with pytest.raises(InputError):
             brute_force_max(REWARD, separation, budget)
@@ -80,14 +80,14 @@ def test_optimum_monotone_in_budget():
 def test_rounded_table_invariants():
     inst = Instance(3, (0.05, 0.1, 0.02), Additive((0.5, 0.25, 0.125)))
     table = build_rounded_table(inst, epsilon=0.3, anchor=0.5)
-    assert table.params.delta == 0.3 / 3
+    assert table.grid == 0.3 / 3 * 0.5
     assert table.n_levels == ceil_tol(9 / 0.3)
     assert len(table.payments) == table.n_levels + 1
     finite = [p for p in table.payments if p < math.inf]
     assert all(b >= a - 1e-12 for a, b in zip(finite, finite[1:]))
 
     # exhaustive oracle: cheapest team whose rounded reward reaches level k
-    grid = table.params.delta * table.params.anchor
+    grid = table.grid
     for k in range(table.n_levels + 1):
         best = math.inf
         for team in range(8):
