@@ -5,8 +5,9 @@ sidecar recording the command line, input-file hashes, tool version, seed,
 and wall time; data files themselves contain nothing nondeterministic, so
 rerunning a manifest's command reproduces the bytes. ``--verify`` recomputes
 the output in-process (and diffs against a pre-existing file) before
-writing. Exit codes: 0 success, 1 I/O failure, 2 precondition or input
-error; errors print a single ``error: <kind>: <reason>`` line to stderr.
+writing. Exit codes: 0 success, 1 I/O failure, 2 precondition, input or
+usage error; errors print a single ``error: <kind>: <reason>`` line to
+stderr, an unknown, missing or malformed flag included (kind ``usage``).
 """
 
 from __future__ import annotations
@@ -80,8 +81,19 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     )
 
 
+class UsageError(ContractsError):
+    """The command line does not parse: an unknown, missing or bad flag."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors take the one-line error path."""
+
+    def error(self, message: str):
+        raise UsageError(" ".join(message.split()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="budgeted-contracts",
         description="budget-feasible multi-agent contract design toolkit",
     )
@@ -372,9 +384,9 @@ def _out_path_for(args, key: str) -> str | None:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        args = _build_parser().parse_args(argv)
         outputs = _COMMANDS[args.command](args)
         if args.verify:
             if _COMMANDS[args.command](args) != outputs:

@@ -149,8 +149,8 @@ class Additive:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if any(v < 0 for v in self.values):
-            raise InputError("additive values must be non-negative")
+        if not all(0 <= v < math.inf for v in self.values):
+            raise InputError("additive values must be finite and non-negative")
 
     @property
     def n(self) -> int:
@@ -178,8 +178,8 @@ class XosClauses:
         width = len(rows[0])
         if any(len(row) != width for row in rows):
             raise InputError("all clauses must have the same width")
-        if any(v < 0 for row in rows for v in row):
-            raise InputError("clause values must be non-negative")
+        if not all(0 <= v < math.inf for row in rows for v in row):
+            raise InputError("clause values must be finite and non-negative")
 
     @property
     def n(self) -> int:
@@ -197,11 +197,13 @@ class Table:
     values: tuple[float, ...]
 
     def __post_init__(self):
-        vals = tuple(float(v) for v in self.values)
+        vals = tuple(map(float, self.values))
         object.__setattr__(self, "values", vals)
         size = len(vals)
         if size == 0 or size & (size - 1):
             raise InputError("table length must be a power of two")
+        if not all(map(math.isfinite, vals)):
+            raise InputError("table values must be finite")
 
     @property
     def n(self) -> int:

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .core import Additive, Instance, InputError, SetFunction, Table, XosClauses, bits, mask_of
+from .core import Additive, Instance, InputError, SetFunction, Table, XosClauses, bits
 from .objectives import Convex, Objective, Profit, Reward, Welfare
 
 
@@ -48,12 +48,6 @@ def _list(x: Any, what: str) -> list:
 
 def team_to_list(team: int) -> list[int]:
     return list(bits(team))
-
-
-def team_from_list(agents: Any) -> int:
-    if not isinstance(agents, (list, tuple)):
-        raise InputError("a team must be a list of agent indices")
-    return mask_of(int(i) for i in agents)
 
 
 def reward_to_dict(f: SetFunction) -> dict:

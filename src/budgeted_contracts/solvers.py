@@ -9,7 +9,10 @@ level), and a classic value-rounding knapsack FPTAS for reward and welfare,
 which for additive rewards are plain knapsack problems with item weights
 c_i / f({i}). Both schemes run one 0/1 dynamic program over rounded levels
 (Ibarra-Kim 1975, Lawler 1979): a single payment row updated in place per
-item, plus a boolean take matrix from which teams are reconstructed.
+item, plus a boolean take matrix from which teams are reconstructed. The
+program is bounded by the budget: weights are non-negative, so each item step
+fills only the levels a team within the budget can reach, and both the row
+and the take rows stop at that frontier.
 """
 
 from __future__ import annotations
@@ -92,30 +95,44 @@ Item = tuple[int, int, float]
 
 
 def _cheapest_per_level(
-    items: Sequence[Item], n_levels: int, at_least: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Minimal payment per level over 0/1 choices of items, and what was taken.
+    items: Sequence[Item], n_levels: int, at_least: bool, cap: float
+) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Minimal payment at most ``cap`` per level over 0/1 choices of items.
 
-    Returns the final payment row (level 0 costs nothing, unreachable levels
-    are infinite) and the items x (n_levels + 1) boolean take matrix:
-    ``take[s, k]`` is True exactly where item s lowered level k's payment.
-    With ``at_least`` a level counts teams whose level sum reaches it (an
-    item lifts every level below its own, the clamp at 0); otherwise the sum
-    must hit the level exactly and an item leaves levels below its own alone.
+    Returns the final payment row (level 0 costs nothing; a level no team
+    within ``cap`` reaches is infinite) and a ragged take matrix, one bool
+    row per item: ``take[s][k]`` is True exactly where item s lowered level
+    k's payment. With ``at_least`` a level counts teams whose level sum
+    reaches it (an item lifts every level below its own, the clamp at 0);
+    otherwise the sum must hit the level exactly and an item leaves levels
+    below its own alone.
+
+    ``front`` is the last level whose payment is at most ``cap``. Weights
+    are non-negative, so a payment above ``cap`` never leads to one within
+    it: each item step fills only levels up to ``front + lev``, and on every
+    cell within ``cap`` the row and the take bits equal those of the
+    full-width table. Reconstruction visits only such cells.
     """
     cur = np.full(n_levels + 1, math.inf)
     cur[0] = 0.0
     cand = np.empty_like(cur)
-    take = np.empty((len(items), n_levels + 1), dtype=bool)
-    for s, (_, lev, weight) in enumerate(items):
-        np.add(cur[: n_levels + 1 - lev], weight, out=cand[lev:])
-        cand[:lev] = cur[0] + weight if at_least else math.inf
-        np.less(cand, cur, out=take[s])
-        np.minimum(cur, cand, out=cur)
+    take = []
+    front = 0
+    for _, lev, weight in items:
+        width = min(n_levels, front + lev) + 1
+        row, new = cur[:width], cand[:width]
+        np.add(cur[: width - lev], weight, out=new[lev:])
+        new[:lev] = cur[0] + weight if at_least else math.inf
+        take.append(new < row)
+        np.minimum(row, new, out=row)
+        (within,) = (row[front + 1 :] <= cap).nonzero()
+        if within.size:
+            front += int(within[-1]) + 1
+    cur[front + 1 :] = math.inf
     return cur, take
 
 
-def _walk_back(take: np.ndarray, items: Sequence[Item], level: int) -> int:
+def _walk_back(take: Sequence[np.ndarray], items: Sequence[Item], level: int) -> int:
     """Reconstruct the team behind ``level`` from a take matrix.
 
     An exact-level table never takes an item below its own level, so the
@@ -123,7 +140,7 @@ def _walk_back(take: np.ndarray, items: Sequence[Item], level: int) -> int:
     """
     team, k = 0, level
     for s in range(len(items) - 1, -1, -1):
-        if take[s, k]:
+        if take[s][k]:
             agent, lev, _ = items[s]
             team |= 1 << agent
             k = max(k - lev, 0)
@@ -142,16 +159,17 @@ class RoundedTable:
     Level k holds the minimum of sum_i c_i / f({i}) over teams whose rounded
     reward reaches k * grid, where grid = (epsilon / n) * anchor; rounded
     rewards are exact multiples of grid, so levels are exact integers.
-    ``payments`` is the read-only float64 row of these minima; unreachable
-    levels carry an infinite payment. Teams are reconstructed on demand from
-    a boolean take matrix, one row per item, that records where each item
-    lowered a level's payment.
+    ``payments`` is the read-only float64 row of these minima; a level that
+    no team within the budget reaches carries an infinite payment, so the
+    finite levels are a prefix. Teams are reconstructed on demand from a
+    boolean take matrix, one row per item as wide as the levels that item
+    step filled, that records where each item lowered a level's payment.
     """
 
     grid: float
     n_levels: int
     payments: np.ndarray
-    _take: np.ndarray = field(repr=False)
+    _take: list[np.ndarray] = field(repr=False)
     _items: tuple[Item, ...] = field(repr=False)
 
     def team(self, level: int) -> int:
@@ -163,10 +181,17 @@ class RoundedTable:
         return _walk_back(self._take, self._items, level)
 
 
-def build_rounded_table(inst: Instance, epsilon: float, anchor: float) -> RoundedTable:
-    """Tabulate minimal payments per rounded-reward level for one anchor."""
+def build_rounded_table(
+    inst: Instance, epsilon: float, anchor: float, budget: float
+) -> RoundedTable:
+    """Tabulate minimal payments per rounded-reward level for one anchor.
+
+    Only payments within ``budget`` are kept; every level that no team
+    within the budget reaches reads infinite.
+    """
     values = _additive_values(inst)
     check_epsilon(epsilon)
+    check_budget(budget)
     if anchor <= 0:
         raise InputError("anchor must be positive")
     n = inst.n
@@ -180,7 +205,9 @@ def build_rounded_table(inst: Instance, epsilon: float, anchor: float) -> Rounde
             continue  # contributes no reward; never lowers a level's payment
         items.append((i, min(floor_tol(v / grid), n_levels), inst.costs[i] / v))
 
-    payments, take = _cheapest_per_level(items, n_levels, at_least=True)
+    payments, take = _cheapest_per_level(
+        items, n_levels, at_least=True, cap=budget + PAY_TOL
+    )
     payments.flags.writeable = False
     return RoundedTable(
         grid=grid,
@@ -198,7 +225,7 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
     the rounded table and keep the budget-feasible level maximizing the
     proxy profit (1 - payment) * level * grid, preferring lower levels on
     ties; the best candidate team across anchors is returned with its true
-    profit.
+    profit. One table is alive at a time.
     """
     values = _additive_values(inst)
     check_budget(budget)
@@ -210,20 +237,19 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
     candidates = []
     examined = 0
     for anchor in anchors:
-        table = build_rounded_table(inst, epsilon, anchor)
+        table = build_rounded_table(inst, epsilon, anchor, budget)
         examined += table.n_levels + 1
+        # an at-least row is non-decreasing, so the levels within the budget
+        # are a prefix; argmax takes the lowest level among ties, and level 0
+        # (payment 0.0) stands unless some proxy is positive
         pay = table.payments
-        # pay[0] is 0.0, so no 0 * inf arises; argmax takes the lowest level
-        # among ties, and level 0 stands unless some proxy is positive
-        proxy = np.where(
-            pay > budget + PAY_TOL,
-            -math.inf,
-            (1.0 - pay) * np.arange(table.n_levels + 1) * table.grid,
-        )
+        pay = pay[: np.searchsorted(pay, budget + PAY_TOL, side="right")]
+        proxy = (1.0 - pay) * np.arange(len(pay)) * table.grid
         best_level = int(np.argmax(proxy))
         if proxy[best_level] <= 0.0:
             best_level = 0
         candidates.append(table.team(best_level))
+        del table, pay  # free this table before the next anchor's is built
 
     best_team, best_profit = 0, profit(inst, 0)
     for team in candidates:
@@ -265,8 +291,9 @@ def knapsack_fptas(
         (i, max(floor_tol(worth / scale), 0), weight) for i, weight, worth in items
     ]
     total = sum(lev for _, lev, _ in dp_items)
-    payments, take = _cheapest_per_level(dp_items, total, at_least=False)
-    best_level = int(np.nonzero(payments <= budget + PAY_TOL)[0].max())
+    cap = budget + PAY_TOL
+    payments, take = _cheapest_per_level(dp_items, total, at_least=False, cap=cap)
+    best_level = int(np.nonzero(payments <= cap)[0].max())
     team = _walk_back(take, dp_items, best_level)
     return SolveResult(
         team, evaluate(obj, inst, team), payment(inst, team), total + 1

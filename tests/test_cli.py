@@ -303,9 +303,32 @@ def test_no_caller_settable_caps_tolerances_or_ignored_flags():
             assert not {"cap", "tol"} & set(params), f"{module.__name__}.{name}"
     for argv in (["solve", "--budget", "0.5", "--seed", "1"],
                  ["pof", "--family", "xos-sep", "--b", "0.5", "--instance", "x"]):
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == 2
+        err = io.StringIO()
+        with redirect_stderr(err):
+            assert main(argv) == 2
+        assert err.getvalue().startswith("error: usage: unrecognized arguments")
+        assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--budget", "0.5", "--frob"],
+    ["solve", "--instance", "x.json"],
+    ["solve", "--budget", "abc"],
+    ["frob", "--budget", "0.5"],
+])
+def test_usage_errors_print_one_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage: "), captured.err
+    assert captured.err.count("\n") == 1, captured.err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--budget" in capsys.readouterr().out
 
 
 def test_gen_random_families_seeded(tmp_path):

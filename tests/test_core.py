@@ -254,6 +254,29 @@ def test_instance_validation():
         Contract((-0.1,))
 
 
+NON_FINITE = (math.nan, math.inf, -math.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_additive_rejects_non_finite_values(bad):
+    with pytest.raises(InputError, match="finite"):
+        Additive((bad, 0.1))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_xos_rejects_non_finite_values(bad):
+    with pytest.raises(InputError, match="finite"):
+        XosClauses(((0.1, 0.2), (bad, 0.2)))
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_table_rejects_non_finite_values(bad):
+    with pytest.raises(InputError, match="finite"):
+        Table((0.0, bad, 0.5, 0.6))
+    with pytest.raises(InputError):
+        Instance(2, (0.1, 0.1), Table((0.0, bad, 0.5, 0.6)))
+
+
 def test_payment_monotone_for_submodular():
     for inst in submodular_corpus(10, seed=304, n_hi=7):
         for team in range(1, 1 << inst.n):

@@ -2,6 +2,7 @@ import math
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from budgeted_contracts import (
@@ -17,6 +18,7 @@ from budgeted_contracts import (
     payment,
     value,
 )
+from budgeted_contracts import solvers
 from budgeted_contracts.core import ceil_tol
 from budgeted_contracts.corpora import (
     additive_corpus,
@@ -24,6 +26,7 @@ from budgeted_contracts.corpora import (
     submodular_corpus,
 )
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
+from budgeted_contracts.solvers import PAY_TOL
 
 ALL3 = 0b111
 
@@ -77,16 +80,18 @@ def test_optimum_monotone_in_budget():
 # ---------------------------------------------------------------------------
 
 
-def test_rounded_table_invariants():
+def _check_rounded_table(budget):
     inst = Instance(3, (0.05, 0.1, 0.02), Additive((0.5, 0.25, 0.125)))
-    table = build_rounded_table(inst, epsilon=0.3, anchor=0.5)
+    table = build_rounded_table(inst, epsilon=0.3, anchor=0.5, budget=budget)
     assert table.grid == 0.3 / 3 * 0.5
     assert table.n_levels == ceil_tol(9 / 0.3)
     assert len(table.payments) == table.n_levels + 1
     finite = [p for p in table.payments if p < math.inf]
     assert all(b >= a - 1e-12 for a, b in zip(finite, finite[1:]))
+    assert math.inf not in table.payments[: len(finite)]
 
-    # exhaustive oracle: cheapest team whose rounded reward reaches level k
+    # exhaustive oracle: cheapest team within the budget whose rounded
+    # reward reaches level k
     grid = table.grid
     for k in range(table.n_levels + 1):
         best = math.inf
@@ -96,7 +101,7 @@ def test_rounded_table_invariants():
                 for i in range(3)
                 if (team >> i) & 1
             )
-            if lvl >= k:
+            if lvl >= k and payment(inst, team) <= budget + PAY_TOL:
                 best = min(best, payment(inst, team))
         assert table.payments[k] == pytest.approx(best) or (
             best == math.inf and table.payments[k] == math.inf
@@ -106,9 +111,26 @@ def test_rounded_table_invariants():
             assert payment(inst, got) == pytest.approx(table.payments[k])
 
 
+def test_rounded_table_invariants():
+    # the weights c_i / f({i}) are 0.1, 0.4 and 0.16 and sum to 0.66
+    _check_rounded_table(1.0)
+
+
+def test_rounded_table_binding_budget():
+    # every team with agent 1 costs 0.4 or more: its levels are cut off
+    _check_rounded_table(0.3)
+
+
 def test_rounded_table_requires_additive(uniform4):
     with pytest.raises(PreconditionError):
-        build_rounded_table(uniform4, 0.1, 0.25)
+        build_rounded_table(uniform4, 0.1, 0.25, 1.0)
+
+
+def test_rounded_table_checks_budget():
+    inst = Instance(2, (0.1, 0.1), Additive((0.5, 0.5)))
+    for budget in (0.0, 1.5, math.nan):
+        with pytest.raises(InputError):
+            build_rounded_table(inst, 0.1, 0.5, budget)
 
 
 # ---------------------------------------------------------------------------
@@ -171,6 +193,20 @@ def test_fptas_memory_stays_small():
     assert peak < 16 * 2**20
 
 
+def test_fptas_memory_stays_small_at_n100():
+    # only the levels a team within the budget reaches are filled and kept,
+    # and one anchor's table is alive at a time; the full-width table peaked
+    # at 22 MiB here
+    inst = random_additive_instance(random.Random(100), 100)
+    tracemalloc.start()
+    try:
+        fptas_additive_profit(inst, 0.5, 0.1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 def test_fptas_zero_values():
     inst = Instance(2, (0.1, 0.0), Additive((0.0, 0.0)))
     res = fptas_additive_profit(inst, 1.0, 0.1)
@@ -221,3 +257,52 @@ def test_knapsack_preconditions():
     for budget, eps in ((1.0, 1.0), (1.0, math.nan), (5.0, 0.1), (math.nan, 0.1)):
         with pytest.raises(InputError):
             knapsack_fptas(inst, budget, eps, REWARD)
+
+
+# ---------------------------------------------------------------------------
+# the budget cut of the level DP is exact
+# ---------------------------------------------------------------------------
+
+
+def _full_width_levels(items, n_levels, at_least, cap):
+    """Reference level DP without the budget cut: every item fills every level."""
+    cur = np.full(n_levels + 1, math.inf)
+    cur[0] = 0.0
+    cand = np.empty_like(cur)
+    take = np.empty((len(items), n_levels + 1), dtype=bool)
+    for s, (_, lev, weight) in enumerate(items):
+        np.add(cur[: n_levels + 1 - lev], weight, out=cand[lev:])
+        cand[:lev] = cur[0] + weight if at_least else math.inf
+        np.less(cand, cur, out=take[s])
+        np.minimum(cur, cand, out=cur)
+    return cur, take
+
+
+def _non_dyadic_instance(rng, n):
+    values = [rng.random() for _ in range(n)]
+    total = sum(values) * (1 + rng.random())
+    values = [v / total for v in values]
+    costs = [rng.random() * v * rng.choice((0.05, 0.2, 0.6)) for v in values]
+    return Instance(n, tuple(costs), Additive(tuple(values)))
+
+
+def test_budget_cut_matches_full_width_dp(monkeypatch):
+    def solve_all(inst):
+        out = []
+        for budget in (0.05, 0.2, 0.5, 1.0):
+            for eps in (0.3, 0.1, 0.05):
+                out.append(fptas_additive_profit(inst, budget, eps))
+                for obj in (REWARD, WELFARE):
+                    out.append(knapsack_fptas(inst, budget, eps, obj))
+        return out
+
+    instances = []
+    for seed in range(4):
+        rng = random.Random(700 + seed)
+        n = rng.randint(5, 12)
+        instances.append(random_additive_instance(rng, n))
+        instances.append(_non_dyadic_instance(rng, n))
+    cut = [solve_all(inst) for inst in instances]
+    monkeypatch.setattr(solvers, "_cheapest_per_level", _full_width_levels)
+    full = [solve_all(inst) for inst in instances]
+    assert cut == full
