@@ -61,6 +61,7 @@ from .frugality import (
     value_payment_curve,
 )
 from .objectives import (
+    OBJECTIVES,
     Convex,
     Objective,
     Profit,
@@ -69,7 +70,6 @@ from .objectives import (
     check_best_conditions,
     evaluate,
     key_property_gap,
-    objective_name,
 )
 from .reductions import (
     ReductionOutcome,

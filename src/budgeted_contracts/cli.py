@@ -26,9 +26,7 @@ from .core import (
     EPS,
     ContractsError,
     InputError,
-    ceil_tol,
     classify,
-    floor_tol,
     mask_of,
     payment,
 )
@@ -40,6 +38,7 @@ from .corpora import (
 from .downsizing import downsize_submodular, downsize_xos
 from .frugality import (
     PofQuery,
+    best_head_count,
     gen_additive_lb,
     gen_profit_lb_k,
     gen_profit_lb_two,
@@ -48,7 +47,7 @@ from .frugality import (
     pof,
     value_payment_curve,
 )
-from .objectives import PROFIT, REWARD, WELFARE, check_best_conditions
+from .objectives import OBJECTIVES, PROFIT, REWARD, WELFARE, check_best_conditions
 from .reductions import SOLVERS, equivalence_pipeline
 from .serialize import (
     RunManifest,
@@ -70,6 +69,34 @@ def _fmt(x) -> str:
     if isinstance(x, float):
         return repr(x)
     return str(x)
+
+
+def _profit_two(args, b: float):
+    eps = args.eps if args.eps is not None else min(0.01, (args.B - b) / 2)
+    return gen_profit_lb_two(b, args.B, eps)
+
+
+def _profit_k(args, b: float):
+    k = args.k if args.k is not None else best_head_count(b, args.B, args.n)
+    eps = args.eps if args.eps is not None else min(0.01, (2 * args.B / k - b) / 2)
+    return gen_profit_lb_k(b, args.B, k, eps)
+
+
+#: Closed-form hard families: name -> (args, small budget b) -> instance.
+_POF_FAMILIES = {
+    "additive-lb": lambda args, b: gen_additive_lb(args.n, b, args.B),
+    "xos-sep": lambda args, b: gen_xos_separation(b, args.B),
+    "subadd-lb": lambda args, b: gen_subadditive_lb(args.n, b, args.B),
+    "profit-2": _profit_two,
+    "profit-k": _profit_k,
+}
+
+#: Seeded random families: name -> (args, rng) -> instance.
+_RANDOM_FAMILIES = {
+    "random-additive": lambda args, rng: random_additive_instance(rng, args.n),
+    "random-submodular": lambda args, rng: random_submodular_instance(rng, args.n),
+    "random-xos": lambda args, rng: random_xos_instance(rng, args.n, args.clauses),
+}
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
@@ -101,7 +128,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("solve", help="maximize an objective under a budget")
     p.add_argument("--instance", help="instance JSON file")
-    p.add_argument("--objective", default="profit", choices=["reward", "profit", "welfare"])
+    p.add_argument("--objective", default="profit", choices=list(OBJECTIVES))
     p.add_argument("--budget", type=float, required=True)
     p.add_argument("--method", default="brute", choices=["brute", "fptas"])
     p.add_argument("--epsilon", type=float, default=0.1)
@@ -124,35 +151,20 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("pof", help="price-of-frugality sweep over a family")
-    p.add_argument(
-        "--family",
-        required=True,
-        choices=["additive-lb", "xos-sep", "subadd-lb", "profit-2", "profit-k"],
-    )
+    p.add_argument("--family", required=True, choices=list(_POF_FAMILIES))
     p.add_argument("--grid", help="b-grid, e.g. b=0.1:0.9:0.1")
     p.add_argument("--b", type=float, help="single small budget")
     p.add_argument("--B", type=float, default=1.0)
     p.add_argument("--n", type=int, default=8)
-    p.add_argument("--k", type=int, default=None, help="team size for profit-k")
+    p.add_argument("--k", type=int, default=None, help="size k of the k-agent profit family")
     p.add_argument("--eps", type=float, default=None)
-    p.add_argument("--objective", default="reward", choices=["reward", "profit", "welfare"])
+    p.add_argument("--objective", default="reward", choices=list(OBJECTIVES))
     p.add_argument("--emit-curve", action="store_true")
     _add_common(p)
 
     p = subs.add_parser("gen", help="write a generator instance to JSON")
     p.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "additive-lb",
-            "xos-sep",
-            "subadd-lb",
-            "profit-2",
-            "profit-k",
-            "random-additive",
-            "random-submodular",
-            "random-xos",
-        ],
+        "--family", required=True, choices=[*_POF_FAMILIES, *_RANDOM_FAMILIES]
     )
     p.add_argument("--n", type=int, default=8)
     p.add_argument("--b", type=float, default=0.4)
@@ -188,7 +200,7 @@ def cmd_solve(args) -> dict[str, str]:
         raise InputError("--light-only is only supported with --method brute")
     if args.method == "brute":
         res = brute_force_max(obj, inst, args.budget, light_only=args.light_only)
-    elif args.objective == "profit":
+    elif obj == PROFIT:
         res = fptas_additive_profit(inst, args.budget, args.epsilon)
     else:
         res = knapsack_fptas(inst, args.budget, args.epsilon, obj)
@@ -252,24 +264,6 @@ def _parse_grid(spec: str) -> list[float]:
     return out
 
 
-def _pof_instance(args, b: float):
-    fam = args.family
-    if fam == "additive-lb":
-        return gen_additive_lb(args.n, b, args.B)
-    if fam == "xos-sep":
-        return gen_xos_separation(b, args.B)
-    if fam == "subadd-lb":
-        return gen_subadditive_lb(args.n, b, args.B)
-    if fam == "profit-2":
-        eps = args.eps if args.eps is not None else min(0.01, (args.B - b) / 2)
-        return gen_profit_lb_two(b, args.B, eps)
-    k = args.k
-    if k is None:
-        k = min(floor_tol(1 / b + 0.5), ceil_tol(2 * args.B / b) - 1, args.n)
-    eps = args.eps if args.eps is not None else min(0.01, (2 * args.B / k - b) / 2)
-    return gen_profit_lb_k(b, args.B, k, eps)
-
-
 def cmd_pof(args) -> dict[str, str]:
     if args.grid:
         grid = _parse_grid(args.grid)
@@ -288,7 +282,7 @@ def cmd_pof(args) -> dict[str, str]:
     skipped: list[InputError] = []
     for b in grid:
         try:
-            inst = _pof_instance(args, b)
+            inst = _POF_FAMILIES[args.family](args, b)
         except InputError as exc:
             skipped.append(exc)  # cell outside the family's validity range
             continue
@@ -311,8 +305,8 @@ def cmd_pof(args) -> dict[str, str]:
         if args.emit_curve:
             reward = value_payment_curve(inst, REWARD)
             welfare = value_payment_curve(inst, WELFARE)
-            curves += [(b, "reward", p, v) for p, v in reward]
-            curves += [(b, "welfare", p, v) for p, v in welfare]
+            curves += [(b, REWARD.name, p, v) for p, v in reward]
+            curves += [(b, WELFARE.name, p, v) for p, v in welfare]
             curves += [(b, "profit_envelope", p, (1 - p) * v) for p, v in reward]
     if len(skipped) == len(grid):
         raise skipped[0]
@@ -329,17 +323,11 @@ def cmd_pof(args) -> dict[str, str]:
 
 
 def cmd_gen(args) -> dict[str, str]:
-    fam = args.family
-    if fam in ("additive-lb", "xos-sep", "subadd-lb", "profit-2", "profit-k"):
-        inst = _pof_instance(args, args.b)
+    if args.family in _POF_FAMILIES:
+        inst = _POF_FAMILIES[args.family](args, args.b)
     else:
         rng = random.Random(args.seed if args.seed is not None else 0)
-        if fam == "random-additive":
-            inst = random_additive_instance(rng, args.n)
-        elif fam == "random-submodular":
-            inst = random_submodular_instance(rng, args.n)
-        else:
-            inst = random_xos_instance(rng, args.n, args.clauses)
+        inst = _RANDOM_FAMILIES[args.family](args, rng)
     return {"": json.dumps(instance_to_dict(inst), indent=2) + "\n"}
 
 
@@ -352,9 +340,7 @@ def cmd_check(args) -> dict[str, str]:
         "submodular": classes.is_submodular,
         "subadditive": classes.is_subadditive,
         "best_conditions": {
-            "reward": check_best_conditions(REWARD, inst),
-            "profit": check_best_conditions(PROFIT, inst),
-            "welfare": check_best_conditions(WELFARE, inst),
+            name: check_best_conditions(obj, inst) for name, obj in OBJECTIVES.items()
         },
         "empty_team_payment": payment(inst, 0),
     }

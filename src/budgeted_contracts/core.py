@@ -352,7 +352,7 @@ class Contract:
             raise InputError("contract payments must be finite and non-negative")
 
     def total(self) -> float:
-        return sum(self.alpha)
+        return _sum_over(self.alpha, range(len(self.alpha)))
 
 
 def _pay_term(cost: float, margin: float) -> float:
@@ -363,14 +363,20 @@ def _pay_term(cost: float, margin: float) -> float:
     return cost / margin
 
 
+def _shares(inst: Instance, team: int) -> Iterator[tuple[int, float]]:
+    """(agent, payment share c_i / f_S(i)) for each member, agents ascending."""
+    f = inst.reward
+    f_team = f.value(team)
+    for i in bits(team):
+        yield i, _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
+
+
 def payment(inst: Instance, team: int) -> float:
     """Minimum total payment incentivizing exactly this team (may be +inf)."""
     _check_team(team, inst.n)
-    f = inst.reward
-    f_team = f.value(team)
     total = 0.0
-    for i in bits(team):
-        total += _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
+    for _, share in _shares(inst, team):
+        total += share
         if total == math.inf:
             return math.inf
     return total
@@ -421,16 +427,13 @@ def profit(inst: Instance, team: int) -> float:
 def optimal_contract_for(inst: Instance, team: int) -> Contract:
     """Cheapest contract making this team an equilibrium: alpha_i = c_i / f_S(i)."""
     _check_team(team, inst.n)
-    f = inst.reward
-    f_team = f.value(team)
     alpha = [0.0] * inst.n
-    for i in bits(team):
-        term = _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
-        if term == math.inf:
+    for i, share in _shares(inst, team):
+        if share == math.inf:
             raise InfeasibleSetError(
                 f"agent {i} has zero marginal but positive cost in this team"
             )
-        alpha[i] = term
+        alpha[i] = share
     return Contract(tuple(alpha))
 
 
@@ -499,13 +502,13 @@ def classify(f: SetFunction) -> FunctionClasses:
     Submodularity is checked through the equivalent pairwise
     diminishing-returns condition f(T+i) - f(T) >= f(T+i+j) - f(T+j),
     which needs O(2^n n^2) comparisons instead of quantifying over all
-    nested set pairs. Additive functions above the cap are classified
-    analytically; other representations raise.
+    nested set pairs. Additive functions are classified analytically at any
+    size; other representations raise above the cap.
     """
+    if isinstance(f, Additive):
+        return FunctionClasses(True, True, True)
     n = f.n
     if n > CLASSIFY_CAP:
-        if isinstance(f, Additive):
-            return FunctionClasses(True, True, True)
         raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
     t = _value_array(f)
     return FunctionClasses(

@@ -35,7 +35,8 @@ from .core import (
     SizeCapError,
     XosClauses,
     _check_team,
-    _pay_term,
+    _shares,
+    _sum_over,
     bits,
     is_submodular,
     mask_of,
@@ -93,13 +94,8 @@ def downsize_submodular(
         if not isinstance(psi, Reward):
             # the reward itself is subadditive whenever it is submodular
             _assert_subadditive(psi, inst)
-    f = inst.reward
-    f_team = f.value(team)
-    share = {
-        i: _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
-        for i in bits(team)
-    }
-    pay_team = sum(share.values())
+    share = dict(_shares(inst, team))
+    pay_team = _sum_over(share, bits(team))  # payment()'s order, not sum()'s
     threshold = pay_team / m
     floor = evaluate(psi, inst, team) / (m - 1)
 

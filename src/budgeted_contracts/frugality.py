@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, get_args
 
 import numpy as np
 
@@ -45,7 +45,7 @@ from .core import (
     singleton_payment,
     team_table,
 )
-from .objectives import REWARD, Objective, evaluate_all, objective_name
+from .objectives import REWARD, Objective, evaluate_all
 from .solvers import brute_force_max
 
 BoundKind = Literal[
@@ -105,28 +105,25 @@ def pof(inst: Instance, query: PofQuery) -> PofReport:
         ratio = None
     else:
         ratio = hi / lo
-    name = objective_name(query.objective)
     try:
         func_class = "submodular" if is_submodular(inst.reward) else "xos"
     except SizeCapError:  # too large to verify: take the general bound
         func_class = "xos"
-    kind = pof_bound_kind(name, func_class)
-    bound = pof_bound(query.b, query.B, inst.n, name, func_class)
+    kind = pof_bound_kind(query.objective.name, func_class)
     return PofReport(
         b=query.b,
         B=query.B,
-        objective=name,
+        objective=query.objective.name,
         max_at_B=hi,
         max_at_b=lo,
         ratio=ratio,
-        theoretical_bound=bound,
+        theoretical_bound=pof_bound(query.b, query.B, inst.n, kind),
         bound_kind=kind,
     )
 
 
 def pof_bound_kind(objective: str, func_class: str) -> BoundKind:
-    if objective in ("profit-lower", "profit-upper"):
-        return objective  # type: ignore[return-value]
+    """The bound that applies to a named objective over a function class."""
     if func_class in ("submodular", "additive"):
         if objective in ("reward", "welfare"):
             return "submodular-exact"
@@ -135,33 +132,34 @@ def pof_bound_kind(objective: str, func_class: str) -> BoundKind:
     return "xos-asymptotic"
 
 
-def pof_bound(
-    b: float,
-    B: float,
-    n: int,
-    objective: str = "reward",
-    func_class: str = "submodular",
-) -> float:
-    """Theoretical price-of-frugality formula for the given setting.
+def best_head_count(b: float, B: float, n: int) -> int:
+    """Head count k of the profit lower-bound curve: the best k fitting under b."""
+    return min(floor_tol(1 / b + 0.5), ceil_tol(2 * B / b) - 1, n)
 
-    Submodular reward/welfare: exactly min(ceil(2B/b) - 1, n). Submodular
-    profit: the same expression as an upper bound, or the lower-bound curve
-    max(2 - b, k (2 - k b) / (2 - b)) with k the best head count fitting
-    under b. XOS: the asymptotic envelope min(B/b, n). Equal budgets give 1
-    for every kind.
+
+def pof_bound(b: float, B: float, n: int, kind: BoundKind) -> float:
+    """Theoretical price-of-frugality formula of one bound kind.
+
+    ``submodular-exact`` (submodular reward/welfare): exactly
+    min(ceil(2B/b) - 1, n). ``profit-upper``: the same expression as an
+    upper bound on submodular profit. ``profit-lower``: the lower-bound
+    curve max(2 - b, k (2 - k b) / (2 - b)) with k = ``best_head_count``.
+    ``xos-asymptotic``: the envelope min(B/b, n). Equal budgets give 1 for
+    every kind.
     """
     if not 0 < b <= B <= 1:
         raise InputError("budgets must satisfy 0 < b <= B <= 1")
     if n < 1:
         raise InputError("need at least one agent")
-    kind = pof_bound_kind(objective, func_class)
+    if kind not in get_args(BoundKind):
+        raise InputError(f"unknown bound kind {kind!r}")
     if b == B:
         return 1.0
     if kind in ("submodular-exact", "profit-upper"):
         return float(min(ceil_tol(2 * B / b) - 1, n))
     if kind == "xos-asymptotic":
         return min(B / b, float(n))
-    k = min(floor_tol(1 / b + 0.5), ceil_tol(2 * B / b) - 1, n)
+    k = best_head_count(b, B, n)
     return max(2.0 - b, k * (2.0 - k * b) / (2.0 - b))
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -41,23 +41,24 @@ WEIGHT_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Reward:
-    pass
+    name: ClassVar[str] = "reward"
 
 
 @dataclass(frozen=True)
 class Profit:
-    pass
+    name: ClassVar[str] = "profit"
 
 
 @dataclass(frozen=True)
 class Welfare:
-    pass
+    name: ClassVar[str] = "welfare"
 
 
 @dataclass(frozen=True)
 class Convex:
     """Weighted mix of objectives; weights are positive and sum to one."""
 
+    name: ClassVar[str] = "convex"
     components: tuple["Objective", ...]
     weights: tuple[float, ...]
 
@@ -77,6 +78,9 @@ Objective = Union[Reward, Profit, Welfare, Convex]
 REWARD = Reward()
 PROFIT = Profit()
 WELFARE = Welfare()
+
+#: The named objectives by name, in the order ``check`` reports them.
+OBJECTIVES: dict[str, Objective] = {o.name: o for o in (REWARD, PROFIT, WELFARE)}
 
 
 def evaluate(obj: Objective, inst: Instance, team: int) -> float:
@@ -108,16 +112,6 @@ def evaluate_all(
     return sum(
         w * evaluate_all(c, inst, f, pay) for c, w in zip(obj.components, obj.weights)
     )
-
-
-def objective_name(obj: Objective) -> str:
-    if isinstance(obj, Reward):
-        return "reward"
-    if isinstance(obj, Profit):
-        return "profit"
-    if isinstance(obj, Welfare):
-        return "welfare"
-    return "convex"
 
 
 def check_best_conditions(obj: Objective, inst: Instance) -> bool:

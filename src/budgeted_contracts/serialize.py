@@ -1,4 +1,4 @@
-"""JSON schemas for instances, objectives, results, and run manifests.
+"""JSON schemas for instances, results, and run manifests.
 
 Instance files look like::
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Any
 
 from .core import Additive, Instance, InputError, SetFunction, Table, XosClauses, bits
-from .objectives import Convex, Objective, Profit, Reward, Welfare
+from .objectives import OBJECTIVES, Objective
 
 
 def _real(x: Any) -> float:
@@ -113,41 +113,10 @@ def save_instance(inst: Instance, path: str) -> None:
         fh.write("\n")
 
 
-def objective_to_dict(obj: Objective) -> dict:
-    if isinstance(obj, Reward):
-        return {"type": "reward"}
-    if isinstance(obj, Profit):
-        return {"type": "profit"}
-    if isinstance(obj, Welfare):
-        return {"type": "welfare"}
-    return {
-        "type": "convex",
-        "weights": list(obj.weights),
-        "components": [objective_to_dict(c) for c in obj.components],
-    }
-
-
-def objective_from_dict(d: dict) -> Objective:
-    kind = d.get("type")
-    if kind == "reward":
-        return Reward()
-    if kind == "profit":
-        return Profit()
-    if kind == "welfare":
-        return Welfare()
-    if kind == "convex":
-        return Convex(
-            components=tuple(objective_from_dict(c) for c in d["components"]),
-            weights=tuple(_real(w) for w in d["weights"]),
-        )
-    raise InputError(f"unknown objective type {kind!r}")
-
-
 def objective_from_name(name: str) -> Objective:
-    simple = {"reward": Reward(), "profit": Profit(), "welfare": Welfare()}
-    if name not in simple:
+    if name not in OBJECTIVES:
         raise InputError(f"unknown objective {name!r}")
-    return simple[name]
+    return OBJECTIVES[name]
 
 
 def parse_objective_at_budget(spec: str) -> tuple[Objective, float]:

@@ -192,8 +192,8 @@ def build_rounded_table(
     values = _additive_values(inst)
     check_epsilon(epsilon)
     check_budget(budget)
-    if anchor <= 0:
-        raise InputError("anchor must be positive")
+    if not 0 < anchor < math.inf:  # NaN fails every comparison
+        raise InputError(f"anchor must be positive and finite, got {anchor!r}")
     n = inst.n
     delta = epsilon / n
     grid = delta * anchor
@@ -276,7 +276,7 @@ def knapsack_fptas(
 
     items = []
     for i, v in enumerate(values):
-        worth = v if isinstance(obj, Reward) else v - inst.costs[i]
+        worth = evaluate(obj, inst, 1 << i)
         if worth <= 0 or v <= 0:
             continue
         weight = inst.costs[i] / v

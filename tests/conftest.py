@@ -1,6 +1,12 @@
 import pytest
 
-from budgeted_contracts import Additive, Instance, gen_additive_lb, gen_xos_separation
+from budgeted_contracts import (
+    Additive,
+    Instance,
+    XosClauses,
+    gen_additive_lb,
+    gen_xos_separation,
+)
 
 
 @pytest.fixture
@@ -19,6 +25,17 @@ def uniform4():
 def single_agent():
     """One agent, cost 1/2, certain success on effort."""
     return Instance(1, (0.5,), Additive((1.0,)))
+
+
+@pytest.fixture
+def nondyadic():
+    """Seven agents whose float sums depend on the order agents are added."""
+    clauses = (
+        (0.13, 0.07, 0.21, 0.11, 0.03, 0.17, 0.09),
+        (0.05, 0.19, 0.02, 0.14, 0.23, 0.06, 0.12),
+        (0.1,) * 7,
+    )
+    return Instance(7, (0.03, 0.05, 0.07, 0.02, 0.09, 0.04, 0.06), XosClauses(clauses))
 
 
 @pytest.fixture

@@ -362,22 +362,11 @@ def test_instance_json_round_trip(tmp_path, separation_file):
     assert instance_to_dict(inst)["reward"]["type"] == "xos"
 
 
-def test_objective_json_round_trip():
-    from budgeted_contracts import Convex
-    from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
-    from budgeted_contracts.serialize import objective_from_dict, objective_to_dict
-
-    mix = Convex((REWARD, Convex((PROFIT, WELFARE), (0.5, 0.5))), (0.25, 0.75))
-    assert objective_from_dict(objective_to_dict(mix)) == mix
-    assert objective_to_dict(mix)["type"] == "convex"
-    assert objective_from_dict({"type": "welfare"}) == WELFARE
-
-
 def test_serializer_error_paths(tmp_path):
     from budgeted_contracts import InputError
     from budgeted_contracts.serialize import (
         instance_from_dict,
-        objective_from_dict,
+        objective_from_name,
         parse_objective_at_budget,
     )
 
@@ -392,7 +381,7 @@ def test_serializer_error_paths(tmp_path):
             {"n": 1, "costs": ["zero"], "reward": {"type": "additive", "values": [0.5]}}
         )
     with pytest.raises(InputError):
-        objective_from_dict({"type": "budget"})
+        objective_from_name("budget")
     with pytest.raises(InputError):
         parse_objective_at_budget("welfare")  # missing @budget
 

@@ -31,6 +31,8 @@ from budgeted_contracts import (
     to_table,
     value,
 )
+from budgeted_contracts import core
+from budgeted_contracts.core import _shares
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
 
 ALL3 = 0b111
@@ -112,6 +114,25 @@ def test_optimal_contract_examples(single_agent, uniform4):
     assert optimal_contract_for(single_agent, 0b1).alpha == (0.5,)
     assert optimal_contract_for(single_agent, 0).alpha == (0.0,)
     assert optimal_contract_for(uniform4, ALL4).alpha == pytest.approx((0.25,) * 4)
+
+
+def test_contract_total_sums_in_order():
+    # sum() compensates rounding on Python >= 3.12 and would give 1.0
+    assert Contract((0.1,) * 10).total() == 0.9999999999999999
+
+
+def test_shares_are_payment_and_contract_terms(nondyadic):
+    for team in range(1 << nondyadic.n):
+        shares = list(_shares(nondyadic, team))
+        assert [i for i, _ in shares] == list(bits(team))
+        total = 0.0
+        for _, share in shares:
+            total += share
+        assert total == payment(nondyadic, team)
+        alpha = [0.0] * nondyadic.n
+        for i, share in shares:
+            alpha[i] = share
+        assert optimal_contract_for(nondyadic, team).alpha == tuple(alpha)
 
 
 def test_optimal_contract_infeasible():
@@ -228,6 +249,16 @@ def test_classify_subadditive_not_submodular():
 def test_classify_subadditivity_violation():
     t = Table((0.0, 0.2, 0.2, 0.9))  # f({0,1}) > f({0}) + f({1})
     assert not classify(t).is_subadditive
+
+
+def test_classify_additive_without_tabulating(monkeypatch):
+    def no_table(f):
+        raise AssertionError("classify tabulated an additive reward")
+
+    monkeypatch.setattr(core, "_value_array", no_table)
+    for n in (4, 16):
+        got = classify(Additive((1 / (3 * n),) * n))
+        assert got.is_monotone and got.is_submodular and got.is_subadditive
 
 
 def test_classify_cap():

@@ -28,6 +28,7 @@ from budgeted_contracts import (
     value_payment_curve,
 )
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
+from budgeted_contracts.frugality import best_head_count
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
 
@@ -78,12 +79,12 @@ def test_pof_query_validation():
 
 
 def test_pof_bound_values():
-    assert pof_bound(0.4, 1.0, 10, "reward", "submodular") == 4.0
+    assert pof_bound(0.4, 1.0, 10, "submodular-exact") == 4.0
     assert pof_bound(1 / 3, 1.0, 5, "profit-lower") == pytest.approx(1.8)
-    for objective in ("reward", "welfare", "profit-upper", "profit-lower"):
-        assert pof_bound(0.5, 0.5, 4, objective) == 1.0
-    assert pof_bound(0.25, 1.0, 3, "reward", "xos") == pytest.approx(3.0)
-    assert pof_bound(0.25, 1.0, 30, "reward", "xos") == pytest.approx(4.0)
+    for kind in ("submodular-exact", "xos-asymptotic", "profit-upper", "profit-lower"):
+        assert pof_bound(0.5, 0.5, 4, kind) == 1.0
+    assert pof_bound(0.25, 1.0, 3, "xos-asymptotic") == pytest.approx(3.0)
+    assert pof_bound(0.25, 1.0, 30, "xos-asymptotic") == pytest.approx(4.0)
     assert pof_bound(0.5, 1.0, 8, "profit-upper") == 3.0
 
 
@@ -97,20 +98,30 @@ def test_pof_bound_kind_mapping():
 
 def test_pof_bound_validation():
     with pytest.raises(InputError):
-        pof_bound(0.0, 1.0, 4)
+        pof_bound(0.0, 1.0, 4, "submodular-exact")
     with pytest.raises(InputError):
-        pof_bound(0.5, 1.1, 4)
+        pof_bound(0.5, 1.1, 4, "submodular-exact")
+    for name in ("reward", "profit", "submodular"):  # names, not bound kinds
+        with pytest.raises(InputError, match="unknown bound kind"):
+            pof_bound(0.5, 1.0, 4, name)
 
 
 def test_pof_bound_staircase_breakpoints():
     # the exact submodular bound steps down at b = 2/M: value M - 1 on the
     # closed left end of each interval (2/(M+1), 2/M]
     for m in (3, 4, 5, 8):
-        at = pof_bound(2 / m, 1.0, 20, "reward", "submodular")
+        at = pof_bound(2 / m, 1.0, 20, "submodular-exact")
         assert at == m - 1
-        below = pof_bound(2 / m - 1e-6, 1.0, 20, "reward", "submodular")
+        below = pof_bound(2 / m - 1e-6, 1.0, 20, "submodular-exact")
         assert below == m
-    assert pof_bound(2 / 10, 1.0, 5, "reward", "submodular") == 5  # n binds
+    assert pof_bound(2 / 10, 1.0, 5, "submodular-exact") == 5  # n binds
+
+
+def test_best_head_count():
+    assert best_head_count(1 / 3, 1.0, 50) == 3
+    assert best_head_count(0.3, 1.0, 50) == 3  # the 1/b + 1/2 term binds
+    assert best_head_count(0.4, 0.5, 50) == 2  # the 2B/b term binds
+    assert best_head_count(0.05, 1.0, 8) == 8  # n binds
 
 
 def test_profit_lower_bound_crossover():
@@ -263,7 +274,8 @@ def test_submodular_realized_below_exact_bound():
         rep = pof(
             inst, PofQuery(b=b, B=1.0, objective=REWARD, singletons_feasible_at_b=True)
         )
-        assert rep.ratio <= pof_bound(b, 1.0, inst.n, "reward", "submodular") + 1e-9
+        assert rep.bound_kind == "submodular-exact"
+        assert rep.ratio <= pof_bound(b, 1.0, inst.n, "submodular-exact") + 1e-9
 
 
 def test_xos_realized_below_asymptotic_envelope():

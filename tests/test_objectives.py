@@ -17,7 +17,6 @@ from budgeted_contracts import (
     evaluate,
     gen_subadditive_lb,
     key_property_gap,
-    objective_name,
     payment,
     profit,
     to_table,
@@ -25,7 +24,14 @@ from budgeted_contracts import (
 )
 from budgeted_contracts.core import team_table
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
-from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE, evaluate_all
+from budgeted_contracts.objectives import (
+    OBJECTIVES,
+    PROFIT,
+    REWARD,
+    WELFARE,
+    evaluate_all,
+)
+from budgeted_contracts.serialize import objective_from_name
 
 ALL4 = 0b1111
 
@@ -59,7 +65,14 @@ def test_convex_validation():
         Convex((REWARD, PROFIT), (1.2, -0.2))
     with pytest.raises(InputError):
         Convex((), ())
-    assert objective_name(Convex((REWARD, PROFIT), (0.5, 0.5))) == "convex"
+    assert Convex((REWARD, PROFIT), (0.5, 0.5)).name == "convex"
+
+
+def test_objective_registry():
+    assert list(OBJECTIVES) == ["reward", "profit", "welfare"]  # check's order
+    for name, obj in OBJECTIVES.items():
+        assert obj.name == name
+        assert objective_from_name(name) is obj
 
 
 def test_types_are_value_objects():

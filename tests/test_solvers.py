@@ -126,6 +126,13 @@ def test_rounded_table_requires_additive(uniform4):
         build_rounded_table(uniform4, 0.1, 0.25, 1.0)
 
 
+@pytest.mark.parametrize("anchor", [math.nan, math.inf, -math.inf, 0.0, -1.0])
+def test_rounded_table_rejects_bad_anchor(anchor):
+    inst = Instance(2, (0.1, 0.1), Additive((0.5, 0.5)))
+    with pytest.raises(InputError, match="anchor must be positive and finite"):
+        build_rounded_table(inst, 0.1, anchor, 0.5)
+
+
 def test_rounded_table_checks_budget():
     inst = Instance(2, (0.1, 0.1), Additive((0.5, 0.5)))
     for budget in (0.0, 1.5, math.nan):
