@@ -231,13 +231,14 @@ def marginal(f: SetFunction, team: int, agent: int) -> float:
 
 
 def _value_array(f: SetFunction) -> np.ndarray:
-    """f over every team mask, equal to the value oracle bit for bit."""
+    """f over every team mask, bit for bit as the oracle; the one ENUM_CAP gate."""
+    if f.n > ENUM_CAP:
+        raise SizeCapError(f"exhaustive tables capped at n <= {ENUM_CAP}")
     if isinstance(f, Table):
         return np.asarray(f.values)
-    if isinstance(f, Additive):
-        return _subset_sums(f.values, f.n)
-    acc = _subset_sums(f.clauses[0], f.n)
-    for row in f.clauses[1:]:
+    rows = f.clauses if isinstance(f, XosClauses) else (f.values,)
+    acc = _subset_sums(rows[0], f.n)
+    for row in rows[1:]:
         np.maximum(acc, _subset_sums(row, f.n), out=acc)
     return acc
 
@@ -386,7 +387,7 @@ def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Reward and payment of every team mask, as two arrays of length 2^n.
 
     Entries equal ``value`` and ``payment`` bit for bit. Payments take one
-    pass per agent, so no n x 2^n array is built. Callers check their cap.
+    pass per agent, so no n x 2^n array is built.
     """
     f = _value_array(inst.reward)
     pay = np.zeros(f.shape)
@@ -507,20 +508,33 @@ def classify(f: SetFunction) -> FunctionClasses:
     """
     if isinstance(f, Additive):
         return FunctionClasses(True, True, True)
-    n = f.n
-    if n > CLASSIFY_CAP:
-        raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
-    t = _value_array(f)
+    t, n = _class_table(f), f.n
+    # On an exactly monotone table f(B - A) <= f(B) and float addition rounds
+    # monotonically, so a pair (A, B) fails only if the disjoint pair
+    # (A, B - A) does: the disjoint kernel is exact. Others need all 4^n pairs.
+    exact = _table_is_monotone(t, n, 0.0)
+    subadditive = _table_is_subadditive if exact else _all_pairs_subadditive
     return FunctionClasses(
-        _table_is_monotone(t, n),
-        _table_is_submodular(t, n),
-        _table_is_subadditive(t, n),
+        _table_is_monotone(t, n, EPS), _table_is_submodular(t, n), subadditive(t, n)
     )
 
 
-def _table_is_monotone(t: np.ndarray, n: int) -> bool:
+def is_submodular(f: SetFunction) -> bool:
+    """Submodularity check alone; additive functions pass at any size."""
+    if isinstance(f, Additive):
+        return True
+    return _table_is_submodular(_class_table(f), f.n)
+
+
+def _class_table(f: SetFunction) -> np.ndarray:
+    if f.n > CLASSIFY_CAP:
+        raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
+    return _value_array(f)
+
+
+def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:
     masks = np.arange(1 << n)
-    return all(np.all(t[masks | (1 << i)] >= t - EPS) for i in range(n))
+    return all(np.all(t[masks | (1 << i)] >= t - slack) for i in range(n))
 
 
 def _table_is_submodular(t: np.ndarray, n: int) -> bool:
@@ -536,15 +550,26 @@ def _table_is_submodular(t: np.ndarray, n: int) -> bool:
     return True
 
 
-def _table_is_subadditive(t: np.ndarray, n: int) -> bool:
+def _all_pairs_subadditive(t: np.ndarray, n: int) -> bool:
     masks = np.arange(1 << n)
     return all(np.all(t[masks | m] <= t[m] + t + EPS) for m in range(1 << n))
 
 
-def is_submodular(f: SetFunction) -> bool:
-    """Submodularity check alone; additive functions pass at any size."""
-    if isinstance(f, Additive):
-        return True
-    if f.n > CLASSIFY_CAP:
-        raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
-    return _table_is_submodular(_value_array(f), f.n)
+def _disjoint_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All 3^k pairs (A, B) of disjoint masks over agents 0..k-1."""
+    a = b = np.zeros(1, np.int64)
+    for i in range(k):  # agent i joins A, joins B, or neither
+        a, b = np.concatenate((a, a | 1 << i, a)), np.concatenate((b, b, b | 1 << i))
+    return a, b
+
+
+def _table_is_subadditive(t: np.ndarray, n: int) -> bool:
+    """t[A | B] <= t[A] + t[B] + EPS for every disjoint pair (A, B): one vector
+    over the pairs of the low agents, a loop over the pairs of the rest."""
+    low = min(n, 9)  # 3^9 floats stay in cache: 3x faster than 3^10 at n = 16
+    a, b = _disjoint_pairs(low)
+    rows = t.reshape(-1, 1 << low)  # row h: the teams whose high agents are h
+    for ha, hb in zip(*(h.tolist() for h in _disjoint_pairs(n - low))):
+        if not np.all(rows[ha | hb][a | b] <= rows[ha][a] + rows[hb][b] + EPS):
+            return False
+    return True

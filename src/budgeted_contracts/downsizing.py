@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 from .core import (
     CLASSIFY_CAP,
-    EPS,
     Additive,
     Instance,
     InputError,
@@ -37,6 +36,7 @@ from .core import (
     _check_team,
     _shares,
     _sum_over,
+    _table_is_subadditive,
     bits,
     is_submodular,
     mask_of,
@@ -91,8 +91,7 @@ def downsize_submodular(
     if check:
         if not is_submodular(inst.reward):
             raise PreconditionError("reward function is not submodular")
-        if not isinstance(psi, Reward):
-            # the reward itself is subadditive whenever it is submodular
+        if not isinstance(psi, Reward):  # a submodular reward is subadditive
             _assert_subadditive(psi, inst)
     share = dict(_shares(inst, team))
     pay_team = _sum_over(share, bits(team))  # payment()'s order, not sum()'s
@@ -202,13 +201,5 @@ def _assert_subadditive(psi: Objective, inst: Instance) -> None:
     # this whenever the reward does, despite failing on overlapping pairs).
     if inst.n > CLASSIFY_CAP:
         raise SizeCapError(f"subadditivity debug check capped at n <= {CLASSIFY_CAP}")
-    vals = evaluate_all(psi, inst, *team_table(inst)).tolist()
-    for a in range(1 << inst.n):
-        rest = ((1 << inst.n) - 1) & ~a
-        b = rest
-        while True:
-            if vals[a | b] > vals[a] + vals[b] + EPS:
-                raise PreconditionError("psi is not subadditive on this instance")
-            if b == 0:
-                break
-            b = (b - 1) & rest
+    if not _table_is_subadditive(evaluate_all(psi, inst, *team_table(inst)), inst.n):
+        raise PreconditionError("psi is not subadditive on this instance")

@@ -289,8 +289,6 @@ def value_payment_curve(inst: Instance, obj: Objective) -> list[tuple[float, flo
     Returns (payment, value) vertices sorted by payment, keeping only
     points where the running maximum increases; plot-ready step data.
     """
-    if inst.n > ENUM_CAP:
-        raise SizeCapError(f"curve enumeration capped at n <= {ENUM_CAP}")
     f, pay = team_table(inst)
     finite = pay != math.inf
     pay, vals = pay[finite], evaluate_all(obj, inst, f, pay)[finite]

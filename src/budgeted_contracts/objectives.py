@@ -21,15 +21,13 @@ from typing import ClassVar, Union
 import numpy as np
 
 from .core import (
-    ENUM_CAP,
     EPS,
     Instance,
     InputError,
-    SizeCapError,
     _subset_sums,
     _sum_over,
     bits,
-    check_budget,
+    is_submodular,
     profit,
     team_table,
     value,
@@ -116,8 +114,6 @@ def evaluate_all(
 
 def check_best_conditions(obj: Objective, inst: Instance) -> bool:
     """Exhaustively verify the sandwich and single-agent-drop conditions."""
-    if inst.n > ENUM_CAP:
-        raise SizeCapError(f"objective verification capped at n <= {ENUM_CAP}")
     f, pay = team_table(inst)
     phi = evaluate_all(obj, inst, f, pay)
     if not (np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + EPS)
@@ -141,12 +137,8 @@ def key_property_gap(
     objective and rhs = k * MaxRewardLight(budget) + max_i phi({i}), where
     k is 1 for submodular rewards and 2 otherwise. Callers assert lhs <= rhs.
     """
-    from .core import is_submodular
     from .solvers import brute_force_max
 
-    if inst.n > ENUM_CAP:
-        raise SizeCapError(f"gap verification capped at n <= {ENUM_CAP}")
-    check_budget(budget)
     lhs = brute_force_max(obj, inst, budget).value
     mrl = brute_force_max(REWARD, inst, budget, light_only=True).value
     coeff = 1.0 if is_submodular(inst.reward) else 2.0

@@ -24,13 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    ENUM_CAP,
     EPS,
     Additive,
     Instance,
     InputError,
     PreconditionError,
-    SizeCapError,
     ceil_tol,
     check_budget,
     check_epsilon,
@@ -69,8 +67,6 @@ def brute_force_max(
     Ties break toward the smaller bitmask; the empty team is always feasible,
     so the result is never worse than incentivizing nobody.
     """
-    if inst.n > ENUM_CAP:
-        raise SizeCapError(f"brute force capped at n <= {ENUM_CAP}")
     check_budget(budget)
     f, pay = team_table(inst)
     allowed = ~(pay > budget + EPS)
