@@ -38,6 +38,7 @@ from .corpora import (
 from .downsizing import downsize_submodular, downsize_xos
 from .frugality import (
     PofQuery,
+    _check_budget_pair,
     best_head_count,
     gen_additive_lb,
     gen_profit_lb_k,
@@ -77,7 +78,10 @@ def _profit_two(args, b: float):
 
 
 def _profit_k(args, b: float):
+    _check_budget_pair(b, args.B)  # the formulas below divide by b and by k
     k = args.k if args.k is not None else best_head_count(b, args.B, args.n)
+    if k < 1:
+        raise InputError("k must be a positive integer")
     eps = args.eps if args.eps is not None else min(0.01, (2 * args.B / k - b) / 2)
     return gen_profit_lb_k(b, args.B, k, eps)
 

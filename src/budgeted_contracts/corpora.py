@@ -18,7 +18,16 @@ from __future__ import annotations
 
 import random
 
-from .core import Additive, Instance, Table, XosClauses, mask_of
+from .core import (
+    ENUM_CAP,
+    Additive,
+    Instance,
+    InputError,
+    SizeCapError,
+    Table,
+    XosClauses,
+    mask_of,
+)
 
 #: Bump when any recipe below changes; recorded in run manifests.
 CORPUS_VERSION = 1
@@ -53,6 +62,10 @@ def _costs_for(rng: random.Random, singleton_values: list[float]) -> tuple[float
 
 def random_submodular_instance(rng: random.Random, n: int) -> Instance:
     """Weighted-coverage reward over a universe of 2n elements."""
+    if n < 1:
+        raise InputError("need at least one agent")
+    if n > ENUM_CAP:
+        raise SizeCapError(f"table-backed generator capped at n <= {ENUM_CAP}")
     universe = 2 * n
     weights = [rng.randrange(1, 9) for _ in range(universe)]
     covers = []
@@ -79,6 +92,8 @@ def random_submodular_instance(rng: random.Random, n: int) -> Instance:
 
 def random_xos_instance(rng: random.Random, n: int, n_clauses: int) -> Instance:
     """Random non-negative clause matrix, power-of-two normalized."""
+    if n_clauses < 1:
+        raise InputError("XOS representation needs at least one clause")
     clauses = [
         [rng.randrange(0, 33) / 32 for _ in range(n)] for _ in range(n_clauses)
     ]

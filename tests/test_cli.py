@@ -276,6 +276,24 @@ def test_pof_sweep_without_a_valid_cell_is_rejected(capsys, grid):
     _one_input_error(capsys)
 
 
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "profit-k", "--k", "0"],
+    ["gen", "--family", "profit-k", "--b", "0.9", "--B", "0.1"],
+    ["pof", "--family", "profit-k", "--b", "0.9", "--B", "0.1"],
+    ["gen", "--family", "random-xos", "--n", "3", "--clauses", "0"],
+    ["gen", "--family", "random-submodular", "--n", "-1"],
+])
+def test_generator_flags_out_of_range_are_input_errors(argv, capsys):
+    assert main(argv) == 2
+    _one_input_error(capsys)
+
+
+def test_table_backed_random_family_is_capped(capsys):
+    assert run_cli("gen", "--family", "random-submodular", "--n", 21) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sizecap: ") and err.count("\n") == 1, err
+
+
 def test_more_than_63_agents(tmp_path, capsys):
     assert Instance(64, (0.0,) * 64, Additive((0.0,) * 64)).n == 64
     path = tmp_path / "add100.json"

@@ -1,5 +1,8 @@
 import math
+import random
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,12 +17,15 @@ from budgeted_contracts import (
     Table,
     XosClauses,
     bits,
+    brute_force_max,
+    check_best_conditions,
     classify,
     demand,
     enumerate_equilibria,
     gen_profit_lb_two,
     gen_subadditive_lb,
     is_nash_equilibrium,
+    key_property_gap,
     light_agents,
     marginal,
     mask_of,
@@ -30,10 +36,17 @@ from budgeted_contracts import (
     singleton_payment,
     to_table,
     value,
+    value_payment_curve,
 )
 from budgeted_contracts import core
-from budgeted_contracts.core import _shares
-from budgeted_contracts.corpora import submodular_corpus, xos_corpus
+from budgeted_contracts.core import EPS, _shares, is_submodular, team_table
+from budgeted_contracts.corpora import (
+    random_submodular_instance,
+    random_xos_instance,
+    submodular_corpus,
+    xos_corpus,
+)
+from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE, evaluate_all
 
 ALL3 = 0b111
 ALL4 = 0b1111
@@ -265,6 +278,163 @@ def test_classify_cap():
     with pytest.raises(SizeCapError):
         classify(Table((0.0,) * (1 << 17)))
     assert classify(Additive((0.001,) * 30)).is_submodular
+
+
+# ---------------------------------------------------------------------------
+# subadditivity kernel against references kept here
+# ---------------------------------------------------------------------------
+
+
+def _disjoint_reference(t, n):
+    """t[A | B] <= t[A] + t[B] + EPS over the 3^n disjoint pairs, one by one."""
+    vals = t.tolist()
+    for a in range(1 << n):
+        rest = ((1 << n) - 1) & ~a
+        b = rest
+        while True:
+            if vals[a | b] > vals[a] + vals[b] + EPS:
+                return False
+            if b == 0:
+                break
+            b = (b - 1) & rest
+    return True
+
+
+def _all_pairs_reference(t, n):
+    """The same inequality over all 4^n pairs, overlapping ones included."""
+    masks = np.arange(1 << n)
+    return all(np.all(t[masks | m] <= t[m] + t + EPS) for m in range(1 << n))
+
+
+def _seeded_tables(n, seed):
+    """Named tables over n agents: rewards (coverage, XOS, sorted, convex,
+    concave, random), exact ties at the EPS boundary on additive sums, and the
+    profit (with -inf) and welfare of seeded instances."""
+    rng = random.Random(seed)
+    noise = np.random.default_rng(seed)
+    size = np.array([m.bit_count() for m in range(1 << n)])
+
+    def tie(values, steps):
+        sums = core._subset_sums(values, n)
+        return sums + EPS * noise.choice(steps, sums.size)
+
+    coverage = random_submodular_instance(rng, n)
+    xos = random_xos_instance(rng, n, rng.randrange(1, 4))
+    dyadic = [rng.randrange(1, 65) / 512 for _ in range(n)]
+    flat = [v if rng.random() < 0.7 else 0.0 for v in dyadic]  # zero agents
+    square = (size / n) ** 2
+    yield "coverage", np.asarray(coverage.reward.values)
+    yield "xos", core._value_array(xos.reward)
+    yield "sorted", np.sort(noise.random(1 << n))
+    yield "square", square
+    yield "square-tie", square + EPS * noise.choice((-1.0, 0.0, 1.0), 1 << n)
+    yield "concave", np.sqrt(size / n)
+    yield "random", noise.random(1 << n)
+    yield "tie-up", tie(dyadic, (0.0, 1.0))
+    yield "tie-both", tie(dyadic, (-1.0, -0.5, 0.0, 0.5, 1.0))
+    yield "tie-flat", tie(flat, (0.0, 1.0))
+    for inst in (coverage, xos):
+        f, pay = team_table(inst)
+        yield "profit", evaluate_all(PROFIT, inst, f, pay)
+        yield "welfare", evaluate_all(WELFARE, inst, f, pay)
+
+
+def test_subadditivity_kernel_matches_references():
+    outcomes = set()
+    for n in range(1, 10):
+        for seed in range(3):
+            for kind, t in _seeded_tables(n, 100 * n + seed):
+                want = _disjoint_reference(t, n)
+                assert core._table_is_subadditive(t, n) == want, (kind, n, seed)
+                outcomes.add(want)
+                if np.all(np.isfinite(t)) and t.min() >= 0 and t.max() <= 1:
+                    got = classify(Table(tuple(t.tolist()))).is_subadditive
+                    assert got == _all_pairs_reference(t, n), (kind, n, seed)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("n", [11, 12])
+def test_subadditivity_kernel_past_one_vector(n):
+    # n > 9 runs the loop over the pairs of the high agents
+    for kind, t in _seeded_tables(n, n):
+        if kind in ("coverage", "xos", "concave", "tie-up", "random", "profit"):
+            want = _disjoint_reference(t, n)
+            assert core._table_is_subadditive(t, n) == want, kind
+    t = np.sqrt(np.array([m.bit_count() for m in range(1 << n)]))
+    t[(1 << n) - 1] += 1.0  # only pairs splitting the full team fail
+    assert core._table_is_subadditive(t, n) is False
+    t[(1 << n) - 1] -= 1.0
+    assert core._table_is_subadditive(t, n) is True
+
+
+def test_classify_checks_overlapping_pairs_when_not_monotone():
+    # passes every disjoint pair but fails ({0,1}, {1,2}): .5 > .1 + .1
+    t = Table((0, 0.5, 0.5, 0.1, 0.5, 0.1, 0.1, 0.5))
+    values = np.asarray(t.values)
+    assert core._table_is_subadditive(values, 3)
+    assert not _all_pairs_reference(values, 3)
+    got = classify(t)
+    assert not got.is_monotone and not got.is_subadditive
+    # monotone within EPS but not exactly, so still not decided by disjoint
+    # pairs: ({0,1}, {1,2}) fails because f({1,2}) < f({2})
+    t = Table((0, 0.5, 0.5, 0.4999999995, 0.5, 0.4999999995, 0.4999999995,
+               1.0000000004))
+    assert core._table_is_subadditive(np.asarray(t.values), 3)
+    got = classify(t)
+    assert got.is_monotone and not got.is_subadditive
+
+
+# ---------------------------------------------------------------------------
+# size caps raise before allocating
+# ---------------------------------------------------------------------------
+
+
+def _xos(n):
+    rows = ((0.01,) * n, (0.02,) + (0.0,) * (n - 1))
+    return Instance(n, (0.0,) * n, XosClauses(rows))
+
+
+def _assert_cap_without_allocating(call):
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
+_TABLE_CALLS = {
+    "to_table": lambda inst: to_table(inst.reward),
+    "team_table": team_table,
+    "brute_force_max": lambda inst: brute_force_max(REWARD, inst, 1.0),
+    "check_best_conditions": lambda inst: check_best_conditions(REWARD, inst),
+    "value_payment_curve": lambda inst: value_payment_curve(inst, REWARD),
+    "key_property_gap": lambda inst: key_property_gap(REWARD, inst, 1.0),
+}
+
+
+@pytest.mark.parametrize("call", list(_TABLE_CALLS))
+@pytest.mark.parametrize("reward", ["additive", "xos"])
+def test_table_cap_raises_before_allocating(additive21, call, reward):
+    inst = additive21 if reward == "additive" else _xos(21)
+    _assert_cap_without_allocating(lambda: _TABLE_CALLS[call](inst))
+
+
+@pytest.mark.parametrize("check", [classify, is_submodular])
+def test_class_cap_raises_before_allocating(check):
+    f = _xos(17).reward
+    _assert_cap_without_allocating(lambda: check(f))
+
+
+def test_random_submodular_generator_cap():
+    _assert_cap_without_allocating(
+        lambda: random_submodular_instance(random.Random(0), 21)
+    )
+    for n in (0, -1):
+        with pytest.raises(InputError):
+            random_submodular_instance(random.Random(0), n)
 
 
 # ---------------------------------------------------------------------------
