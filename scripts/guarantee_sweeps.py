@@ -40,41 +40,19 @@ class SweepConfig:
     budgets: tuple[float, ...] = (0.25, 0.5, 1.0)
 
 
-def downsizing_sweep(cfg: SweepConfig) -> None:
+def downsizing_sweep(cfg, name, corpus, rng, n_teams, downsize, slack, floor):
+    """Worst value kept and payment ratio of one downsizing over one corpus.
+
+    ``slack`` is 1 for bag-filling on submodular rewards and 2 for the XOS
+    composition, whose recovery stage loses a factor two on each side; the
+    proven floor is 1/(slack (M-1)) and the ceiling 2 slack / M. ``floor``
+    spells the floor for the header.
+    """
     worst_obj = {m: math.inf for m in cfg.shrink_params}
     worst_pay = {m: 0.0 for m in cfg.shrink_params}
-    rng = random.Random(cfg.seed + 1)
-    for inst in submodular_corpus(cfg.count, seed=cfg.seed, n_hi=10):
+    for inst in corpus:
         full = (1 << inst.n) - 1
-        teams = {full} | {rng.randrange(1, full + 1) for _ in range(20)}
-        for team in teams:
-            pay_team = payment(inst, team)
-            if pay_team == math.inf or pay_team == 0.0:
-                continue
-            val_team = value(inst.reward, team)
-            if val_team == 0.0:
-                continue
-            for m in cfg.shrink_params:
-                res = downsize_submodular(inst, team, m)
-                worst_obj[m] = min(worst_obj[m], res.objective_after / val_team)
-                if res.subset.bit_count() > 1:
-                    worst_pay[m] = max(worst_pay[m], res.payment_after / pay_team)
-    print("submodular downsizing: worst value kept vs floor 1/(M-1),")
-    print("                       worst payment ratio vs ceiling 2/M")
-    for m in cfg.shrink_params:
-        print(
-            f"  M={m}: value {worst_obj[m]:.4f} >= {1 / (m - 1):.4f},"
-            f" payment {worst_pay[m]:.4f} <= {2 / m:.4f}"
-        )
-
-
-def xos_sweep(cfg: SweepConfig) -> None:
-    worst_obj = {m: math.inf for m in cfg.shrink_params}
-    worst_pay = {m: 0.0 for m in cfg.shrink_params}
-    rng = random.Random(cfg.seed + 2)
-    for inst in xos_corpus(cfg.count, seed=cfg.seed + 10, n_hi=10):
-        full = (1 << inst.n) - 1
-        teams = {full} | {rng.randrange(1, full + 1) for _ in range(15)}
+        teams = {full} | {rng.randrange(1, full + 1) for _ in range(n_teams)}
         for team in teams:
             pay_team = payment(inst, team)
             if pay_team in (math.inf, 0.0):
@@ -83,16 +61,17 @@ def xos_sweep(cfg: SweepConfig) -> None:
             if val_team == 0.0:
                 continue
             for m in cfg.shrink_params:
-                res = downsize_xos(inst, team, m)
+                res = downsize(inst, team, m)
                 worst_obj[m] = min(worst_obj[m], res.objective_after / val_team)
                 if res.subset.bit_count() > 1:
                     worst_pay[m] = max(worst_pay[m], res.payment_after / pay_team)
-    print("XOS downsizing: worst value kept vs floor 1/(2M-2),")
-    print("                worst payment ratio vs ceiling 4/M")
+    title = f"{name} downsizing: "
+    print(f"{title}worst value kept vs floor {floor},")
+    print(f"{' ' * len(title)}worst payment ratio vs ceiling {2 * slack}/M")
     for m in cfg.shrink_params:
         print(
-            f"  M={m}: value {worst_obj[m]:.4f} >= {1 / (2 * m - 2):.4f},"
-            f" payment {worst_pay[m]:.4f} <= {4 / m:.4f}"
+            f"  M={m}: value {worst_obj[m]:.4f} >= {1 / (slack * m - slack):.4f},"
+            f" payment {worst_pay[m]:.4f} <= {2 * slack / m:.4f}"
         )
 
 
@@ -122,9 +101,15 @@ def main() -> int:
     args = parser.parse_args()
     cfg = SweepConfig(count=args.count, seed=args.seed)
     print(f"corpora: {cfg.count} instances per class, seed {cfg.seed}\n")
-    downsizing_sweep(cfg)
+    downsizing_sweep(
+        cfg, "submodular", submodular_corpus(cfg.count, seed=cfg.seed, n_hi=10),
+        random.Random(cfg.seed + 1), 20, downsize_submodular, 1, "1/(M-1)",
+    )
     print()
-    xos_sweep(cfg)
+    downsizing_sweep(
+        cfg, "XOS", xos_corpus(cfg.count, seed=cfg.seed + 10, n_hi=10),
+        random.Random(cfg.seed + 2), 15, downsize_xos, 2, "1/(2M-2)",
+    )
     print()
     reduction_sweep(cfg)
     return 0

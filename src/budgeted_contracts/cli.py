@@ -16,16 +16,17 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
 import time
 
 from . import __version__
 from .core import (
-    CLASSIFY_CAP,
     EPS,
     ContractsError,
     InputError,
+    _class_verifiable,
     classify,
     mask_of,
     payment,
@@ -38,7 +39,6 @@ from .corpora import (
 from .downsizing import downsize_submodular, downsize_xos
 from .frugality import (
     PofQuery,
-    _check_budget_pair,
     best_head_count,
     gen_additive_lb,
     gen_profit_lb_k,
@@ -78,7 +78,6 @@ def _profit_two(args, b: float):
 
 
 def _profit_k(args, b: float):
-    _check_budget_pair(b, args.B)  # the formulas below divide by b and by k
     k = args.k if args.k is not None else best_head_count(b, args.B, args.n)
     if k < 1:
         raise InputError("k must be a positive integer")
@@ -221,11 +220,9 @@ def cmd_downsize(args) -> dict[str, str]:
         team = mask_of(int(tok) for tok in args.set.split(",") if tok != "")
     except ValueError as exc:
         raise InputError(f"bad --set {args.set!r}") from exc
-    check = inst.n <= CLASSIFY_CAP  # enforce class preconditions at desk scale
-    if args.mode == "submodular":
-        res = downsize_submodular(inst, team, args.m, check=check)
-    else:
-        res = downsize_xos(inst, team, args.m, check=check)
+    downsize = downsize_submodular if args.mode == "submodular" else downsize_xos
+    # enforce the class preconditions wherever they can be verified
+    res = downsize(inst, team, args.m, check=_class_verifiable(inst.reward))
     body = jsonable(res)
     body["subset"] = team_to_list(res.subset)
     body["mode"] = args.mode
@@ -252,12 +249,11 @@ def _parse_grid(spec: str) -> list[float]:
         name, _, rng = spec.partition("=")
         if name != "b":
             raise ValueError("grid variable must be b")
-        start_s, stop_s, step_s = rng.split(":")
-        start, stop, step = float(start_s), float(stop_s), float(step_s)
+        start, stop, step = map(float, rng.split(":"))
     except ValueError as exc:
         raise InputError(f"bad --grid {spec!r}, expected b=start:stop:step") from exc
-    if step <= 0:
-        raise InputError("grid step must be positive")
+    if not (math.isfinite(start) and math.isfinite(stop) and 0 < step < math.inf):
+        raise InputError(f"--grid {spec!r} needs finite bounds and a finite step > 0")
     out = []
     k = 0
     while start + k * step <= stop + 1e-12:

@@ -230,10 +230,15 @@ def marginal(f: SetFunction, team: int, agent: int) -> float:
     return f.value(team) - f.value(team & ~(1 << agent))
 
 
-def _value_array(f: SetFunction) -> np.ndarray:
-    """f over every team mask, bit for bit as the oracle; the one ENUM_CAP gate."""
-    if f.n > ENUM_CAP:
+def _enum_gate(n: int) -> None:
+    """The one ENUM_CAP gate: raise before any 2^n table or scan is built."""
+    if n > ENUM_CAP:
         raise SizeCapError(f"exhaustive tables capped at n <= {ENUM_CAP}")
+
+
+def _value_array(f: SetFunction) -> np.ndarray:
+    """f over every team mask, bit for bit as the oracle."""
+    _enum_gate(f.n)
     if isinstance(f, Table):
         return np.asarray(f.values)
     rows = f.clauses if isinstance(f, XosClauses) else (f.values,)
@@ -463,8 +468,7 @@ def is_nash_equilibrium(inst: Instance, contract: Contract, team: int) -> bool:
 
 def enumerate_equilibria(inst: Instance, contract: Contract) -> list[int]:
     """All equilibrium teams of a contract, in ascending bitmask order."""
-    if inst.n > ENUM_CAP:
-        raise SizeCapError(f"equilibrium enumeration capped at n <= {ENUM_CAP}")
+    _enum_gate(inst.n)
     return [
         team
         for team in range(1 << inst.n)
@@ -508,7 +512,8 @@ def classify(f: SetFunction) -> FunctionClasses:
     """
     if isinstance(f, Additive):
         return FunctionClasses(True, True, True)
-    t, n = _class_table(f), f.n
+    _class_gate(f.n)
+    t, n = _value_array(f), f.n
     # On an exactly monotone table f(B - A) <= f(B) and float addition rounds
     # monotonically, so a pair (A, B) fails only if the disjoint pair
     # (A, B - A) does: the disjoint kernel is exact. Others need all 4^n pairs.
@@ -523,13 +528,24 @@ def is_submodular(f: SetFunction) -> bool:
     """Submodularity check alone; additive functions pass at any size."""
     if isinstance(f, Additive):
         return True
-    return _table_is_submodular(_class_table(f), f.n)
+    _class_gate(f.n)
+    return _table_is_submodular(_value_array(f), f.n)
 
 
-def _class_table(f: SetFunction) -> np.ndarray:
-    if f.n > CLASSIFY_CAP:
+def _within_class_cap(n: int) -> bool:
+    """Whether a class can be verified on a 2^n table: the one CLASSIFY_CAP test."""
+    return n <= CLASSIFY_CAP
+
+
+def _class_verifiable(f: SetFunction) -> bool:
+    """Whether f's class can be verified: analytically if additive, else by table."""
+    return isinstance(f, Additive) or _within_class_cap(f.n)
+
+
+def _class_gate(n: int) -> None:
+    """Raise unless a class can be verified on a 2^n table."""
+    if not _within_class_cap(n):
         raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
-    return _value_array(f)
 
 
 def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:

@@ -19,14 +19,13 @@ from __future__ import annotations
 import random
 
 from .core import (
-    ENUM_CAP,
     Additive,
     Instance,
     InputError,
-    SizeCapError,
     Table,
     XosClauses,
-    mask_of,
+    _enum_gate,
+    _subset_sums,
 )
 
 #: Bump when any recipe below changes; recorded in run manifests.
@@ -64,27 +63,19 @@ def random_submodular_instance(rng: random.Random, n: int) -> Instance:
     """Weighted-coverage reward over a universe of 2n elements."""
     if n < 1:
         raise InputError("need at least one agent")
-    if n > ENUM_CAP:
-        raise SizeCapError(f"table-backed generator capped at n <= {ENUM_CAP}")
+    _enum_gate(n)
     universe = 2 * n
     weights = [rng.randrange(1, 9) for _ in range(universe)]
     covers = []
     for _ in range(n):
         size = rng.randrange(1, max(2, universe // 2))
-        covers.append(mask_of(rng.sample(range(universe), size)))
+        covers.append(set(rng.sample(range(universe), size)))
     norm = _pow2_at_least(float(sum(weights)))
 
-    vals = [0.0] * (1 << n)
-    covered = [0] * (1 << n)
-    for team in range(1, 1 << n):
-        low = team & -team
-        covered[team] = covered[team ^ low] | covers[low.bit_length() - 1]
-    cache: dict[int, float] = {0: 0.0}
-    for team in range(1, 1 << n):
-        cov = covered[team]
-        if cov not in cache:
-            cache[cov] = sum(weights[u] for u in range(universe) if (cov >> u) & 1)
-        vals[team] = cache[cov] / norm
+    # subset "sums" of bools are ORs: does the team meet the agents covering u?
+    covering = [[u in cover for cover in covers] for u in range(universe)]
+    meets = (w * _subset_sums(agents, n) for w, agents in zip(weights, covering))
+    vals = (sum(meets) / norm).tolist()  # exact integer weights, one rounding
     reward = Table(tuple(vals))
     singles = [vals[1 << i] for i in range(n)]
     return Instance(n=n, costs=_costs_for(rng, singles), reward=reward)

@@ -26,14 +26,13 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    CLASSIFY_CAP,
-    Additive,
     Instance,
     InputError,
     PreconditionError,
-    SizeCapError,
     XosClauses,
     _check_team,
+    _class_gate,
+    _class_verifiable,
     _shares,
     _sum_over,
     _table_is_subadditive,
@@ -190,16 +189,15 @@ def _certify_xos(inst: Instance) -> bool:
     # Clause and additive forms are XOS by construction. A raw table cannot
     # be certified cheaply; submodularity is accepted as a sufficient
     # condition, otherwise table-backed callers own the precondition.
-    if isinstance(inst.reward, (Additive, XosClauses)):
-        return True
-    return inst.n <= CLASSIFY_CAP and is_submodular(inst.reward)
+    return isinstance(inst.reward, XosClauses) or (
+        _class_verifiable(inst.reward) and is_submodular(inst.reward)
+    )
 
 
 def _assert_subadditive(psi: Objective, inst: Instance) -> None:
     # The guarantee accounting splits teams into disjoint pieces, so only
     # subadditivity across disjoint pairs is required (welfare satisfies
     # this whenever the reward does, despite failing on overlapping pairs).
-    if inst.n > CLASSIFY_CAP:
-        raise SizeCapError(f"subadditivity debug check capped at n <= {CLASSIFY_CAP}")
+    _class_gate(inst.n)
     if not _table_is_subadditive(evaluate_all(psi, inst, *team_table(inst)), inst.n):
         raise PreconditionError("psi is not subadditive on this instance")

@@ -30,15 +30,16 @@ from typing import Literal, get_args
 import numpy as np
 
 from .core import (
-    ENUM_CAP,
     EPS,
     Additive,
     Instance,
     InputError,
     PreconditionError,
-    SizeCapError,
     Table,
     XosClauses,
+    _class_verifiable,
+    _enum_gate,
+    _subset_sums,
     ceil_tol,
     floor_tol,
     is_submodular,
@@ -63,8 +64,7 @@ class PofQuery:
     singletons_feasible_at_b: bool = False
 
     def __post_init__(self):
-        if not 0 < self.b <= self.B <= 1:
-            raise InputError("budgets must satisfy 0 < b <= B <= 1")
+        _check_budgets(self.b, self.B)
 
 
 @dataclass(frozen=True)
@@ -105,10 +105,8 @@ def pof(inst: Instance, query: PofQuery) -> PofReport:
         ratio = None
     else:
         ratio = hi / lo
-    try:
-        func_class = "submodular" if is_submodular(inst.reward) else "xos"
-    except SizeCapError:  # too large to verify: take the general bound
-        func_class = "xos"
+    submodular = _class_verifiable(inst.reward) and is_submodular(inst.reward)
+    func_class = "submodular" if submodular else "xos"
     kind = pof_bound_kind(query.objective.name, func_class)
     return PofReport(
         b=query.b,
@@ -134,6 +132,8 @@ def pof_bound_kind(objective: str, func_class: str) -> BoundKind:
 
 def best_head_count(b: float, B: float, n: int) -> int:
     """Head count k of the profit lower-bound curve: the best k fitting under b."""
+    _check_budget_pair(b, B)
+    _check_agent_count(n)
     return min(floor_tol(1 / b + 0.5), ceil_tol(2 * B / b) - 1, n)
 
 
@@ -147,10 +147,8 @@ def pof_bound(b: float, B: float, n: int, kind: BoundKind) -> float:
     ``xos-asymptotic``: the envelope min(B/b, n). Equal budgets give 1 for
     every kind.
     """
-    if not 0 < b <= B <= 1:
-        raise InputError("budgets must satisfy 0 < b <= B <= 1")
-    if n < 1:
-        raise InputError("need at least one agent")
+    _check_budgets(b, B)
+    _check_agent_count(n)
     if kind not in get_args(BoundKind):
         raise InputError(f"unknown bound kind {kind!r}")
     if b == B:
@@ -178,18 +176,16 @@ def gen_additive_lb(n: int, b: float, B: float) -> Instance:
     is emitted as an explicit table so class checkers can audit it.
     """
     _check_budget_pair(b, B)
-    if n < 1:
-        raise InputError("need at least one agent")
-    if n > ENUM_CAP:
-        raise SizeCapError(f"table-backed generator capped at n <= {ENUM_CAP}")
+    _check_agent_count(n)
+    _enum_gate(n)
     m_heads = min(ceil_tol(2 * B / b) - 1, n)
     # B / M^2 is the scale of the head costs; when n itself is the binding
     # head count it can exceed b / M, which would break singleton
     # feasibility at b, so the cost is capped there.
     head_cost = min(B / (m_heads * m_heads), b / m_heads)
     costs = [head_cost] * m_heads + [0.0] * (n - m_heads)
-    front = (1 << m_heads) - 1
-    vals = [(mask & front).bit_count() / m_heads for mask in range(1 << n)]
+    heads = _subset_sums([1] * m_heads + [0] * (n - m_heads), n)
+    vals = (heads / m_heads).tolist()
     return Instance(n=n, costs=tuple(costs), reward=Table(tuple(vals)))
 
 
@@ -223,24 +219,16 @@ def gen_subadditive_lb(n: int, b: float, B: float) -> Instance:
     _check_budget_pair(b, B)
     if n < 4 or n % 2:
         raise InputError("need an even agent count of at least 4")
-    if n > ENUM_CAP:
-        raise SizeCapError(f"table-backed generator capped at n <= {ENUM_CAP}")
+    _enum_gate(n)
     if B > n * b / 2 + EPS:
         raise InputError("requires B <= n * b / 2")
     root = math.sqrt(n)
     peak = 2 / root + 0.5
     rho = min(1.0, 1.0 / peak)
     cost = rho * B / ((n / 2 + 1) * root)
-
-    def raw(size: int) -> float:
-        if size == 0:
-            return 0.0
-        if size <= n // 2:
-            return rho * (1 / root + size / n)
-        return rho * peak
-
-    by_size = [raw(k) for k in range(n + 1)]
-    vals = [by_size[mask.bit_count()] for mask in range(1 << n)]
+    half = [rho * (1 / root + size / n) for size in range(1, n // 2 + 1)]
+    by_size = np.array([0.0, *half] + [rho * peak] * (n // 2))
+    vals = by_size[_subset_sums([1] * n, n)].tolist()
     return Instance(n=n, costs=(cost,) * n, reward=Table(tuple(vals)))
 
 
@@ -301,6 +289,16 @@ def value_payment_curve(inst: Instance, obj: Objective) -> list[tuple[float, flo
     return list(zip(pay[last].tolist(), vals[last].tolist()))
 
 
+def _check_budgets(b: float, B: float) -> None:
+    if not 0 < b <= B <= 1:
+        raise InputError("budgets must satisfy 0 < b <= B <= 1")
+
+
 def _check_budget_pair(b: float, B: float) -> None:
     if not 0 < b < B <= 1:
         raise InputError("budgets must satisfy 0 < b < B <= 1")
+
+
+def _check_agent_count(n: int) -> None:
+    if not isinstance(n, int) or n < 1:
+        raise InputError(f"need a positive integer agent count, got {n!r}")

@@ -1,3 +1,4 @@
+import ast
 import copy
 import csv
 import importlib
@@ -9,6 +10,7 @@ import pkgutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -268,10 +270,13 @@ def test_cli_contract_on_mutated_instance_files(tmp_path_factory, field, replace
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("grid", ["b=0.1:0.9:0.2", "b=0.9:0.1:0.1"])
+@pytest.mark.parametrize("grid", [
+    "b=0.1:0.9:0.2", "b=0.9:0.1:0.1", "b=0.1:inf:0.1", "b=-inf:1:0.1",
+    "b=0.1:0.9:inf", "b=nan:0.9:0.1", "b=0.1:nan:0.1", "b=0.1:0.9:nan",
+])
 def test_pof_sweep_without_a_valid_cell_is_rejected(capsys, grid):
-    # n = 5 is odd, outside subadd-lb's range in every cell; the second
-    # grid has no cells at all
+    # n = 5 is odd, outside subadd-lb's range in every cell; the other
+    # grids have no cells at all, and an infinite one must not run forever
     assert run_cli("pof", "--family", "subadd-lb", "--n", 5, "--grid", grid) == 2
     _one_input_error(capsys)
 
@@ -326,6 +331,19 @@ def test_no_caller_settable_caps_tolerances_or_ignored_flags():
             assert main(argv) == 2
         assert err.getvalue().startswith("error: usage: unrecognized arguments")
         assert err.getvalue().count("\n") == 1
+
+
+def test_only_core_reads_the_size_caps():
+    # each cap is decided once, in core: other modules call its gates
+    package = Path(budgeted_contracts.__file__).parent
+    for path in package.glob("*.py"):
+        if path.name == "core.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "id", None) for node in ast.walk(tree)}
+        names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
+        names |= {getattr(node, "name", None) for node in ast.walk(tree)}
+        assert not {"ENUM_CAP", "CLASSIFY_CAP"} & names, path.name
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,6 +1,7 @@
 import math
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from budgeted_contracts import (
     classify,
     demand,
     enumerate_equilibria,
+    gen_additive_lb,
     gen_profit_lb_two,
     gen_subadditive_lb,
     is_nash_equilibrium,
@@ -38,8 +40,8 @@ from budgeted_contracts import (
     value,
     value_payment_curve,
 )
-from budgeted_contracts import core
-from budgeted_contracts.core import EPS, _shares, is_submodular, team_table
+from budgeted_contracts import core, corpora
+from budgeted_contracts.core import EPS, _shares, ceil_tol, is_submodular, team_table
 from budgeted_contracts.corpora import (
     random_submodular_instance,
     random_xos_instance,
@@ -435,6 +437,90 @@ def test_random_submodular_generator_cap():
     for n in (0, -1):
         with pytest.raises(InputError):
             random_submodular_instance(random.Random(0), n)
+
+
+@pytest.mark.parametrize("n", [21, 10**9])
+def test_table_backed_generators_and_equilibria_cap(n):
+    size_only = SimpleNamespace(n=n)  # the gate must come before any other read
+    _assert_cap_without_allocating(
+        lambda: random_submodular_instance(random.Random(0), n)
+    )
+    _assert_cap_without_allocating(lambda: gen_additive_lb(n, 0.4, 1.0))
+    _assert_cap_without_allocating(lambda: gen_subadditive_lb(n + n % 2, 0.4, 1.0))
+    _assert_cap_without_allocating(lambda: enumerate_equilibria(size_only, None))
+
+
+# ---------------------------------------------------------------------------
+# table-backed generators against their per-mask Python tabulations
+# ---------------------------------------------------------------------------
+
+
+def _coverage_reference(seed, n):
+    """random_submodular_instance as one Python loop over the team masks."""
+    rng = random.Random(seed)
+    universe = 2 * n
+    weights = [rng.randrange(1, 9) for _ in range(universe)]
+    covers = []
+    for _ in range(n):
+        size = rng.randrange(1, max(2, universe // 2))
+        covers.append(mask_of(rng.sample(range(universe), size)))
+    norm = corpora._pow2_at_least(float(sum(weights)))
+    vals = [0.0] * (1 << n)
+    covered = [0] * (1 << n)
+    for team in range(1, 1 << n):
+        low = team & -team
+        covered[team] = covered[team ^ low] | covers[low.bit_length() - 1]
+    cache = {0: 0.0}
+    for team in range(1, 1 << n):
+        cov = covered[team]
+        if cov not in cache:
+            cache[cov] = sum(weights[u] for u in range(universe) if (cov >> u) & 1)
+        vals[team] = cache[cov] / norm
+    singles = [vals[1 << i] for i in range(n)]
+    return Instance(n, corpora._costs_for(rng, singles), Table(tuple(vals)))
+
+
+def _additive_lb_reference(n, b, B):
+    m_heads = min(ceil_tol(2 * B / b) - 1, n)
+    front = (1 << m_heads) - 1
+    return Table(tuple((mask & front).bit_count() / m_heads for mask in range(1 << n)))
+
+
+def _subadditive_lb_reference(n):
+    root = math.sqrt(n)
+    peak = 2 / root + 0.5
+    rho = min(1.0, 1.0 / peak)
+
+    def raw(size):
+        if size == 0:
+            return 0.0
+        if size <= n // 2:
+            return rho * (1 / root + size / n)
+        return rho * peak
+
+    by_size = [raw(k) for k in range(n + 1)]
+    return Table(tuple(by_size[mask.bit_count()] for mask in range(1 << n)))
+
+
+def _bits_of(t):
+    return [float(v).hex() for v in t.values]
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_generator_tables_match_python_tabulations(n):
+    for seed in range(5):
+        got = random_submodular_instance(random.Random(seed), n)
+        want = _coverage_reference(seed, n)
+        assert got == want and _bits_of(got.reward) == _bits_of(want.reward)
+    for B in (0.5, 0.8, 1.0):
+        for b in (0.05, 0.1, 0.15, 1 / 3, 0.4, 0.45):
+            if b >= B:
+                continue
+            got = gen_additive_lb(n, b, B).reward
+            assert _bits_of(got) == _bits_of(_additive_lb_reference(n, b, B))
+            if n >= 4 and n % 2 == 0 and B <= n * b / 2:
+                got = gen_subadditive_lb(n, b, B).reward
+                assert _bits_of(got) == _bits_of(_subadditive_lb_reference(n))
 
 
 # ---------------------------------------------------------------------------

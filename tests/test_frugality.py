@@ -104,6 +104,14 @@ def test_pof_bound_validation():
     for name in ("reward", "profit", "submodular"):  # names, not bound kinds
         with pytest.raises(InputError, match="unknown bound kind"):
             pof_bound(0.5, 1.0, 4, name)
+    for n in (math.nan, 2.5, 0, -1):
+        with pytest.raises(InputError):
+            pof_bound(0.5, 1.0, n, "xos-asymptotic")
+    for b, B in ((math.nan, 1.0), (0.5, math.nan), (0.6, 0.5)):
+        with pytest.raises(InputError):
+            pof_bound(b, B, 4, "profit-lower")
+        with pytest.raises(InputError):
+            PofQuery(b=b, B=B)
 
 
 def test_pof_bound_staircase_breakpoints():
@@ -122,6 +130,10 @@ def test_best_head_count():
     assert best_head_count(0.3, 1.0, 50) == 3  # the 1/b + 1/2 term binds
     assert best_head_count(0.4, 0.5, 50) == 2  # the 2B/b term binds
     assert best_head_count(0.05, 1.0, 8) == 8  # n binds
+    for b, B, n in ((0, 1.0, 5), (math.nan, 1.0, 5), (0.5, 0.4, 5), (0.5, 0.5, 5),
+                    (0.5, 1.1, 5), (0.3, 1.0, 0), (0.3, 1.0, -2), (0.3, 1.0, 2.5)):
+        with pytest.raises(InputError):
+            best_head_count(b, B, n)
 
 
 def test_profit_lower_bound_crossover():
