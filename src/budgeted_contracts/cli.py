@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -122,7 +123,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(" ".join(message.split()))
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser tree of this process, built on first use.
+
+    Reuse is safe: ``parse_args`` fills a fresh namespace on every call and
+    no argument has a mutable default. The choices are read here, once, so
+    ``OBJECTIVES``, ``SOLVERS`` and the family tables are complete at import.
+    """
     parser = _Parser(
         prog="budgeted-contracts",
         description="budget-feasible multi-agent contract design toolkit",
@@ -244,6 +252,11 @@ def cmd_reduce(args) -> dict[str, str]:
     return {"": json.dumps(body, indent=2) + "\n"}
 
 
+#: Most points one ``--grid`` may hold. The sweeps in use have at most 9, so
+#: this stops only a step far too small for its range, before any cell runs.
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(spec: str) -> list[float]:
     try:
         name, _, rng = spec.partition("=")
@@ -257,6 +270,8 @@ def _parse_grid(spec: str) -> list[float]:
     out = []
     k = 0
     while start + k * step <= stop + 1e-12:
+        if k == _MAX_GRID_POINTS:
+            raise InputError(f"--grid {spec!r} has more than {_MAX_GRID_POINTS} points")
         out.append(round(start + k * step, 10))
         k += 1
     if not out:

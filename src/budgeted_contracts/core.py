@@ -85,6 +85,12 @@ def _check_team(team: int, n: int) -> None:
         raise InputError(f"team {team:#b} has agents outside 0..{n - 1}")
 
 
+def _check_agent_count(n: int) -> None:
+    """Reject an agent count that is not an int >= 1; a ``bool`` is no count."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise InputError(f"need a positive integer agent count, got {n!r}")
+
+
 def check_budget(budget: float) -> None:
     """Reject a budget outside (0, 1]; NaN fails every comparison."""
     if not 0 < budget <= 1:

@@ -24,6 +24,7 @@ from .core import (
     InputError,
     Table,
     XosClauses,
+    _check_agent_count,
     _enum_gate,
     _subset_sums,
 )
@@ -61,8 +62,7 @@ def _costs_for(rng: random.Random, singleton_values: list[float]) -> tuple[float
 
 def random_submodular_instance(rng: random.Random, n: int) -> Instance:
     """Weighted-coverage reward over a universe of 2n elements."""
-    if n < 1:
-        raise InputError("need at least one agent")
+    _check_agent_count(n)
     _enum_gate(n)
     universe = 2 * n
     weights = [rng.randrange(1, 9) for _ in range(universe)]
@@ -83,6 +83,7 @@ def random_submodular_instance(rng: random.Random, n: int) -> Instance:
 
 def random_xos_instance(rng: random.Random, n: int, n_clauses: int) -> Instance:
     """Random non-negative clause matrix, power-of-two normalized."""
+    _check_agent_count(n)
     if n_clauses < 1:
         raise InputError("XOS representation needs at least one clause")
     clauses = [
@@ -100,6 +101,7 @@ def random_xos_instance(rng: random.Random, n: int, n_clauses: int) -> Instance:
 
 def random_additive_instance(rng: random.Random, n: int) -> Instance:
     """Random positive dyadic values, power-of-two normalized."""
+    _check_agent_count(n)
     values = [rng.randrange(1, 65) / 64 for _ in range(n)]
     norm = _pow2_at_least(sum(values))
     values = [v / norm for v in values]

@@ -37,6 +37,7 @@ from .core import (
     PreconditionError,
     Table,
     XosClauses,
+    _check_agent_count,
     _class_verifiable,
     _enum_gate,
     _subset_sums,
@@ -297,8 +298,3 @@ def _check_budgets(b: float, B: float) -> None:
 def _check_budget_pair(b: float, B: float) -> None:
     if not 0 < b < B <= 1:
         raise InputError("budgets must satisfy 0 < b < B <= 1")
-
-
-def _check_agent_count(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
-        raise InputError(f"need a positive integer agent count, got {n!r}")

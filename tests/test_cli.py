@@ -9,6 +9,7 @@ import math
 import pkgutil
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -17,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import budgeted_contracts
-from budgeted_contracts import Additive, Instance, brute_force_max, gen_xos_separation
+from budgeted_contracts import Additive, Instance, brute_force_max, cli, gen_xos_separation
 from budgeted_contracts.cli import main
-from budgeted_contracts.objectives import PROFIT
+from budgeted_contracts.objectives import OBJECTIVES, PROFIT
+from budgeted_contracts.reductions import SOLVERS
 from budgeted_contracts.serialize import instance_to_dict, load_instance, save_instance
 
 
@@ -281,6 +283,48 @@ def test_pof_sweep_without_a_valid_cell_is_rejected(capsys, grid):
     _one_input_error(capsys)
 
 
+def _reference_grid(spec):
+    """The grid loop without a cap: every point of b=start:stop:step."""
+    start, stop, step = map(float, spec.removeprefix("b=").split(":"))
+    out, k = [], 0
+    while start + k * step <= stop + 1e-12:
+        out.append(round(start + k * step, 10))
+        k += 1
+    return out
+
+
+@pytest.mark.parametrize("grid", [
+    "b=0.1:0.9:0.1", "b=0.1:0.9:0.2", "b=0.2:0.8:0.2", "b=0.2:0.5:0.1",
+    "b=0.3:0.6:0.1", "b=0.3:0.5:0.1", "b=0.3:0.9:0.3", "b=0.2:0.8:0.3",
+    "b=0.25:0.75:0.25", "b=0.5:0.5:1", "b=0.001:1:0.001", "b=1:10000:1",
+])
+def test_grid_points_are_unchanged_up_to_the_cap(grid):
+    got = cli._parse_grid(grid)
+    assert [x.hex() for x in got] == [x.hex() for x in _reference_grid(grid)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 100), st.integers(0, 100), st.integers(1, 100))
+def test_grid_points_match_the_uncapped_loop(start, span, step):
+    grid = f"b={start / 100}:{(start + span) / 100}:{step / 1000}"
+    got = cli._parse_grid(grid)
+    assert [x.hex() for x in got] == [x.hex() for x in _reference_grid(grid)]
+
+
+@pytest.mark.parametrize("grid", ["b=0.1:0.9:1e-12", "b=1:10001:1", "b=0:1e300:1"])
+def test_grid_longer_than_the_cap_is_rejected(capsys, grid):
+    tracemalloc.start()
+    try:
+        assert run_cli("pof", "--family", "additive-lb", "--grid", grid) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error: input: ") and "points" in err, err
+    assert err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("argv", [
     ["gen", "--family", "profit-k", "--k", "0"],
     ["gen", "--family", "profit-k", "--b", "0.9", "--B", "0.1"],
@@ -365,6 +409,89 @@ def test_help_still_exits_zero(capsys):
         main(["solve", "--help"])
     assert exc.value.code == 0
     assert "--budget" in capsys.readouterr().out
+
+
+def _parse_both(argv):
+    """Parse argv with the cached parser and with a freshly built one."""
+    out = []
+    for parser in (cli._build_parser(), cli._build_parser.__wrapped__()):
+        try:
+            out.append(parser.parse_args(argv))
+        except cli.UsageError as exc:
+            out.append(str(exc))
+    return out
+
+
+def test_reused_parser_leaks_no_state(tmp_path, capsys):
+    path = str(tmp_path / "inst.json")
+    argvs = [
+        ["solve", "--instance", path, "--budget", "0.5", "--objective", "reward",
+         "--light-only", "--verify"],
+        ["pof", "--family", "additive-lb", "--b", "0.4"],
+        ["solve", "--instance", path, "--budget", "0.5"],
+        ["pof", "--family", "additive-lb", "--grid", "b=0.2:0.8:0.2",
+         "--objective", "profit", "--n", "5", "--B", "0.9", "--emit-curve"],
+        ["gen", "--family", "additive-lb", "--n", "6", "--b", "0.3", "--B", "0.8"],
+        ["pof", "--family", "additive-lb", "--b", "0.4"],
+        ["gen", "--family", "additive-lb"],
+        ["solve", "--budget", "0.5", "--frob"],
+        ["reduce", "--instance", path, "--from", "reward@0.5"],
+        ["check", "--instance", path, "--verify", "--out", path + ".out"],
+        ["solve", "--instance", path, "--budget", "0.5"],
+    ]
+    for argv in argvs:
+        cached, fresh = _parse_both(argv)
+        assert cached == fresh, argv
+        assert type(cached) is type(fresh)
+    # through main: a usage error, then help, then valid commands
+    assert main(["gen", "--family", "additive-lb", "--n", "4", "--out", path]) == 0
+    assert main(["solve", "--instance", path, "--budget", "0.5", "--frob"]) == 2
+    with pytest.raises(SystemExit):
+        main(["solve", "--help"])
+    capsys.readouterr()
+    assert main(["solve", "--instance", path, "--budget", "0.5"]) == 0
+    assert json.loads(capsys.readouterr().out)["objective"] == "profit"
+    assert main(["pof", "--family", "additive-lb", "--n", "4", "--b", "0.4"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[4] == "reward"
+
+    subcommands = cli._build_parser()._subparsers._group_actions[0].choices
+    choices = {
+        (name, action.dest): action.choices
+        for name, sub in subcommands.items()
+        for action in sub._actions
+    }
+    assert choices["reduce", "solver"] == sorted(SOLVERS)
+    assert choices["solve", "objective"] == list(OBJECTIVES)
+    assert choices["pof", "objective"] == list(OBJECTIVES)
+
+
+def test_main_builds_the_parser_once(tmp_path, monkeypatch, capsys):
+    path = str(tmp_path / "inst.json")
+    assert main(["gen", "--family", "xos-sep", "--b", "0.5", "--out", path]) == 0
+    built = []
+    init = cli._Parser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "__init__", counting_init)
+    argvs = [
+        ["gen", "--family", "additive-lb", "--n", "4"],
+        ["check", "--instance", path],
+        ["solve", "--instance", path, "--budget", "1.0"],
+        ["solve", "--instance", path, "--budget", "1.0", "--method", "fptas"],
+        ["reduce", "--instance", path, "--from", "reward@0.5", "--to", "welfare@0.5"],
+        ["downsize", "--instance", path, "--set", "0,1,2", "--m", "2", "--mode", "xos"],
+        ["pof", "--family", "xos-sep", "--grid", "b=0.3:0.5:0.1"],
+        ["solve", "--budget", "abc"],
+        ["gen", "--family", "random-xos", "--seed", "3", "--out", path + ".x"],
+        ["check", "--instance", path, "--verify"],
+    ]
+    for argv in argvs:
+        main(argv)
+    capsys.readouterr()
+    assert built == []
 
 
 def test_gen_random_families_seeded(tmp_path):

@@ -439,6 +439,23 @@ def test_random_submodular_generator_cap():
             random_submodular_instance(random.Random(0), n)
 
 
+_RANDOM_GENERATORS = {
+    "submodular": lambda rng, n: random_submodular_instance(rng, n),
+    "xos": lambda rng, n: random_xos_instance(rng, n, 3),
+    "additive": lambda rng, n: corpora.random_additive_instance(rng, n),
+}
+
+
+@pytest.mark.parametrize("n", [2.5, True, 0, -1])
+@pytest.mark.parametrize("family", list(_RANDOM_GENERATORS))
+def test_random_generators_reject_bad_agent_counts(family, n):
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(InputError, match="positive integer agent count"):
+        _RANDOM_GENERATORS[family](rng, n)
+    assert rng.getstate() == state  # rejected before any draw
+
+
 @pytest.mark.parametrize("n", [21, 10**9])
 def test_table_backed_generators_and_equilibria_cap(n):
     size_only = SimpleNamespace(n=n)  # the gate must come before any other read
