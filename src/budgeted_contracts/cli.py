@@ -8,6 +8,7 @@ the output in-process (and diffs against a pre-existing file) before
 writing. Exit codes: 0 success, 1 I/O failure, 2 precondition, input or
 usage error; errors print a single ``error: <kind>: <reason>`` line to
 stderr, an unknown, missing or malformed flag included (kind ``usage``).
+``--help`` prints its text to stdout and returns 0 from ``main``.
 """
 
 from __future__ import annotations
@@ -116,11 +117,25 @@ class UsageError(ContractsError):
     """The command line does not parse: an unknown, missing or bad flag."""
 
 
+class _ParserExit(Exception):
+    """argparse finished the command itself (``--help``); carries the exit code."""
+
+    def __init__(self, status: int):
+        super().__init__(status)
+        self.status = status
+
+
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose errors take the one-line error path."""
+    """An argument parser whose errors take the one-line error path and whose
+    exits (after ``--help``) return from ``main`` instead of raising."""
 
     def error(self, message: str):
         raise UsageError(" ".join(message.split()))
+
+    def exit(self, status: int = 0, message: str | None = None):
+        if message:
+            self._print_message(message, sys.stderr)
+        raise _ParserExit(status)
 
 
 @functools.cache
@@ -323,6 +338,7 @@ def cmd_pof(args) -> dict[str, str]:
             curves += [(b, REWARD.name, p, v) for p, v in reward]
             curves += [(b, WELFARE.name, p, v) for p, v in welfare]
             curves += [(b, "profit_envelope", p, (1 - p) * v) for p, v in reward]
+        del inst  # free this cell's team table before the next cell's is built
     if len(skipped) == len(grid):
         raise skipped[0]
 
@@ -421,6 +437,8 @@ def main(argv: list[str] | None = None) -> int:
             )
             write_manifest(manifest, path)
         return 0
+    except _ParserExit as exc:
+        return exc.status
     except ContractsError as exc:
         kind = type(exc).__name__.removesuffix("Error").lower()
         print(f"error: {kind}: {exc}", file=sys.stderr)

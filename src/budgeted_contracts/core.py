@@ -9,11 +9,13 @@ contribution to S; her profit is g(S) = (1 - p(S)) * f(S).
 Teams are encoded as integer bitmasks over agent indices 0..n-1 (agent i
 present iff bit i is set). Everything in this module is a pure function of
 immutable inputs, so instances and set functions are safe to share across
-threads.
+threads; the team table an instance keeps is read-only, and a build that
+races another gives the same arrays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence, Union
@@ -196,27 +198,41 @@ class XosClauses:
         return max(_sum_over(row, idx) for row in self.clauses)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """Explicit value table indexed by team bitmask (length 2^n)."""
+    """Explicit value table indexed by team bitmask (length 2^n).
 
-    values: tuple[float, ...]
+    ``values`` is a read-only float64 array, copied from the input, so a
+    table can be handed to array code without a conversion; tables compare
+    equal when their arrays do, and are unhashable like the arrays.
+    ``value`` returns a Python float.
+    """
+
+    values: np.ndarray
 
     def __post_init__(self):
-        vals = tuple(map(float, self.values))
-        object.__setattr__(self, "values", vals)
-        size = len(vals)
-        if size == 0 or size & (size - 1):
+        vals = np.array(self.values, np.float64)
+        size = vals.size
+        if vals.ndim != 1 or size == 0 or size & (size - 1):
             raise InputError("table length must be a power of two")
-        if not all(map(math.isfinite, vals)):
+        if not np.isfinite(vals).all():
             raise InputError("table values must be finite")
+        vals.flags.writeable = False
+        object.__setattr__(self, "values", vals)
+
+    def __eq__(self, other):
+        if not isinstance(other, Table):
+            return NotImplemented
+        return np.array_equal(self.values, other.values)
+
+    __hash__ = None
 
     @property
     def n(self) -> int:
         return (len(self.values) - 1).bit_length()
 
     def value(self, team: int) -> float:
-        return self.values[team]
+        return self.values.item(team)
 
 
 SetFunction = Union[Additive, XosClauses, Table]
@@ -243,10 +259,11 @@ def _enum_gate(n: int) -> None:
 
 
 def _value_array(f: SetFunction) -> np.ndarray:
-    """f over every team mask, bit for bit as the oracle."""
+    """f over every team mask, bit for bit as the oracle; a table's own
+    read-only array, not a copy."""
     _enum_gate(f.n)
     if isinstance(f, Table):
-        return np.asarray(f.values)
+        return f.values
     rows = f.clauses if isinstance(f, XosClauses) else (f.values,)
     acc = _subset_sums(rows[0], f.n)
     for row in rows[1:]:
@@ -258,7 +275,7 @@ def to_table(f: SetFunction) -> Table:
     """Materialize any representation as an explicit table."""
     if isinstance(f, Table):
         return f
-    return Table(tuple(_value_array(f).tolist()))
+    return Table(_value_array(f))
 
 
 def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
@@ -274,7 +291,7 @@ def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
     if isinstance(f, XosClauses):
         return XosClauses(tuple(tuple(row[i] for i in agents) for row in f.clauses))
     masks = _subset_sums(np.array([1 << i for i in agents], np.int64), len(agents))
-    return Table(tuple(np.asarray(f.values)[masks].tolist()))
+    return Table(f.values[masks])
 
 
 def demand(f: SetFunction, prices: Sequence[float]) -> int:
@@ -309,7 +326,7 @@ def demand(f: SetFunction, prices: Sequence[float]) -> int:
             ):
                 best_team, best_surplus = cand, surplus
         return best_team
-    return int(np.argmax(np.asarray(f.values) - _subset_sums(prices, f.n)))
+    return int(np.argmax(f.values - _subset_sums(prices, f.n)))
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +360,17 @@ class Instance:
         if lo < -EPS or hi > 1.0 + EPS:
             raise InputError("reward values must lie in [0, 1]")
 
+    @functools.cached_property
+    def _team_table(self) -> tuple[np.ndarray, np.ndarray]:
+        return _tabulate(self)
+
 
 def _value_range(f: SetFunction) -> tuple[float, float]:
     if isinstance(f, Additive):
         return 0.0, sum(f.values)
     if isinstance(f, XosClauses):
         return 0.0, max(sum(row) for row in f.clauses)
-    return min(f.values), max(f.values)
+    return f.values.min(), f.values.max()
 
 
 @dataclass(frozen=True)
@@ -395,11 +416,21 @@ def payment(inst: Instance, team: int) -> float:
 
 
 def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """Reward and payment of every team mask, as two arrays of length 2^n.
+    """Reward and payment of every team mask, as two read-only arrays of
+    length 2^n.
 
-    Entries equal ``value`` and ``payment`` bit for bit. Payments take one
-    pass per agent, so no n x 2^n array is built.
+    Entries equal ``value`` and ``payment`` bit for bit. The pair is built on
+    the first call and kept on the instance, which is immutable, so callers
+    asking again about one instance (a ``pof`` cell and its curves, the three
+    objectives ``check`` verifies) share one build; it lives as long as the
+    instance does.
     """
+    return inst._team_table
+
+
+def _tabulate(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
+    """``team_table`` built afresh. Payments take one pass per agent, so no
+    n x 2^n array is built."""
     f = _value_array(inst.reward)
     pay = np.zeros(f.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -410,6 +441,7 @@ def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
             term = cost / margin
             term[margin <= 0.0] = 0.0 if cost <= 0.0 else math.inf
             pay.reshape(-1, 2, 1 << i)[:, 1] += term
+    f.flags.writeable = pay.flags.writeable = False
     return f, pay
 
 
@@ -555,19 +587,22 @@ def _class_gate(n: int) -> None:
 
 
 def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:
-    masks = np.arange(1 << n)
-    return all(np.all(t[masks | (1 << i)] >= t - slack) for i in range(n))
+    """t[A + i] >= t[A] - slack for every team A and agent i not in it."""
+    for i in range(n):
+        split = t.reshape(-1, 2, 1 << i)  # [:, 1] holds agent i, [:, 0] not
+        if not np.all(split[:, 1] >= split[:, 0] - slack):
+            return False
+    return True
 
 
 def _table_is_submodular(t: np.ndarray, n: int) -> bool:
-    masks = np.arange(1 << n)
+    """t[A+i] + t[A+j] >= t[A+i+j] + t[A] - EPS for every A and i < j not in A."""
     for i in range(n):
         for j in range(i + 1, n):
-            bi, bj = 1 << i, 1 << j
-            base = masks[(masks & (bi | bj)) == 0]
-            if not np.all(
-                t[base | bi] + t[base | bj] >= t[base | bi | bj] + t[base] - EPS
-            ):
+            # axis 1 splits teams by agent j, axis 3 by agent i
+            q = t.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
+            with_i, with_j = q[:, 0, :, 1], q[:, 1, :, 0]
+            if not np.all(with_i + with_j >= q[:, 1, :, 1] + q[:, 0, :, 0] - EPS):
                 return False
     return True
 

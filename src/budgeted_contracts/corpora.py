@@ -75,9 +75,8 @@ def random_submodular_instance(rng: random.Random, n: int) -> Instance:
     # subset "sums" of bools are ORs: does the team meet the agents covering u?
     covering = [[u in cover for cover in covers] for u in range(universe)]
     meets = (w * _subset_sums(agents, n) for w, agents in zip(weights, covering))
-    vals = (sum(meets) / norm).tolist()  # exact integer weights, one rounding
-    reward = Table(tuple(vals))
-    singles = [vals[1 << i] for i in range(n)]
+    reward = Table(sum(meets) / norm)  # exact integer weights, one rounding
+    singles = [reward.value(1 << i) for i in range(n)]
     return Instance(n=n, costs=_costs_for(rng, singles), reward=reward)
 
 

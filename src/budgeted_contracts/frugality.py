@@ -48,7 +48,7 @@ from .core import (
     team_table,
 )
 from .objectives import REWARD, Objective, evaluate_all
-from .solvers import brute_force_max
+from .solvers import _best
 
 BoundKind = Literal[
     "submodular-exact", "xos-asymptotic", "profit-upper", "profit-lower"
@@ -96,8 +96,10 @@ def pof(inst: Instance, query: PofQuery) -> PofReport:
             raise PreconditionError(
                 "singletons_feasible_at_b set but some singleton exceeds b"
             )
-    hi = brute_force_max(query.objective, inst, query.B).value
-    lo = brute_force_max(query.objective, inst, query.b).value
+    f, pay = team_table(inst)
+    vals = evaluate_all(query.objective, inst, f, pay)
+    hi = float(vals[_best(vals, pay, query.B)])
+    lo = float(vals[_best(vals, pay, query.b)])
     if lo <= 0.0:
         if query.singletons_feasible_at_b:
             raise PreconditionError(
@@ -186,8 +188,7 @@ def gen_additive_lb(n: int, b: float, B: float) -> Instance:
     head_cost = min(B / (m_heads * m_heads), b / m_heads)
     costs = [head_cost] * m_heads + [0.0] * (n - m_heads)
     heads = _subset_sums([1] * m_heads + [0] * (n - m_heads), n)
-    vals = (heads / m_heads).tolist()
-    return Instance(n=n, costs=tuple(costs), reward=Table(tuple(vals)))
+    return Instance(n=n, costs=tuple(costs), reward=Table(heads / m_heads))
 
 
 def gen_xos_separation(b: float, B: float) -> Instance:
@@ -229,8 +230,8 @@ def gen_subadditive_lb(n: int, b: float, B: float) -> Instance:
     cost = rho * B / ((n / 2 + 1) * root)
     half = [rho * (1 / root + size / n) for size in range(1, n // 2 + 1)]
     by_size = np.array([0.0, *half] + [rho * peak] * (n // 2))
-    vals = by_size[_subset_sums([1] * n, n)].tolist()
-    return Instance(n=n, costs=(cost,) * n, reward=Table(tuple(vals)))
+    vals = by_size[_subset_sums([1] * n, n)]
+    return Instance(n=n, costs=(cost,) * n, reward=Table(vals))
 
 
 def gen_profit_lb_two(b: float, B: float, eps: float) -> Instance:

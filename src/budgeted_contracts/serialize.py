@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
+import numpy as np
+
 from .core import Additive, Instance, InputError, SetFunction, Table, XosClauses, bits
 from .objectives import OBJECTIVES, Objective
 
@@ -40,6 +42,23 @@ def _real(x: Any) -> float:
     return v
 
 
+def _reals(xs: list) -> np.ndarray:
+    """``_real`` over a list, as one float64 array.
+
+    A list of JSON numbers converts in one step; a list holding a decimal
+    string or a bad entry goes through ``_real`` one element at a time, so
+    the first bad entry gives the same error as before.
+    """
+    if set(map(type, xs)) <= {float, int}:
+        try:
+            vals = np.array(xs, np.float64)
+            if np.isfinite(vals).all():
+                return vals
+        except OverflowError:  # an integer too large for a float
+            pass
+    return np.array([_real(x) for x in xs], np.float64)
+
+
 def _list(x: Any, what: str) -> list:
     if not isinstance(x, list):
         raise InputError(f"{what} must be a list, got {type(x).__name__}")
@@ -55,7 +74,7 @@ def reward_to_dict(f: SetFunction) -> dict:
         return {"type": "additive", "values": list(f.values)}
     if isinstance(f, XosClauses):
         return {"type": "xos", "clauses": [list(row) for row in f.clauses]}
-    return {"type": "table", "values": list(f.values)}
+    return {"type": "table", "values": f.values.tolist()}
 
 
 def reward_from_dict(d: dict) -> SetFunction:
@@ -68,7 +87,7 @@ def reward_from_dict(d: dict) -> SetFunction:
         rows = (_list(row, "a clause") for row in _list(d["clauses"], "clauses"))
         return XosClauses(tuple(tuple(_real(v) for v in row) for row in rows))
     if kind == "table":
-        return Table(tuple(_real(v) for v in _list(d["values"], "values")))
+        return Table(_reals(_list(d["values"], "values")))
     raise InputError(f"unknown reward type {kind!r}")
 
 

@@ -69,17 +69,28 @@ def brute_force_max(
     """
     check_budget(budget)
     f, pay = team_table(inst)
-    allowed = ~(pay > budget + EPS)
     light = (1 << inst.n) - 1
+    allowed = None
     if light_only:
         light = light_agents(inst)
-        allowed &= (np.arange(1 << inst.n) & ~light) == 0
-    # the empty team is allowed and has a finite value, so the first
-    # maximum below is an allowed team: the smallest bitmask among ties
+        allowed = (np.arange(1 << inst.n) & ~light) == 0
     vals = evaluate_all(obj, inst, f, pay)
-    best = int(np.argmax(np.where(allowed, vals, -math.inf)))
+    best = _best(vals, pay, budget, allowed)
     examined = 1 << light.bit_count()
     return SolveResult(best, float(vals[best]), float(pay[best]), examined)
+
+
+def _best(
+    vals: np.ndarray, pay: np.ndarray, budget: float, allowed: np.ndarray | None = None
+) -> int:
+    """The smallest team mask maximizing ``vals`` among the teams paid within
+    ``budget`` (and ``allowed``, where given), from ``core.team_table``."""
+    within = ~(pay > budget + EPS)
+    if allowed is not None:
+        within &= allowed
+    # the empty team is allowed and has a finite value, so the first
+    # maximum below is an allowed team: the smallest bitmask among ties
+    return int(np.argmax(np.where(within, vals, -math.inf)))
 
 
 # ---------------------------------------------------------------------------

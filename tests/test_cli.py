@@ -13,6 +13,7 @@ import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -404,11 +405,17 @@ def test_usage_errors_print_one_line(argv, capsys):
     assert captured.err.count("\n") == 1, captured.err
 
 
-def test_help_still_exits_zero(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["solve", "--help"])
-    assert exc.value.code == 0
-    assert "--budget" in capsys.readouterr().out
+@pytest.mark.parametrize("argv, text", [
+    (["--help"], "solve,downsize,reduce,pof,gen,check"),
+    (["solve", "--help"], "--budget"),
+    (["pof", "-h"], "--emit-curve"),
+], ids=["top", "solve", "pof"])
+def test_help_returns_zero(capsys, argv, text):
+    # in-process callers get an exit code, not a SystemExit
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert text in captured.out
+    assert captured.err == ""
 
 
 def _parse_both(argv):
@@ -446,9 +453,8 @@ def test_reused_parser_leaks_no_state(tmp_path, capsys):
     # through main: a usage error, then help, then valid commands
     assert main(["gen", "--family", "additive-lb", "--n", "4", "--out", path]) == 0
     assert main(["solve", "--instance", path, "--budget", "0.5", "--frob"]) == 2
-    with pytest.raises(SystemExit):
-        main(["solve", "--help"])
-    capsys.readouterr()
+    assert main(["solve", "--help"]) == 0
+    assert "--budget" in capsys.readouterr().out
     assert main(["solve", "--instance", path, "--budget", "0.5"]) == 0
     assert json.loads(capsys.readouterr().out)["objective"] == "profit"
     assert main(["pof", "--family", "additive-lb", "--n", "4", "--b", "0.4"]) == 0
@@ -515,6 +521,39 @@ def test_instance_json_accepts_decimal_strings(tmp_path):
     inst = load_instance(str(path))
     assert inst.costs == (0.2, 0.009)
     assert inst.reward.values == (0.5, 0.3)
+
+
+def _table_file(tmp_path, values_text: str) -> Path:
+    path = tmp_path / "table.json"
+    path.write_text('{"n": 2, "costs": [0.1, 0.1], "reward": {"type": "table", '
+                    f'"values": [{values_text}]}}}}')
+    return path
+
+
+@pytest.mark.parametrize("entry, message", [
+    ("true", "expected a real number, got bool"),
+    ("null", "expected a real number, got NoneType"),
+    ('"abc"', "bad decimal string 'abc'"),
+    ("NaN", "expected a finite real number, got nan"),
+    ("1e400", "expected a finite real number, got inf"),
+    ("1" + "0" * 399, "number too large for a float"),
+    ('"0.5", "x"', "bad decimal string 'x'"),  # the first bad entry, after a string
+])
+def test_table_file_values_report_the_first_bad_entry(tmp_path, capsys, entry, message):
+    path = _table_file(tmp_path, f"0.0, 0.25, {entry}, 0.75")
+    assert run_cli("check", "--instance", path) == 2
+    assert capsys.readouterr().err == f"error: input: {message}\n"
+
+
+def test_table_file_values_load_as_the_per_entry_path_does(tmp_path):
+    from budgeted_contracts.serialize import _real, _reals
+
+    mixed = ["0.0", 0.1, 1, "0.30000000000000004"]
+    path = _table_file(tmp_path, json.dumps(mixed)[1:-1])
+    got = load_instance(str(path)).reward.values
+    assert got.tobytes() == np.array([_real(x) for x in mixed]).tobytes()
+    numbers = [0, 1, 0.1, 2**70 + 1, 10**20 + 7, -0.0, 1e-320]
+    assert _reals(numbers).tobytes() == np.array([_real(x) for x in numbers]).tobytes()
 
 
 def test_instance_json_round_trip(tmp_path, separation_file):

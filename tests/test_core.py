@@ -387,6 +387,44 @@ def test_classify_checks_overlapping_pairs_when_not_monotone():
 
 
 # ---------------------------------------------------------------------------
+# monotonicity and submodularity kernels against the gather versions kept here
+
+
+def _monotone_reference(t, n, slack):
+    masks = np.arange(1 << n)
+    return all(np.all(t[masks | (1 << i)] >= t - slack) for i in range(n))
+
+
+def _submodular_reference(t, n):
+    masks = np.arange(1 << n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            bi, bj = 1 << i, 1 << j
+            base = masks[(masks & (bi | bj)) == 0]
+            if not np.all(
+                t[base | bi] + t[base | bj] >= t[base | bi | bj] + t[base] - EPS
+            ):
+                return False
+    return True
+
+
+def test_class_kernels_match_gather_references():
+    # the tie tables put the terms of both checks EPS apart, either way
+    outcomes = {"monotone": set(), "exact": set(), "submodular": set()}
+    for n in range(1, 11):
+        for seed in range(2):
+            for kind, t in _seeded_tables(n, 10 * n + seed):
+                for slack, key in ((EPS, "monotone"), (0.0, "exact")):
+                    want = _monotone_reference(t, n, slack)
+                    assert core._table_is_monotone(t, n, slack) == want, (kind, n, key)
+                    outcomes[key].add(want)
+                want = _submodular_reference(t, n)
+                assert core._table_is_submodular(t, n) == want, (kind, n, seed)
+                outcomes["submodular"].add(want)
+    assert all(seen == {True, False} for seen in outcomes.values())
+
+
+# ---------------------------------------------------------------------------
 # size caps raise before allocating
 # ---------------------------------------------------------------------------
 
@@ -581,6 +619,57 @@ def test_table_rejects_non_finite_values(bad):
         Instance(2, (0.1, 0.1), Table((0.0, bad, 0.5, 0.6)))
 
 
+# ---------------------------------------------------------------------------
+# Table holds a read-only float64 array
+
+
+def test_table_values_are_a_read_only_copy():
+    src = np.array([0.0, 0.25, 0.5, 1.0])
+    t = Table(src)
+    src[1] = 0.75  # the table copied its input
+    assert t.values.dtype == np.float64 and t.values.tolist() == [0.0, 0.25, 0.5, 1.0]
+    with pytest.raises(ValueError):
+        t.values[1] = 0.75
+    assert Table((0, 1)).values.dtype == np.float64  # ints convert
+
+
+def test_table_equality_is_array_equality():
+    t = Table((0.0, 0.25, 0.5, 1.0))
+    assert t == Table(np.array([0.0, 0.25, 0.5, 1.0]))
+    assert not t == Table((0.0, 0.25, 0.5, 0.75))
+    assert t != Table((0.0, 0.25))
+    assert t.__eq__((0.0, 0.25, 0.5, 1.0)) is NotImplemented
+    assert t != (0.0, 0.25, 0.5, 1.0)
+    with pytest.raises(TypeError):
+        hash(t)
+
+
+@pytest.mark.parametrize("values", [
+    pytest.param((0.0, 0.5, 0.25), id="length-3"),
+    pytest.param((), id="empty"),
+    pytest.param(np.zeros((2, 2)), id="2-d"),
+    pytest.param(np.float64(0.5), id="0-d"),
+])
+def test_table_rejects_bad_shapes(values):
+    with pytest.raises(InputError, match="power of two"):
+        Table(values)
+
+
+def test_table_value_is_a_python_float():
+    t = Table((0.0, 0.25, 0.5, 1.0))
+    assert type(t.value(3)) is float and t.value(3) == 1.0
+    assert type(value(t, 2)) is float and type(marginal(t, 3, 0)) is float
+
+
+def test_to_table_values_equal_value_array_bit_for_bit():
+    nondyadic = XosClauses(((0.13, 0.07, 0.21, 0.11), (0.05, 0.19, 0.02, 0.14)))
+    coverage = random_submodular_instance(random.Random(7), 6).reward
+    for f in (nondyadic, Additive(nondyadic.clauses[0]), coverage):
+        want = core._value_array(f)
+        assert to_table(f).values.tobytes() == want.tobytes()
+    assert to_table(coverage) is coverage  # a table is its own table
+
+
 def test_payment_monotone_for_submodular():
     for inst in submodular_corpus(10, seed=304, n_hi=7):
         for team in range(1, 1 << inst.n):
@@ -683,6 +772,6 @@ def test_to_table_matches_direct_queries():
 def test_restrict_matches_subtable(separation):
     sub = to_table(separation.reward)
     restricted = to_table(restrict(separation.reward, [0, 2]))
-    assert restricted.values == tuple(
+    assert restricted.values.tolist() == [
         sub.values[mask_of([0, 2][j] for j in bits(m))] for m in range(4)
-    )
+    ]

@@ -27,6 +27,7 @@ from budgeted_contracts import (
     value,
     value_payment_curve,
 )
+from budgeted_contracts import cli, core
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
 from budgeted_contracts.frugality import best_head_count
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
@@ -347,3 +348,32 @@ def test_value_payment_curve(separation):
     assert curve[0] == (0.0, pytest.approx(2 / 5))  # the free agent
     assert curve[-1][1] == pytest.approx(1.0)
     assert curve[-1][0] == pytest.approx(1.0)
+
+
+def test_pof_optima_equal_brute_force_bit_for_bit():
+    for inst in submodular_corpus(6, seed=805, n_hi=8) + xos_corpus(6, seed=806, n_hi=8):
+        for obj in (REWARD, PROFIT, WELFARE):
+            rep = pof(inst, PofQuery(b=0.3, B=0.8, objective=obj))
+            assert rep.max_at_b == brute_force_max(obj, inst, 0.3).value
+            assert rep.max_at_B == brute_force_max(obj, inst, 0.8).value
+
+
+def test_pof_builds_one_team_table_per_cell(monkeypatch, capsys):
+    builds = []
+
+    def counting(inst):
+        builds.append(inst.n)
+        return tabulate(inst)
+
+    tabulate = core._tabulate
+    monkeypatch.setattr(core, "_tabulate", counting)
+    inst = gen_additive_lb(6, 0.3, 1.0)
+    pof(inst, PofQuery(b=0.3, B=1.0, objective=PROFIT))
+    assert len(builds) == 1
+    # four cells, each with its report, reward curve and welfare curve
+    argv = ["pof", "--family", "additive-lb", "--n", "6", "--grid", "b=0.2:0.8:0.2"]
+    for extra in ([], ["--emit-curve"]):
+        builds.clear()
+        assert cli.main(argv + extra) == 0
+        assert len(builds) == 4
+    capsys.readouterr()
