@@ -28,7 +28,6 @@ from .core import (
     profit,
     restrict,
     singleton_payment,
-    team_indices,
     to_table,
     value,
 )

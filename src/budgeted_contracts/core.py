@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -75,11 +75,6 @@ def mask_of(agents: Sequence[int]) -> int:
     for i in agents:
         team |= 1 << i
     return team
-
-
-def team_indices(team: int) -> list[int]:
-    """Sorted list of agent indices in a team mask."""
-    return list(bits(team))
 
 
 def _check_team(team: int, n: int) -> None:
@@ -194,7 +189,7 @@ class XosClauses:
         return len(self.clauses[0])
 
     def value(self, team: int) -> float:
-        idx = team_indices(team)
+        idx = list(bits(team))
         return max(_sum_over(row, idx) for row in self.clauses)
 
 
@@ -306,26 +301,15 @@ def demand(f: SetFunction, prices: Sequence[float]) -> int:
     prices = [float(q) for q in prices]
     if len(prices) != f.n:
         raise InputError("price vector length must equal the agent count")
-    if any(q < 0 for q in prices):
+    if not all(q >= 0 for q in prices):  # NaN fails every comparison
         raise InputError("prices must be non-negative")
     if isinstance(f, Additive):
         return mask_of(i for i, v in enumerate(f.values) if v > prices[i])
     if isinstance(f, XosClauses):
-        best_team, best_surplus = 0, None
-        seen = set()
-        for row in f.clauses:
-            cand = mask_of(i for i, v in enumerate(row) if v > prices[i])
-            if cand in seen:
-                continue
-            seen.add(cand)
-            surplus = f.value(cand) - _sum_over(prices, bits(cand))
-            if (
-                best_surplus is None
-                or surplus > best_surplus
-                or (surplus == best_surplus and cand < best_team)
-            ):
-                best_team, best_surplus = cand, surplus
-        return best_team
+        cands = (
+            mask_of(i for i, v in enumerate(row) if v > prices[i]) for row in f.clauses
+        )
+        return _best_team(cands, lambda t: f.value(t) - _sum_over(prices, bits(t)))[0]
     return int(np.argmax(f.values - _subset_sums(prices, f.n)))
 
 
@@ -354,6 +338,8 @@ class Instance:
             raise InputError("cost vector length must equal the agent count")
         if any(c < 0 or not math.isfinite(c) for c in self.costs):
             raise InputError("costs must be finite and non-negative")
+        if not isinstance(self.reward, (Additive, XosClauses, Table)):
+            raise InputError("reward must be an Additive, XosClauses or Table")
         if self.reward.n != self.n:
             raise InputError("reward function is over the wrong agent count")
         lo, hi = _value_range(self.reward)
@@ -443,6 +429,38 @@ def _tabulate(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
             pay.reshape(-1, 2, 1 << i)[:, 1] += term
     f.flags.writeable = pay.flags.writeable = False
     return f, pay
+
+
+# ---------------------------------------------------------------------------
+# the one tie rule: a pick goes to the smallest bitmask among the best
+# ---------------------------------------------------------------------------
+
+
+def _best_team(
+    teams: Iterable[int], score: Callable[[int], float]
+) -> tuple[int, float]:
+    """The smallest team scoring highest among the distinct ``teams``, and
+    its score: each team is scored once, in ascending order, and replaces
+    the pick only on a strictly higher score."""
+    best_team, best_score = None, None
+    for team in sorted(set(teams)):
+        s = score(team)
+        if best_score is None or s > best_score:
+            best_team, best_score = team, s
+    return best_team, best_score
+
+
+def _best(
+    vals: np.ndarray, pay: np.ndarray, budget: float, allowed: np.ndarray | None = None
+) -> int:
+    """The smallest team mask maximizing ``vals`` among the teams paid within
+    ``budget`` (and ``allowed``, where given), from ``team_table``."""
+    within = ~(pay > budget + EPS)
+    if allowed is not None:
+        within &= allowed
+    # the empty team is allowed and has a finite value, so the first
+    # maximum below is an allowed team: the smallest bitmask among ties
+    return int(np.argmax(np.where(within, vals, -math.inf)))
 
 
 def singleton_payment(inst: Instance, agent: int) -> float:

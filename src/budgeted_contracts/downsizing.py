@@ -23,7 +23,7 @@ guarantees tolerate either resolution of an exact tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .core import (
     Instance,
@@ -56,19 +56,6 @@ class DownsizeResult:
     singleton_exit: bool
 
 
-def _result(
-    inst: Instance, before: int, after: int, psi: Objective, singleton_exit: bool
-) -> DownsizeResult:
-    return DownsizeResult(
-        subset=after,
-        payment_before=payment(inst, before),
-        payment_after=payment(inst, after),
-        objective_before=evaluate(psi, inst, before),
-        objective_after=evaluate(psi, inst, after),
-        singleton_exit=singleton_exit,
-    )
-
-
 def downsize_submodular(
     inst: Instance, team: int, m: int, psi: Objective = REWARD, check: bool = False
 ) -> DownsizeResult:
@@ -93,14 +80,21 @@ def downsize_submodular(
         if not isinstance(psi, Reward):  # a submodular reward is subadditive
             _assert_subadditive(psi, inst)
     share = dict(_shares(inst, team))
-    pay_team = _sum_over(share, bits(team))  # payment()'s order, not sum()'s
+    pay_team = _sum_over(share, bits(team))  # payment(inst, team), bit for bit
     threshold = pay_team / m
-    floor = evaluate(psi, inst, team) / (m - 1)
+    psi_team = evaluate(psi, inst, team)
+    floor = psi_team / (m - 1)
+
+    def exit_with(after: int, psi_after: float, singleton=False) -> DownsizeResult:
+        return DownsizeResult(
+            after, pay_team, payment(inst, after), psi_team, psi_after, singleton
+        )
 
     outliers = [i for i in bits(team) if share[i] > threshold]
     for i in outliers:
-        if evaluate(psi, inst, 1 << i) >= floor:
-            return _result(inst, team, 1 << i, psi, singleton_exit=True)
+        psi_single = evaluate(psi, inst, 1 << i)
+        if psi_single >= floor:
+            return exit_with(1 << i, psi_single, singleton=True)
 
     queue = [i for i in bits(team) if share[i] <= threshold]
     if len(outliers) >= m - 1:
@@ -112,7 +106,7 @@ def downsize_submodular(
         # the other M-2 outliers each failed the value floor above.
         cheapest = min(outliers, key=lambda i: (share[i], i))
         fold = mask_of(queue) | (1 << cheapest)
-        return _result(inst, team, fold, psi, singleton_exit=False)
+        return exit_with(fold, evaluate(psi, inst, fold))
     pos = 0
     for _ in range(m - len(outliers) - 2):
         bag, bag_sum = 0, 0.0
@@ -121,10 +115,11 @@ def downsize_submodular(
             pos += 1
             bag |= 1 << i
             bag_sum += share[i]
-        if evaluate(psi, inst, bag) >= floor:
-            return _result(inst, team, bag, psi, singleton_exit=False)
+        psi_bag = evaluate(psi, inst, bag)
+        if psi_bag >= floor:
+            return exit_with(bag, psi_bag)
     remainder = mask_of(queue[pos:])
-    return _result(inst, team, remainder, psi, singleton_exit=False)
+    return exit_with(remainder, evaluate(psi, inst, remainder))
 
 
 def recover_marginals_xos(inst: Instance, kept: int, team: int) -> int:
@@ -175,13 +170,11 @@ def downsize_xos(
         raise PreconditionError("reward representation cannot be certified XOS")
     inner = downsize_submodular(inst, team, m)
     recovered = recover_marginals_xos(inst, inner.subset, team)
-    return DownsizeResult(
+    return replace(
+        inner,
         subset=recovered,
-        payment_before=inner.payment_before,
         payment_after=payment(inst, recovered),
-        objective_before=inner.objective_before,
         objective_after=value(inst.reward, recovered),
-        singleton_exit=inner.singleton_exit,
     )
 
 

@@ -37,6 +37,7 @@ from .core import (
     PreconditionError,
     Table,
     XosClauses,
+    _best,
     _check_agent_count,
     _class_verifiable,
     _enum_gate,
@@ -48,7 +49,6 @@ from .core import (
     team_table,
 )
 from .objectives import REWARD, Objective, evaluate_all
-from .solvers import _best
 
 BoundKind = Literal[
     "submodular-exact", "xos-asymptotic", "profit-upper", "profit-lower"

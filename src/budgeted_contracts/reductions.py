@@ -29,6 +29,7 @@ from .core import (
     Instance,
     PreconditionError,
     SolverContractError,
+    _best_team,
     bits,
     check_budget,
     light_agents,
@@ -119,15 +120,8 @@ def reduce_to_mrl(
     pool.extend(
         1 << i for i in range(inst.n) if singleton_payment(inst, i) <= budget + EPS
     )
-    candidate = _best_by(pool, lambda team: evaluate(obj, inst, team))
     factor = 40.0 * gamma + 1.0 if path == "xos" else 6.0 * gamma + 1.0
-    return ReductionOutcome(
-        candidate=candidate,
-        candidate_value=evaluate(obj, inst, candidate),
-        guarantee_factor=factor,
-        budget_used=payment(inst, candidate),
-        path=path,
-    )
+    return _pick(inst, pool, lambda team: evaluate(obj, inst, team), factor, path)
 
 
 def reduce_from_mrl(
@@ -159,15 +153,22 @@ def reduce_from_mrl(
             for i in scaled.agents
             if singleton_payment(inst, i) <= budget + EPS
         )
-    candidate = _best_by(pool, lambda team: value(inst.reward, team))
     factor = 20.0 * gamma if path == "xos" else 6.0 * gamma
-    return ReductionOutcome(
-        candidate=candidate,
-        candidate_value=value(inst.reward, candidate),
-        guarantee_factor=factor,
-        budget_used=payment(inst, candidate),
-        path=path,
-    )
+    return _pick(inst, pool, lambda team: value(inst.reward, team), factor, path)
+
+
+def _pick(
+    inst: Instance,
+    pool: list[int],
+    score: Callable[[int], float],
+    factor: float,
+    path: Path,
+) -> ReductionOutcome:
+    """The pool member scoring highest (ties to the smallest bitmask), valued
+    at the score it was picked by."""
+    candidate, candidate_value = _best_team(pool, score)
+    budget_used = payment(inst, candidate)
+    return ReductionOutcome(candidate, candidate_value, factor, budget_used, path)
 
 
 def equivalence_pipeline(
@@ -206,13 +207,4 @@ def brute_solver(inst: Instance, budget: float, obj: Objective) -> int:
 
 
 SOLVERS: dict[str, Solver] = {"brute": brute_solver}
-
-
-def _best_by(pool: list[int], score: Callable[[int], float]) -> int:
-    best_team, best_score = None, None
-    for team in sorted(set(pool)):
-        s = score(team)
-        if best_score is None or s > best_score:
-            best_team, best_score = team, s
-    return best_team
 

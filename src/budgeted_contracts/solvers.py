@@ -24,11 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    EPS,
     Additive,
     Instance,
     InputError,
     PreconditionError,
+    _best,
+    _best_team,
     ceil_tol,
     check_budget,
     check_epsilon,
@@ -78,19 +79,6 @@ def brute_force_max(
     best = _best(vals, pay, budget, allowed)
     examined = 1 << light.bit_count()
     return SolveResult(best, float(vals[best]), float(pay[best]), examined)
-
-
-def _best(
-    vals: np.ndarray, pay: np.ndarray, budget: float, allowed: np.ndarray | None = None
-) -> int:
-    """The smallest team mask maximizing ``vals`` among the teams paid within
-    ``budget`` (and ``allowed``, where given), from ``core.team_table``."""
-    within = ~(pay > budget + EPS)
-    if allowed is not None:
-        within &= allowed
-    # the empty team is allowed and has a finite value, so the first
-    # maximum below is an allowed team: the smallest bitmask among ties
-    return int(np.argmax(np.where(within, vals, -math.inf)))
 
 
 # ---------------------------------------------------------------------------
@@ -258,11 +246,7 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
         candidates.append(table.team(best_level))
         del table, pay  # free this table before the next anchor's is built
 
-    best_team, best_profit = 0, profit(inst, 0)
-    for team in candidates:
-        val = profit(inst, team)
-        if val > best_profit or (val == best_profit and team < best_team):
-            best_team, best_profit = team, val
+    best_team, best_profit = _best_team([0, *candidates], lambda t: profit(inst, t))
     return SolveResult(best_team, best_profit, payment(inst, best_team), examined)
 
 

@@ -3,6 +3,7 @@ import pytest
 from budgeted_contracts import (
     Additive,
     Instance,
+    Table,
     XosClauses,
     gen_additive_lb,
     gen_xos_separation,
@@ -42,3 +43,17 @@ def nondyadic():
 def additive21():
     """21 free agents worth 1/100 each: one agent past the enumeration cap."""
     return Instance(21, (0.0,) * 21, Additive((0.01,) * 21))
+
+
+@pytest.fixture
+def table_queries(monkeypatch):
+    """The masks passed to ``Table.value`` while the test runs, in call order."""
+    calls = []
+    table_value = Table.value
+
+    def counting(self, team):
+        calls.append(team)
+        return table_value(self, team)
+
+    monkeypatch.setattr(Table, "value", counting)
+    return calls

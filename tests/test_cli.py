@@ -391,6 +391,28 @@ def test_only_core_reads_the_size_caps():
         assert not {"ENUM_CAP", "CLASSIFY_CAP"} & names, path.name
 
 
+def test_the_tie_rule_lives_in_core():
+    # picks go to the smallest bitmask through core._best_team (team lists)
+    # and core._best (team tables); no other module defines either
+    package = Path(budgeted_contracts.__file__).parent
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        defined = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        rule = {"_best", "_best_team"}
+        assert rule & defined == (rule if path.name == "core.py" else set()), path.name
+        if path.name == "frugality.py":
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""] + [a.name for a in node.names]
+                elif isinstance(node, ast.Import):
+                    modules = [a.name for a in node.names]
+                else:
+                    continue
+                assert not any(m.split(".")[-1] == "solvers" for m in modules)
+
+
 @pytest.mark.parametrize("argv", [
     ["solve", "--budget", "0.5", "--frob"],
     ["solve", "--instance", "x.json"],

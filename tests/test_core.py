@@ -41,7 +41,14 @@ from budgeted_contracts import (
     value_payment_curve,
 )
 from budgeted_contracts import core, corpora
-from budgeted_contracts.core import EPS, _shares, ceil_tol, is_submodular, team_table
+from budgeted_contracts.core import (
+    EPS,
+    _best_team,
+    _shares,
+    ceil_tol,
+    is_submodular,
+    team_table,
+)
 from budgeted_contracts.corpora import (
     random_submodular_instance,
     random_xos_instance,
@@ -212,6 +219,16 @@ def test_demand_rejects_negative_prices(separation):
         demand(separation.reward, [0.1, -0.1, 0.1])
 
 
+@pytest.mark.parametrize("form", ["additive", "xos", "table"])
+def test_demand_rejects_nan_prices(form):
+    f = Additive((0.25, 0.5))
+    f = {"additive": f, "xos": XosClauses((f.values,)), "table": to_table(f)}[form]
+    with pytest.raises(InputError):
+        demand(f, [math.nan, 0.1])
+    # an infinite price stays valid in every form: never buy that agent
+    assert demand(f, [math.inf, 0.1]) == 0b10
+
+
 def test_demand_matches_table_scan():
     import random
 
@@ -221,6 +238,37 @@ def test_demand_matches_table_scan():
         for _ in range(8):
             q = [rng.randrange(0, 17) / 16 for _ in range(inst.n)]
             assert demand(inst.reward, q) == demand(table, q)
+
+
+# ---------------------------------------------------------------------------
+# the tie rule for team lists
+# ---------------------------------------------------------------------------
+
+
+def test_best_team_takes_the_smallest_top_scorer_once():
+    scores = {0b000: 0.0, 0b011: 0.5, 0b101: 0.5, 0b110: 0.25}
+    calls = []
+
+    def score(team):
+        calls.append(team)
+        return scores[team]
+
+    # duplicates are scored once, in ascending order; the tie goes to 0b011
+    assert _best_team([0b110, 0b101, 0b011, 0b101, 0, 0b110], score) == (0b011, 0.5)
+    assert calls == [0, 0b011, 0b101, 0b110]
+    rng = random.Random(5)
+    teams = list(scores)
+    for _ in range(20):
+        rng.shuffle(teams)
+        assert _best_team(teams, scores.__getitem__) == (0b011, 0.5)
+
+
+def test_best_team_ties_at_minus_inf_and_signed_zero():
+    assert _best_team([6, 4, 2], lambda team: -math.inf) == (2, -math.inf)
+    # 0.0 == -0.0: the smaller team wins, with its own score
+    for low, high in ((-0.0, 0.0), (0.0, -0.0)):
+        team, s = _best_team([3, 1], {1: low, 3: high}.__getitem__)
+        assert team == 1 and math.copysign(1.0, s) == math.copysign(1.0, low)
 
 
 # ---------------------------------------------------------------------------
@@ -617,6 +665,14 @@ def test_table_rejects_non_finite_values(bad):
         Table((0.0, bad, 0.5, 0.6))
     with pytest.raises(InputError):
         Instance(2, (0.1, 0.1), Table((0.0, bad, 0.5, 0.6)))
+
+
+def test_instance_rejects_a_foreign_reward_type():
+    # a lookalike with n, values and value would be tabulated as additive
+    inner = Table((0.0, 0.25, 0.5, 0.75))
+    duck = SimpleNamespace(n=inner.n, values=inner.values, value=inner.value)
+    with pytest.raises(InputError, match="reward must be"):
+        Instance(2, (0.1, 0.1), duck)
 
 
 # ---------------------------------------------------------------------------

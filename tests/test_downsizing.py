@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import dataclass
 
 import pytest
 from hypothesis import given, settings
@@ -25,7 +24,7 @@ from budgeted_contracts import (
     value,
 )
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
-from budgeted_contracts.objectives import WELFARE, evaluate
+from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE, evaluate
 
 ALL3 = 0b111
 ALL4 = 0b1111
@@ -185,32 +184,39 @@ def test_downsizing_is_optimal_on_hard_family():
         assert best >= (2 / m) * p_team - 1e-9
 
 
-@dataclass
-class CountingTable:
-    inner: Table
-    calls: list
-
-    @property
-    def n(self):
-        return self.inner.n
-
-    @property
-    def values(self):
-        return self.inner.values
-
-    def value(self, team):
-        self.calls.append(team)
-        return self.inner.value(team)
-
-
-def test_bag_stage_query_budget(uniform4):
-    # the bag stage needs O(n + M) value queries: one marginal per agent
-    # plus one objective evaluation per piece
-    counter = CountingTable(uniform4.reward, [])
-    inst = Instance(uniform4.n, uniform4.costs, counter)
+def test_bag_stage_query_budget(uniform4, table_queries):
+    # the bag stage needs O(n + M) value queries: n + 1 for the shares, one
+    # for psi(S), at most M for the pieces tested, n + 1 for p(T)
     m = 5
-    downsize_submodular(inst, ALL4, m)
-    assert len(counter.calls) <= 4 * (uniform4.n + m + 4)
+    downsize_submodular(uniform4, ALL4, m)
+    assert len(table_queries) <= 2 * (uniform4.n + 1) + m + 1
+
+
+def test_downsizing_reuses_what_it_holds(uniform4, table_queries):
+    # p(S) comes from the shares and psi of the returned piece from its test:
+    # 5 queries for the shares, 1 for psi(S), 1 for psi of the first outlier
+    # and 2 for p({0})
+    res = downsize_submodular(uniform4, ALL4, 5)
+    assert res.singleton_exit and res.subset == 0b0001
+    assert len(table_queries) == 9
+
+
+def test_before_fields_equal_the_oracles():
+    rng = random.Random(21)
+    insts = submodular_corpus(12, seed=23, n_lo=3, n_hi=7)
+    insts += xos_corpus(12, seed=24, n_lo=3, n_hi=7)
+    for inst in insts:
+        for team in ((1 << inst.n) - 1, rng.randrange(1, 1 << inst.n)):
+            for m in (3, 5):
+                for psi in (REWARD, PROFIT, WELFARE):
+                    res = downsize_submodular(inst, team, m, psi)
+                    assert res.payment_before == payment(inst, team)
+                    assert res.objective_before == evaluate(psi, inst, team)
+                    assert res.payment_after == payment(inst, res.subset)
+                    assert res.objective_after == evaluate(psi, inst, res.subset)
+                res = downsize_xos(inst, team, m)
+                assert res.payment_before == payment(inst, team)
+                assert res.objective_before == value(inst.reward, team)
 
 
 def test_result_fields(uniform4):

@@ -166,3 +166,13 @@ def test_every_outcome_is_feasible_at_original_budget():
     for inst in xos_corpus(10, seed=703, n_hi=7):
         out = equivalence_pipeline(inst, PROFIT, 0.5, WELFARE, 1.0, brute_solver)
         assert payment(inst, out.candidate) <= 0.5 + 1e-9
+
+
+def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
+    # each pool member is scored once and the winner keeps its score: 9
+    # queries check the hub input (light agents, p(S)), 10 downsize it, 4 find
+    # the feasible singletons, 17 score the pool (the empty team, the piece
+    # {0, 1} and 4 singletons) and 3 pay for the winner
+    out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
+    assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
+    assert len(table_queries) == 43
