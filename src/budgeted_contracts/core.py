@@ -331,9 +331,8 @@ class Instance:
     reward: SetFunction
 
     def __post_init__(self):
+        _check_agent_count(self.n)
         object.__setattr__(self, "costs", tuple(float(c) for c in self.costs))
-        if self.n < 1:
-            raise InputError("instance needs at least one agent")
         if len(self.costs) != self.n:
             raise InputError("cost vector length must equal the agent count")
         if any(c < 0 or not math.isfinite(c) for c in self.costs):

@@ -67,6 +67,24 @@ def test_solve_fptas(tmp_path, capsys):
     assert got["method"] == "fptas"
 
 
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
+@pytest.mark.parametrize("values", [(5e-324,), (5e-324, 0.5), (1e-310,), (1e-310, 0.5)])
+def test_solve_fptas_on_tiny_values(tmp_path, capsys, values, objective):
+    # a grid set by a subnormal value underflows, and a quotient by it
+    # overflows; both once ended in a traceback
+    inst = Instance(len(values), (0.0,) * len(values), Additive(values))
+    path = tmp_path / "tiny.json"
+    save_instance(inst, str(path))
+    assert run_cli("solve", "--instance", path, "--objective", objective,
+                   "--budget", 0.5, "--method", "fptas", "--epsilon", 0.1) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    got = json.loads(out)
+    assert got["payment"] == 0.0
+    opt = brute_force_max(OBJECTIVES[objective], inst, 0.5).value
+    assert 0.0 <= got["value"] <= opt
+
+
 def test_downsize_command(separation_file, capsys):
     assert run_cli("downsize", "--instance", separation_file, "--set", "0,1,2",
                    "--m", 5, "--mode", "xos") == 0

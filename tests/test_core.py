@@ -667,6 +667,12 @@ def test_table_rejects_non_finite_values(bad):
         Instance(2, (0.1, 0.1), Table((0.0, bad, 0.5, 0.6)))
 
 
+@pytest.mark.parametrize("n", [2.0, True, 0, -1])
+def test_instance_rejects_bad_agent_counts(n):
+    with pytest.raises(InputError, match="positive integer agent count"):
+        Instance(n, (0.1,) * 2, Additive((0.5, 0.25)))
+
+
 def test_instance_rejects_a_foreign_reward_type():
     # a lookalike with n, values and value would be tabulated as additive
     inner = Table((0.0, 0.25, 0.5, 0.75))

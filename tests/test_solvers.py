@@ -19,14 +19,14 @@ from budgeted_contracts import (
     value,
 )
 from budgeted_contracts import solvers
-from budgeted_contracts.core import ceil_tol
+from budgeted_contracts.core import EPS, _best_team, ceil_tol, floor_tol, profit
 from budgeted_contracts.corpora import (
     additive_corpus,
     random_additive_instance,
     submodular_corpus,
 )
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
-from budgeted_contracts.solvers import PAY_TOL
+from budgeted_contracts.solvers import PAY_TOL, SolveResult
 
 ALL3 = 0b111
 
@@ -187,31 +187,33 @@ def test_fptas_preconditions(uniform4):
             fptas_additive_profit(inst, budget, eps)
 
 
-def test_fptas_memory_stays_small():
-    # the take matrix is one byte per (item, level); a float64 table per
-    # stage held 26 MB here and peaked above 50 MB with its temporaries
-    inst = random_additive_instance(random.Random(40), 40)
+def _fptas_peak_bytes(n, epsilon):
+    inst = random_additive_instance(random.Random(n), n)
     tracemalloc.start()
     try:
-        fptas_additive_profit(inst, 0.5, 0.02)
+        fptas_additive_profit(inst, 0.5, epsilon)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    return peak
+
+
+def test_fptas_memory_stays_small():
+    # only the Pareto steps of each anchor's row are kept, 0.15 MiB here; a
+    # take matrix of one byte per (item, level) peaked at 5.2 MiB, and a
+    # float64 table per stage above 50 MB
+    assert _fptas_peak_bytes(40, 0.02) < 4 * 2**20
 
 
 def test_fptas_memory_stays_small_at_n100():
-    # only the levels a team within the budget reaches are filled and kept,
-    # and one anchor's table is alive at a time; the full-width table peaked
-    # at 22 MiB here
-    inst = random_additive_instance(random.Random(100), 100)
-    tracemalloc.start()
-    try:
-        fptas_additive_profit(inst, 0.5, 0.1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # 0.6 MiB; one anchor's budget-cut take matrix at a time peaked at
+    # 12.5 MiB here, and the full-width table at 22 MiB
+    assert _fptas_peak_bytes(100, 0.1) < 4 * 2**20
+
+
+def test_fptas_memory_stays_small_at_n400():
+    # 2.8 MiB; one budget-cut take matrix at a time peaked at 612 MiB here
+    assert _fptas_peak_bytes(400, 0.1) < 16 * 2**20
 
 
 def test_fptas_zero_values():
@@ -267,22 +269,88 @@ def test_knapsack_preconditions():
 
 
 # ---------------------------------------------------------------------------
-# the budget cut of the level DP is exact
+# both level DPs are exact: the same results as full-width dense tables
 # ---------------------------------------------------------------------------
 
 
-def _full_width_levels(items, n_levels, at_least, cap):
-    """Reference level DP without the budget cut: every item fills every level."""
+def _full_width_levels(items, n_levels, cap):
+    """Reference exact-level DP, no budget cut: every item fills every level."""
     cur = np.full(n_levels + 1, math.inf)
     cur[0] = 0.0
     cand = np.empty_like(cur)
     take = np.empty((len(items), n_levels + 1), dtype=bool)
     for s, (_, lev, weight) in enumerate(items):
         np.add(cur[: n_levels + 1 - lev], weight, out=cand[lev:])
-        cand[:lev] = cur[0] + weight if at_least else math.inf
+        cand[:lev] = math.inf
         np.less(cand, cur, out=take[s])
         np.minimum(cur, cand, out=cur)
     return cur, take
+
+
+def _dense_anchor_choices(inst, budget, epsilon):
+    """Reference profit FPTAS choices, one anchor at a time on dense rows.
+
+    Per anchor: a full-width at-least level DP with a take matrix, the proxy
+    at every level within the budget, and a walk back from its first
+    maximum. Levels are capped at n_levels, and so is a quotient that
+    overflows or a grid that underflows to zero. Returns the chosen level
+    and team per anchor, and the number of levels over all anchors.
+    """
+    values = inst.reward.values
+    anchors = sorted({v for v in values if v > 0})
+    n = inst.n
+    delta = epsilon / n
+    n_levels = ceil_tol(n / delta)
+    cap = budget + PAY_TOL
+    levels, teams = [], []
+    for anchor in anchors:
+        grid = delta * anchor
+        items = [
+            (i, floor_tol(min(v / grid, n_levels)) if grid > 0 else n_levels,
+             inst.costs[i] / v)
+            for i, v in enumerate(values)
+            if v > 0
+        ]
+        cur = np.full(n_levels + 1, math.inf)
+        cur[0] = 0.0
+        take = np.empty((len(items), n_levels + 1), dtype=bool)
+        for s, (_, lev, weight) in enumerate(items):
+            cand = np.empty_like(cur)
+            cand[lev:] = cur[: n_levels + 1 - lev] + weight
+            cand[:lev] = cur[0] + weight
+            take[s] = cand < cur
+            np.minimum(cur, cand, out=cur)
+        pay = cur[: np.searchsorted(cur, cap, side="right")]
+        proxy = (1.0 - pay) * np.arange(len(pay)) * grid
+        k = int(np.argmax(proxy))
+        if proxy[k] <= 0.0:
+            k = 0
+        levels.append(k)
+        team = 0
+        for s in range(len(items) - 1, -1, -1):
+            if take[s][k]:
+                agent, lev, _ = items[s]
+                team |= 1 << agent
+                k = max(k - lev, 0)
+        teams.append(team)
+    return levels, teams, len(anchors) * (n_levels + 1)
+
+
+def _dense_profit_fptas(inst, budget, epsilon):
+    """Reference profit FPTAS: the best dense anchor choice by true profit."""
+    levels, teams, examined = _dense_anchor_choices(inst, budget, epsilon)
+    if not levels:
+        return SolveResult(0, profit(inst, 0), 0.0, 1)
+    team, value = _best_team([0, *teams], lambda t: profit(inst, t))
+    return SolveResult(team, value, payment(inst, team), examined)
+
+
+def _pareto_anchor_choices(inst, budget, epsilon):
+    values = inst.reward.values
+    anchors = sorted({v for v in values if v > 0})
+    grids, steps = solvers._rounded_steps(inst, values, epsilon, anchors, budget)
+    levels = solvers._proxy_levels(steps, grids)
+    return levels.tolist(), steps.teams(levels)
 
 
 def _non_dyadic_instance(rng, n):
@@ -293,23 +361,77 @@ def _non_dyadic_instance(rng, n):
     return Instance(n, tuple(costs), Additive(tuple(values)))
 
 
-def test_budget_cut_matches_full_width_dp(monkeypatch):
-    def solve_all(inst):
-        out = []
-        for budget in (0.05, 0.2, 0.5, 1.0):
-            for eps in (0.3, 0.1, 0.05):
-                out.append(fptas_additive_profit(inst, budget, eps))
-                for obj in (REWARD, WELFARE):
-                    out.append(knapsack_fptas(inst, budget, eps, obj))
-        return out
+def _with_free_agents(rng, inst):
+    """The instance with some costs set to zero (and one value, if n > 1)."""
+    costs, values = list(inst.costs), list(inst.reward.values)
+    for i in rng.sample(range(inst.n), (inst.n + 1) // 2):
+        costs[i] = 0.0
+    if inst.n > 1:
+        values[rng.randrange(inst.n)] = 0.0
+    return Instance(inst.n, tuple(costs), Additive(tuple(values)))
 
+
+def _subnormal_instance(rng, n):
+    # values a few dozen multiples of the smallest subnormal: the grid is
+    # subnormal too, so the proxy ties on neighbouring levels of one step
+    values = [5e-324 * rng.randint(20, 100) for _ in range(n)]
+    costs = [v * rng.choice((0.1, 0.3, 0.7)) for v in values]
+    return Instance(n, tuple(costs), Additive(tuple(values)))
+
+
+def _exactness_instances():
     instances = []
     for seed in range(4):
         rng = random.Random(700 + seed)
         n = rng.randint(5, 12)
         instances.append(random_additive_instance(rng, n))
         instances.append(_non_dyadic_instance(rng, n))
-    cut = [solve_all(inst) for inst in instances]
+        instances.append(_with_free_agents(rng, _non_dyadic_instance(rng, n)))
+        instances.append(_subnormal_instance(rng, rng.randint(2, 5)))
+    rng = random.Random(710)
+    for _ in range(2):
+        instances.append(random_additive_instance(rng, 1))
+        instances.append(_non_dyadic_instance(rng, 1))
+        instances.append(_with_free_agents(rng, _non_dyadic_instance(rng, 1)))
+    return instances
+
+
+def test_budget_cut_matches_full_width_dp(monkeypatch):
+    budgets, epsilons = (0.05, 0.2, 0.5, 1.0), (0.3, 0.1, 0.05)
+    instances = _exactness_instances()
+    for inst in instances:
+        for budget in budgets:
+            for eps in epsilons:
+                dense = _dense_anchor_choices(inst, budget, eps)
+                if dense[0]:
+                    assert _pareto_anchor_choices(inst, budget, eps) == dense[:2]
+                got = fptas_additive_profit(inst, budget, eps)
+                assert got == _dense_profit_fptas(inst, budget, eps)
+
+    def knapsacks():
+        return [
+            knapsack_fptas(inst, budget, eps, obj)
+            for inst in instances
+            for budget in budgets
+            for eps in epsilons
+            for obj in (REWARD, WELFARE)
+        ]
+
+    cut = knapsacks()
     monkeypatch.setattr(solvers, "_cheapest_per_level", _full_width_levels)
-    full = [solve_all(inst) for inst in instances]
-    assert cut == full
+    assert cut == knapsacks()
+
+
+def test_floor_levels_match_floor_tol():
+    top = 50
+    rng = random.Random(720)
+    xs = [rng.uniform(0, 60) for _ in range(500)]
+    offsets = (0.0, 0.5, -EPS, EPS, -2 * EPS, 2 * EPS)
+    xs += [k + d for k in range(top + 2) for d in offsets]
+    xs += [k + 0.5 for k in range(-1, top + 1)]
+    xs = [x for x in xs if x >= 0]
+    got = solvers._floor_levels(np.array(xs), top)
+    assert got.dtype == np.int64
+    assert got.tolist() == [min(floor_tol(x), top) for x in xs]
+    huge = solvers._floor_levels(np.array([math.inf, 1e300]), top)
+    assert huge.tolist() == [top, top]
