@@ -74,6 +74,22 @@ def _fmt(x) -> str:
     return str(x)
 
 
+#: Most agents or clauses a generated instance may hold: ``gen``'s random
+#: additive and XOS families (``--n``, ``--clauses``) and the ``profit-k``
+#: head count (``--k``, or the one ``--n`` and ``--b`` give) in ``gen`` and
+#: ``pof``. The largest instances the solvers here run at desk scale have
+#: 400 agents (the profit FPTAS); the bound stops a huge size before any
+#: list is built.
+_MAX_GEN_SIZE = 1_000
+
+
+def _gen_size(name: str, size: int) -> int:
+    """``size`` if a generator may build that many agents or clauses."""
+    if size > _MAX_GEN_SIZE:
+        raise InputError(f"{name} must be at most {_MAX_GEN_SIZE}, got {size}")
+    return size
+
+
 def _profit_two(args, b: float):
     eps = args.eps if args.eps is not None else min(0.01, (args.B - b) / 2)
     return gen_profit_lb_two(b, args.B, eps)
@@ -81,6 +97,7 @@ def _profit_two(args, b: float):
 
 def _profit_k(args, b: float):
     k = args.k if args.k is not None else best_head_count(b, args.B, args.n)
+    _gen_size("profit-k head count k", k)
     if k < 1:
         raise InputError("k must be a positive integer")
     eps = args.eps if args.eps is not None else min(0.01, (2 * args.B / k - b) / 2)
@@ -98,9 +115,13 @@ _POF_FAMILIES = {
 
 #: Seeded random families: name -> (args, rng) -> instance.
 _RANDOM_FAMILIES = {
-    "random-additive": lambda args, rng: random_additive_instance(rng, args.n),
+    "random-additive": lambda args, rng: random_additive_instance(
+        rng, _gen_size("--n", args.n)
+    ),
     "random-submodular": lambda args, rng: random_submodular_instance(rng, args.n),
-    "random-xos": lambda args, rng: random_xos_instance(rng, args.n, args.clauses),
+    "random-xos": lambda args, rng: random_xos_instance(
+        rng, _gen_size("--n", args.n), _gen_size("--clauses", args.clauses)
+    ),
 }
 
 

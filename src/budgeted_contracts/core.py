@@ -562,20 +562,44 @@ def classify(f: SetFunction) -> FunctionClasses:
     Submodularity is checked through the equivalent pairwise
     diminishing-returns condition f(T+i) - f(T) >= f(T+i+j) - f(T+j),
     which needs O(2^n n^2) comparisons instead of quantifying over all
-    nested set pairs. Additive functions are classified analytically at any
-    size; other representations raise above the cap.
+    nested set pairs. Subadditivity follows from the XOS form or from exact
+    submodularity where rounding provably cannot change the answer; other
+    tables go through a pair kernel. Additive functions are classified
+    analytically at any size; other representations raise above the cap.
     """
     if isinstance(f, Additive):
         return FunctionClasses(True, True, True)
     _class_gate(f.n)
     t, n = _value_array(f), f.n
+    # Each kernel runs exactly (slack 0) first: fl(y - EPS) <= y, so a table
+    # that passes exactly passes with EPS too, and the EPS pass runs only
+    # when the exact one fails.
+    monotone = _table_is_monotone(t, n, 0.0)
+    submodular = _table_is_submodular(t, n, 0.0)
     # On an exactly monotone table f(B - A) <= f(B) and float addition rounds
     # monotonically, so a pair (A, B) fails only if the disjoint pair
     # (A, B - A) does: the disjoint kernel is exact. Others need all 4^n pairs.
-    exact = _table_is_monotone(t, n, 0.0)
-    subadditive = _table_is_subadditive if exact else _all_pairs_subadditive
+    # Neither runs where the class hierarchy (submodular and XOS functions
+    # are subadditive) decides the answer and, with every value in [0, 2]
+    # and n <= 16, rounding cannot move it by EPS (u = 2^-53, V = 2 the
+    # largest value). A clause sum of non-negative terms is within 2n u V of
+    # its exact value, so f(A | B) - f(A) - f(B) is within 6n u V < 3e-14 of
+    # an exactly XOS function's, which is at most 0. On an exactly
+    # submodular table f(A | B) - f(A) - f(B) + f(A & B) telescopes into at
+    # most 64 faces f(T+i) + f(T+j) - f(T+i+j) - f(T), each at least -4 u V
+    # (6e-14 in all), and f(A & B) >= 0 covers overlapping pairs as well as
+    # disjoint ones.
+    hierarchy = isinstance(f, XosClauses) or submodular
+    if hierarchy and 0.0 <= t.min() and t.max() <= 2.0:
+        subadditive = True
+    elif monotone:
+        subadditive = _table_is_subadditive(t, n)
+    else:
+        subadditive = _all_pairs_subadditive(t, n)
     return FunctionClasses(
-        _table_is_monotone(t, n, EPS), _table_is_submodular(t, n), subadditive(t, n)
+        monotone or _table_is_monotone(t, n, EPS),
+        submodular or _table_is_submodular(t, n, EPS),
+        subadditive,
     )
 
 
@@ -612,14 +636,14 @@ def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:
     return True
 
 
-def _table_is_submodular(t: np.ndarray, n: int) -> bool:
-    """t[A+i] + t[A+j] >= t[A+i+j] + t[A] - EPS for every A and i < j not in A."""
+def _table_is_submodular(t: np.ndarray, n: int, slack: float = EPS) -> bool:
+    """t[A+i] + t[A+j] >= t[A+i+j] + t[A] - slack for every A and i < j not in A."""
     for i in range(n):
         for j in range(i + 1, n):
             # axis 1 splits teams by agent j, axis 3 by agent i
             q = t.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
             with_i, with_j = q[:, 0, :, 1], q[:, 1, :, 0]
-            if not np.all(with_i + with_j >= q[:, 1, :, 1] + q[:, 0, :, 0] - EPS):
+            if not np.all(with_i + with_j >= q[:, 1, :, 1] + q[:, 0, :, 0] - slack):
                 return False
     return True
 

@@ -192,6 +192,8 @@ def manifest_path(out_path: str) -> str:
 
 
 def write_manifest(manifest: RunManifest, out_path: str) -> None:
+    """Write the manifest as sorted, indented JSON. The dict holds the
+    fields themselves, not deep copies; one ``json.dumps`` makes the text."""
+    body = {f.name: getattr(manifest, f.name) for f in dataclasses.fields(manifest)}
     with open(manifest_path(out_path), "w", encoding="utf-8") as fh:
-        json.dump(dataclasses.asdict(manifest), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")

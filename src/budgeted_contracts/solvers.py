@@ -247,22 +247,30 @@ def _rounded_steps(
     anchors: Sequence[float],
     budget: float,
 ) -> tuple[np.ndarray, _LevelSteps]:
-    """Grid per anchor and the Pareto steps of its rounded-reward table.
+    """Lifted grid per anchor and the Pareto steps of its rounded-reward table.
 
     An agent with value 0 never lowers a level's payment, nor does one whose
     weight c_i / f({i}) alone exceeds the budget: neither is an item.
+
+    An anchor's grid and the values divided by it are lifted by the power
+    of two that puts the anchor in [0.5, 1]: the grid of a tiny anchor then
+    does not underflow, and wherever it did not underflow before, every
+    quotient value / grid is unchanged. A lifted value that overflows, like
+    a quotient that does, is level top.
     """
     n = inst.n
     delta = epsilon / n
     n_levels = ceil_tol(n / delta)
-    grids = delta * np.asarray(anchors, dtype=np.float64)
+    anchors = np.asarray(anchors, dtype=np.float64)
+    shifts = np.maximum(-np.frexp(anchors)[1], 0)
+    grids = delta * np.ldexp(anchors, shifts)
     cap = budget + PAY_TOL
     agents = [i for i, v in enumerate(values) if v > 0 and inst.costs[i] / v <= cap]
     weights = np.array([inst.costs[i] / values[i] for i in agents], dtype=np.float64)
     item_values = np.array([values[i] for i in agents], dtype=np.float64)
-    # a grid that underflows to 0, or a quotient that overflows, is level top
     with np.errstate(divide="ignore", over="ignore"):
-        lev = _floor_levels(item_values / grids[:, None], n_levels)
+        lifted = np.ldexp(item_values, shifts[:, None])
+        lev = _floor_levels(lifted / grids[:, None], n_levels)
     steps = _LevelSteps.fill(
         n, n_levels, lev, np.array(agents, dtype=np.intp), weights, cap
     )
@@ -275,11 +283,13 @@ class RoundedTable:
 
     Level k holds the minimum of sum_i c_i / f({i}) over teams whose rounded
     reward reaches k * grid, where grid = (epsilon / n) * anchor; rounded
-    rewards are exact multiples of grid, so levels are exact integers.
-    ``payments`` is the read-only float64 row of these minima; a level that
-    no team within the budget reaches carries an infinite payment, so the
-    finite levels are a prefix. Teams are reconstructed on demand from the
-    Pareto steps the row was expanded from.
+    rewards are exact multiples of grid, so levels are exact integers. They
+    are counted on the grid lifted by a power of two, so an anchor whose
+    grid underflows still has them. ``payments`` is the read-only float64
+    row of these minima; a level that no team within the budget reaches
+    carries an infinite payment, so the finite levels are a prefix. Teams
+    are reconstructed on demand from the Pareto steps the row was expanded
+    from.
     """
 
     grid: float
@@ -309,11 +319,11 @@ def build_rounded_table(
     check_budget(budget)
     if not 0 < anchor < math.inf:  # NaN fails every comparison
         raise InputError(f"anchor must be positive and finite, got {anchor!r}")
-    grids, steps = _rounded_steps(inst, values, epsilon, [anchor], budget)
+    _, steps = _rounded_steps(inst, values, epsilon, [anchor], budget)
     levels = np.arange(steps.n_levels + 1)
     payments = steps.row(len(steps.weights), np.zeros_like(levels), levels)
     payments.flags.writeable = False
-    return RoundedTable(float(grids[0]), steps.n_levels, payments, steps)
+    return RoundedTable(epsilon / inst.n * anchor, steps.n_levels, payments, steps)
 
 
 def _proxy_levels(steps: _LevelSteps, grids: np.ndarray) -> np.ndarray:
@@ -321,10 +331,10 @@ def _proxy_levels(steps: _LevelSteps, grids: np.ndarray) -> np.ndarray:
 
     The proxy (1 - payment) * level * grid is that of the dense row, whose
     first maximum wins; level 0 stands unless some proxy is positive. On a
-    step, where the payment is constant, the proxy does not fall as the
-    level rises, so it peaks at the step's top, and the first top holding
-    the maximum holds the first maximum unless the proxy also ties below
-    the top on that step (a subnormal grid); those steps are scanned.
+    step, where the payment is constant, a positive proxy rises strictly
+    with the level, so the first maximum is the first step top holding it:
+    the lifted grid is at least epsilon / 2n, a positive 1 - payment is at
+    least 2^-54, and two levels below 2^50 then never round to one proxy.
     """
     key, pay = steps.stages[-1]
     anchor, level = np.divmod(key, steps.n_levels + 1)
@@ -333,14 +343,7 @@ def _proxy_levels(steps: _LevelSteps, grids: np.ndarray) -> np.ndarray:
     best = np.maximum.reduceat(proxy, starts)
     (hits,) = (proxy == best[anchor]).nonzero()
     first = hits[np.searchsorted(anchor[hits], np.arange(len(grids)))]
-    top = level[first]
-    bottom = np.where(np.isin(first, starts), 0, level[first - 1] + 1)
-    below = (1.0 - pay[first]) * (top - 1) * grids
-    tied = (best > 0.0) & (top > bottom) & (below == best)
-    for a in tied.nonzero()[0]:
-        ks = np.arange(bottom[a], top[a] + 1)
-        top[a] = ks[np.argmax((1.0 - pay[first[a]]) * ks * grids[a] == best[a])]
-    return np.where(best > 0.0, top, 0)
+    return np.where(best > 0.0, level[first], 0)
 
 
 def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> SolveResult:

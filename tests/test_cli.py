@@ -1,6 +1,7 @@
 import ast
 import copy
 import csv
+import dataclasses
 import importlib
 import inspect
 import io
@@ -19,11 +20,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import budgeted_contracts
-from budgeted_contracts import Additive, Instance, brute_force_max, cli, gen_xos_separation
+from budgeted_contracts import (
+    Additive,
+    Instance,
+    InputError,
+    brute_force_max,
+    cli,
+    gen_xos_separation,
+)
 from budgeted_contracts.cli import main
 from budgeted_contracts.objectives import OBJECTIVES, PROFIT
 from budgeted_contracts.reductions import SOLVERS
-from budgeted_contracts.serialize import instance_to_dict, load_instance, save_instance
+from budgeted_contracts.serialize import (
+    RunManifest,
+    instance_to_dict,
+    load_instance,
+    save_instance,
+    write_manifest,
+)
 
 
 def run_cli(*args):
@@ -70,8 +84,9 @@ def test_solve_fptas(tmp_path, capsys):
 @pytest.mark.parametrize("objective", list(OBJECTIVES))
 @pytest.mark.parametrize("values", [(5e-324,), (5e-324, 0.5), (1e-310,), (1e-310, 0.5)])
 def test_solve_fptas_on_tiny_values(tmp_path, capsys, values, objective):
-    # a grid set by a subnormal value underflows, and a quotient by it
-    # overflows; both once ended in a traceback
+    # a grid set by a subnormal value underflowed, and a quotient by it
+    # overflowed: both once ended in a traceback, and the profit FPTAS then
+    # returned the empty team; every grid is now lifted above underflow
     inst = Instance(len(values), (0.0,) * len(values), Additive(values))
     path = tmp_path / "tiny.json"
     save_instance(inst, str(path))
@@ -82,7 +97,7 @@ def test_solve_fptas_on_tiny_values(tmp_path, capsys, values, objective):
     got = json.loads(out)
     assert got["payment"] == 0.0
     opt = brute_force_max(OBJECTIVES[objective], inst, 0.5).value
-    assert 0.0 <= got["value"] <= opt
+    assert (1 - 0.1) * opt <= got["value"] <= opt
 
 
 def test_downsize_command(separation_file, capsys):
@@ -127,6 +142,22 @@ def test_pof_family_sweep_tight(tmp_path):
     assert manifest["tool_version"]
     assert manifest["command"][0] == "pof"
     assert "wall_time_s" in manifest
+
+
+@pytest.mark.parametrize("manifest", [
+    RunManifest(["pof", "--b", "0.4"], {}, "1.0", None, 0.012),
+    RunManifest(["gen", "--seed", "7"], {}, "1.0", 7, 1e-05),
+    RunManifest(["check", "--instance", "b.json", "--out", "ünï.json"],
+                {"b.json": "ab" * 32, "a.json": "cd" * 32}, "0.1.0", None, 3.25),
+])
+def test_manifest_bytes_match_deep_copy_form(tmp_path, manifest):
+    out = tmp_path / "out.json"
+    write_manifest(manifest, str(out))
+    legacy = io.StringIO()  # the form with dataclasses.asdict and json.dump
+    json.dump(dataclasses.asdict(manifest), legacy, indent=2, sort_keys=True)
+    legacy.write("\n")
+    path = tmp_path / "out.json.manifest.json"
+    assert path.read_bytes() == legacy.getvalue().encode("utf-8")
 
 
 def test_pof_reproducible_and_verified(tmp_path):
@@ -175,9 +206,10 @@ def test_exit_codes(tmp_path, capsys):
                    "--objective", "reward") == 2
 
 
-def _one_input_error(capsys) -> None:
+def _one_input_error(capsys) -> str:
     err = capsys.readouterr().err
     assert err.startswith("error: input: ") and err.count("\n") == 1, err
+    return err
 
 
 @pytest.fixture
@@ -354,6 +386,32 @@ def test_grid_longer_than_the_cap_is_rejected(capsys, grid):
 def test_generator_flags_out_of_range_are_input_errors(argv, capsys):
     assert main(argv) == 2
     _one_input_error(capsys)
+
+
+_OVER = cli._MAX_GEN_SIZE + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "random-additive", "--n", _OVER],
+    ["gen", "--family", "random-xos", "--n", _OVER],
+    ["gen", "--family", "random-xos", "--clauses", _OVER],
+    ["gen", "--family", "profit-k", "--b", 0.001, "--k", _OVER],
+    ["gen", "--family", "profit-k", "--b", 0.0001, "--n", 5000],
+    ["pof", "--family", "profit-k", "--b", 0.001, "--k", _OVER],
+])
+def test_generator_sizes_are_bounded(argv, capsys):
+    assert run_cli(*argv) == 2
+    err = _one_input_error(capsys)
+    assert f"at most {cli._MAX_GEN_SIZE}" in err, err
+
+
+@pytest.mark.parametrize("size", [_OVER, 10**9, 10**100])
+def test_generator_size_validator_rejects_huge_sizes(size):
+    # the validator alone: a generator given such a size would allocate it
+    assert cli._gen_size("--n", cli._MAX_GEN_SIZE) == cli._MAX_GEN_SIZE
+    message = f"--n must be at most {cli._MAX_GEN_SIZE}, got {size}$"
+    with pytest.raises(InputError, match=message):
+        cli._gen_size("--n", size)
 
 
 def test_table_backed_random_family_is_capped(capsys):

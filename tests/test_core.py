@@ -443,14 +443,14 @@ def _monotone_reference(t, n, slack):
     return all(np.all(t[masks | (1 << i)] >= t - slack) for i in range(n))
 
 
-def _submodular_reference(t, n):
+def _submodular_reference(t, n, slack=EPS):
     masks = np.arange(1 << n)
     for i in range(n):
         for j in range(i + 1, n):
             bi, bj = 1 << i, 1 << j
             base = masks[(masks & (bi | bj)) == 0]
             if not np.all(
-                t[base | bi] + t[base | bj] >= t[base | bi | bj] + t[base] - EPS
+                t[base | bi] + t[base | bj] >= t[base | bi | bj] + t[base] - slack
             ):
                 return False
     return True
@@ -458,7 +458,9 @@ def _submodular_reference(t, n):
 
 def test_class_kernels_match_gather_references():
     # the tie tables put the terms of both checks EPS apart, either way
-    outcomes = {"monotone": set(), "exact": set(), "submodular": set()}
+    outcomes = {
+        "monotone": set(), "exact": set(), "submodular": set(), "exact-sub": set()
+    }
     for n in range(1, 11):
         for seed in range(2):
             for kind, t in _seeded_tables(n, 10 * n + seed):
@@ -469,7 +471,98 @@ def test_class_kernels_match_gather_references():
                 want = _submodular_reference(t, n)
                 assert core._table_is_submodular(t, n) == want, (kind, n, seed)
                 outcomes["submodular"].add(want)
+                want = _submodular_reference(t, n, 0.0)
+                assert core._table_is_submodular(t, n, 0.0) == want, (kind, n, seed)
+                outcomes["exact-sub"].add(want)
     assert all(seen == {True, False} for seen in outcomes.values())
+
+
+# ---------------------------------------------------------------------------
+# classify against the pair kernels it skips where the class hierarchy decides
+
+
+def _classify_reference(f):
+    """``classify`` with a pair kernel on every table, as before the
+    hierarchy shortcut: disjoint pairs on exactly monotone tables, else all
+    pairs."""
+    t, n = core._value_array(f), f.n
+    exact = _monotone_reference(t, n, 0.0)
+    pairs = core._table_is_subadditive if exact else _all_pairs_reference
+    return core.FunctionClasses(
+        _monotone_reference(t, n, EPS), _submodular_reference(t, n), pairs(t, n)
+    )
+
+
+def _classify_cases(n, seed):
+    """The finite seeded tables, shifted below 0, scaled past 2, and made
+    non-monotone; XOS rewards with dyadic, off-grid and huge clause values."""
+    rng = random.Random(seed)
+    size = np.array([m.bit_count() for m in range(1 << n)])
+    for kind, t in _seeded_tables(n, seed):
+        if np.all(np.isfinite(t)):
+            yield kind, Table(t)
+            yield kind + "-below", Table(t - 0.25)
+            yield kind + "-x3", Table(3 * t)
+    cut = size * (n - size) / (n * n)  # submodular, not monotone, within [0, 2]
+    yield "cut", Table(cut)
+    yield "cut-x9", Table(9 * cut)
+    coverage = np.asarray(random_submodular_instance(rng, n).reward.values)
+    minus = core._subset_sums([rng.random() / n for _ in range(n)], n)
+    yield "coverage-minus-modular", Table(coverage - minus + 1.0)
+    xos = random_xos_instance(rng, n, rng.randrange(1, 4)).reward
+    off_grid = XosClauses(
+        tuple(tuple(rng.random() / n for _ in range(n)) for _ in range(3))
+    )
+    yield "xos", xos
+    yield "xos-off-grid", off_grid
+    for kind, g, scale in (("xos-x1e6", xos, 1e6), ("xos-off-grid-x3", off_grid, 3)):
+        yield kind, XosClauses(tuple(tuple(scale * v for v in r) for r in g.clauses))
+
+
+def test_classify_matches_pair_kernel_reference():
+    outcomes = set()
+    for n in (*range(1, 11), 12):
+        for seed in range(2 if n <= 10 else 1):
+            for kind, f in _classify_cases(n, 1000 * n + seed):
+                got = classify(f)
+                assert got == _classify_reference(f), (kind, n, seed)
+                outcomes.add(got)
+    assert {got.is_subadditive for got in outcomes} == {True, False}
+    assert {got.is_submodular for got in outcomes} == {True, False}
+
+
+def _count_pair_kernels(monkeypatch):
+    calls = []
+    for name in ("_table_is_subadditive", "_all_pairs_subadditive"):
+        kernel = getattr(core, name)
+        monkeypatch.setattr(
+            core, name, lambda t, n, k=kernel, name=name: calls.append(name) or k(t, n)
+        )
+    return calls
+
+
+def test_classify_skips_pair_kernels_within_the_hierarchy(monkeypatch):
+    calls = _count_pair_kernels(monkeypatch)
+    rng = random.Random(5)
+    for n in (3, 8, 12):
+        coverage = np.asarray(random_submodular_instance(rng, n).reward.values)
+        xos = random_xos_instance(rng, n, 3).reward
+        for f in (Table(coverage), xos):
+            assert classify(f).is_subadditive
+        assert calls == []
+        # scaled so that the largest value is 3: a pair kernel decides
+        scale = 3 / coverage.max()
+        assert classify(Table(scale * coverage)).is_subadditive
+        assert calls == ["_table_is_subadditive"]
+        scale = 3 / max(sum(row) for row in xos.clauses)
+        rows = tuple(tuple(scale * v for v in row) for row in xos.clauses)
+        assert classify(XosClauses(rows)).is_subadditive
+        assert calls == ["_table_is_subadditive"] * 2
+        calls.clear()
+    # subadditive but not submodular, as a table: a pair kernel decides
+    got = classify(gen_subadditive_lb(4, 0.9, 1.0).reward)
+    assert got.is_subadditive and not got.is_submodular
+    assert calls == ["_table_is_subadditive"]
 
 
 # ---------------------------------------------------------------------------

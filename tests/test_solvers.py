@@ -187,6 +187,28 @@ def test_fptas_preconditions(uniform4):
             fptas_additive_profit(inst, budget, eps)
 
 
+def test_fptas_ratio_on_tiny_values():
+    # the anchors' grids would underflow without the lift; profits of
+    # subnormal values round to multiples of the smallest one, 5e-324
+    rng = random.Random(606)
+    instances = [_subnormal_instance(rng, rng.randint(1, 5)) for _ in range(6)]
+    instances += [
+        Instance(1, (0.0,), Additive((5e-324,))),
+        Instance(2, (5e-324, 0.0), Additive((1e-323, 1.5e-323))),
+        Instance(2, (0.0, 0.0), Additive((5e-324, 1e-310))),
+        Instance(3, (0.0, 1e-320, 0.0), Additive((5e-324, 2e-320, 2.0**-1060))),
+    ]
+    optima = []
+    for inst in instances:
+        for budget in (0.2, 1.0):
+            opt = brute_force_max(PROFIT, inst, budget).value
+            optima.append(opt)
+            for eps in (0.3, 0.1):
+                res = fptas_additive_profit(inst, budget, eps)
+                assert (1 - eps) * opt - 5e-324 <= res.value <= opt
+    assert min(optima) == 0.0 < max(optima) < 1e-300
+
+
 def _fptas_peak_bytes(n, epsilon):
     inst = random_additive_instance(random.Random(n), n)
     tracemalloc.start()
@@ -292,9 +314,11 @@ def _dense_anchor_choices(inst, budget, epsilon):
 
     Per anchor: a full-width at-least level DP with a take matrix, the proxy
     at every level within the budget, and a walk back from its first
-    maximum. Levels are capped at n_levels, and so is a quotient that
-    overflows or a grid that underflows to zero. Returns the chosen level
-    and team per anchor, and the number of levels over all anchors.
+    maximum. The anchor, its grid and the values are lifted by the power of
+    two that puts the anchor in [0.5, 1]. Levels are capped at n_levels,
+    and so is a lifted value or a quotient that overflows. Returns the
+    chosen level and team per anchor, and the number of levels over all
+    anchors.
     """
     values = inst.reward.values
     anchors = sorted({v for v in values if v > 0})
@@ -304,10 +328,10 @@ def _dense_anchor_choices(inst, budget, epsilon):
     cap = budget + PAY_TOL
     levels, teams = [], []
     for anchor in anchors:
-        grid = delta * anchor
+        shift = max(-math.frexp(anchor)[1], 0)
+        grid = delta * math.ldexp(anchor, shift)
         items = [
-            (i, floor_tol(min(v / grid, n_levels)) if grid > 0 else n_levels,
-             inst.costs[i] / v)
+            (i, _lifted_level(v, shift, grid, n_levels), inst.costs[i] / v)
             for i, v in enumerate(values)
             if v > 0
         ]
@@ -334,6 +358,13 @@ def _dense_anchor_choices(inst, budget, epsilon):
                 k = max(k - lev, 0)
         teams.append(team)
     return levels, teams, len(anchors) * (n_levels + 1)
+
+
+def _lifted_level(v, shift, grid, top):
+    try:
+        return floor_tol(min(math.ldexp(v, shift) / grid, top))
+    except OverflowError:  # the lifted value
+        return top
 
 
 def _dense_profit_fptas(inst, budget, epsilon):
@@ -372,8 +403,9 @@ def _with_free_agents(rng, inst):
 
 
 def _subnormal_instance(rng, n):
-    # values a few dozen multiples of the smallest subnormal: the grid is
-    # subnormal too, so the proxy ties on neighbouring levels of one step
+    # values a few dozen multiples of the smallest subnormal: without the
+    # lift the grid would be subnormal too, and the proxy would tie on
+    # neighbouring levels of one step
     values = [5e-324 * rng.randint(20, 100) for _ in range(n)]
     costs = [v * rng.choice((0.1, 0.3, 0.7)) for v in values]
     return Instance(n, tuple(costs), Additive(tuple(values)))
