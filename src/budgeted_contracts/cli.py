@@ -2,12 +2,14 @@
 
 Every run that writes an output file also writes a ``<out>.manifest.json``
 sidecar recording the command line, input-file hashes, tool version, seed,
-and wall time; data files themselves contain nothing nondeterministic, so
-rerunning a manifest's command reproduces the bytes. ``--verify`` recomputes
-the output in-process (and diffs against a pre-existing file) before
-writing. Exit codes: 0 success, 1 I/O failure, 2 precondition, input or
-usage error; errors print a single ``error: <kind>: <reason>`` line to
-stderr, an unknown, missing or malformed flag included (kind ``usage``).
+wall time, corpus version and the Python and numpy versions; data files
+themselves contain nothing nondeterministic, so rerunning a manifest's
+command reproduces the bytes. Both go through ``serialize.write_text``,
+which rewrites an existing file in place. ``--verify`` recomputes the
+output in-process (and diffs against a pre-existing file) before writing.
+Exit codes: 0 success, 1 I/O failure, 2 precondition, input or usage error;
+errors print a single ``error: <kind>: <reason>`` line to stderr, an
+unknown, missing or malformed flag included (kind ``usage``).
 ``--help`` prints its text to stdout and returns 0 from ``main``.
 """
 
@@ -62,6 +64,7 @@ from .serialize import (
     parse_objective_at_budget,
     team_to_list,
     write_manifest,
+    write_text,
 )
 from .solvers import brute_force_max, fptas_additive_profit, knapsack_fptas
 
@@ -447,8 +450,7 @@ def main(argv: list[str] | None = None) -> int:
             if path is None:
                 sys.stdout.write(body)
                 continue
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(body)
+            write_text(path, body)
             manifest = RunManifest(
                 command=argv,
                 instance_hashes=hashes,

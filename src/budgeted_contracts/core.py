@@ -31,6 +31,13 @@ ENUM_CAP = 20
 #: Cap on n for exhaustive function-class verification.
 CLASSIFY_CAP = 16
 
+#: Cap on the level count n^2 / epsilon of an FPTAS's rounded DP. The
+#: knapsack's dense row then holds at most 128 MiB, and the profit DP's keys
+#: anchor * (levels + 1) + level stay below 2^37 (anchors <= n < 2^12). The
+#: golden cases and the benchmark workloads reach 80,000 levels (n = 40,
+#: epsilon = 0.02); n = 400 fits down to epsilon = 0.01.
+LEVEL_CAP = 2**24
+
 
 class ContractsError(Exception):
     """Base class for all library errors."""
@@ -253,6 +260,20 @@ def _enum_gate(n: int) -> None:
         raise SizeCapError(f"exhaustive tables capped at n <= {ENUM_CAP}")
 
 
+def _level_gate(n: int, epsilon: float) -> None:
+    """The one LEVEL_CAP gate: raise before an FPTAS builds its level DP.
+
+    Both FPTAS round values on a grid of epsilon / n times the largest, so a
+    row holds up to about n^2 / epsilon levels; an epsilon so small that the
+    count overflows to infinity fails the test as well.
+    """
+    if n * n / epsilon > LEVEL_CAP:
+        raise SizeCapError(
+            f"FPTAS level count n^2 / epsilon capped at {LEVEL_CAP}, "
+            f"got n = {n}, epsilon = {epsilon!r}"
+        )
+
+
 def _value_array(f: SetFunction) -> np.ndarray:
     """f over every team mask, bit for bit as the oracle; a table's own
     read-only array, not a copy."""
@@ -348,6 +369,11 @@ class Instance:
     @functools.cached_property
     def _team_table(self) -> tuple[np.ndarray, np.ndarray]:
         return _tabulate(self)
+
+    @functools.cached_property
+    def _singleton_payments(self) -> tuple[float, ...]:
+        f = self.reward
+        return tuple(_pay_term(c, f.value(1 << i)) for i, c in enumerate(self.costs))
 
 
 def _value_range(f: SetFunction) -> tuple[float, float]:
@@ -463,10 +489,15 @@ def _best(
 
 
 def singleton_payment(inst: Instance, agent: int) -> float:
-    """Payment needed to incentivize agent i alone: c_i / f({i})."""
+    """Payment needed to incentivize agent i alone: c_i / f({i}).
+
+    Every agent's figure is taken on the first call and kept on the
+    instance, which is immutable, so the light-agent scan and the reduction
+    pools ask the oracle n times per instance in all.
+    """
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
-    return _pay_term(inst.costs[agent], inst.reward.value(1 << agent))
+    return inst._singleton_payments[agent]
 
 
 def profit(inst: Instance, team: int) -> float:
@@ -540,7 +571,7 @@ def contract_profit(inst: Instance, contract: Contract, team: int) -> float:
 def light_agents(inst: Instance) -> int:
     """Mask of agents incentivizable alone for at most half the reward."""
     return mask_of(
-        i for i in range(inst.n) if singleton_payment(inst, i) <= 0.5 + EPS
+        i for i, pay in enumerate(inst._singleton_payments) if pay <= 0.5 + EPS
     )
 
 

@@ -18,12 +18,16 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
+import platform
+import stat
 from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from .core import Additive, Instance, InputError, SetFunction, Table, XosClauses, bits
+from .corpora import CORPUS_VERSION
 from .objectives import OBJECTIVES, Objective
 
 
@@ -127,9 +131,32 @@ def load_instance(path: str) -> Instance:
 
 
 def save_instance(inst: Instance, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance_to_dict(inst), fh, indent=2)
-        fh.write("\n")
+    write_text(path, json.dumps(instance_to_dict(inst), indent=2) + "\n")
+
+
+def write_text(path: str, body: str) -> None:
+    """Write ``body`` to ``path`` as UTF-8: the one way this package writes a file.
+
+    An existing file is rewritten in place and then cut to the written
+    length, not truncated to empty first: on ext4 (``auto_da_alloc``, the
+    default) closing a file truncated from non-empty to empty starts a
+    writeback, which costs several times the write itself. The flags, file
+    mode, umask and symlink behaviour are those of ``open(path, "w")``. Only a
+    regular file is cut: a FIFO, a terminal or ``/dev/null`` takes the body
+    as it would from ``open(path, "w")``. The rewrite is not atomic: a
+    writer killed mid-write may leave the old file's tail after the new
+    bytes.
+    """
+    with open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated) as fh:
+        fh.write(body)
+        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            fh.truncate()
+
+
+def _open_untruncated(path: str, flags: int) -> int:
+    """``open``'s own flags for mode ``"w"`` and its default file mode,
+    less ``O_TRUNC``."""
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def objective_from_name(name: str) -> Objective:
@@ -170,13 +197,20 @@ def jsonable(obj: Any) -> Any:
 
 @dataclass(frozen=True)
 class RunManifest:
-    """Reproducibility sidecar attached to every CLI output file."""
+    """Reproducibility sidecar attached to every CLI output file.
+
+    The corpus recipe version and the Python and numpy versions default to
+    those of the running process.
+    """
 
     command: list[str]
     instance_hashes: dict[str, str]
     tool_version: str
     seed: int | None
     wall_time_s: float
+    corpus_version: int = CORPUS_VERSION
+    python: str = platform.python_version()
+    numpy: str = np.__version__
 
 
 def file_sha256(path: str) -> str:
@@ -195,5 +229,4 @@ def write_manifest(manifest: RunManifest, out_path: str) -> None:
     """Write the manifest as sorted, indented JSON. The dict holds the
     fields themselves, not deep copies; one ``json.dumps`` makes the text."""
     body = {f.name: getattr(manifest, f.name) for f in dataclasses.fields(manifest)}
-    with open(manifest_path(out_path), "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(body, indent=2, sort_keys=True) + "\n")
+    write_text(manifest_path(out_path), json.dumps(body, indent=2, sort_keys=True) + "\n")

@@ -37,6 +37,7 @@ from .core import (
     PreconditionError,
     _best,
     _best_team,
+    _level_gate,
     ceil_tol,
     check_budget,
     check_epsilon,
@@ -259,6 +260,7 @@ def _rounded_steps(
     a quotient that does, is level top.
     """
     n = inst.n
+    _level_gate(n, epsilon)
     delta = epsilon / n
     n_levels = ceil_tol(n / delta)
     anchors = np.asarray(anchors, dtype=np.float64)
@@ -383,6 +385,7 @@ def knapsack_fptas(
         raise PreconditionError("knapsack reduction applies to reward or welfare only")
     check_budget(budget)
     check_epsilon(epsilon)
+    _level_gate(inst.n, epsilon)
 
     items = []
     for i, v in enumerate(values):

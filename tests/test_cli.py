@@ -7,9 +7,13 @@ import inspect
 import io
 import json
 import math
+import os
 import pkgutil
+import platform
+import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -29,6 +33,7 @@ from budgeted_contracts import (
     gen_xos_separation,
 )
 from budgeted_contracts.cli import main
+from budgeted_contracts.corpora import CORPUS_VERSION
 from budgeted_contracts.objectives import OBJECTIVES, PROFIT
 from budgeted_contracts.reductions import SOLVERS
 from budgeted_contracts.serialize import (
@@ -37,6 +42,7 @@ from budgeted_contracts.serialize import (
     load_instance,
     save_instance,
     write_manifest,
+    write_text,
 )
 
 
@@ -79,6 +85,22 @@ def test_solve_fptas(tmp_path, capsys):
     got = json.loads(capsys.readouterr().out)
     assert got["value"] >= 0.54
     assert got["method"] == "fptas"
+
+
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
+@pytest.mark.parametrize("epsilon", ["5e-324", "1e-320", "1e-300", "1e-100", "1e-8"])
+def test_solve_fptas_rejects_epsilon_below_the_level_gate(
+    tmp_path, capsys, epsilon, objective
+):
+    # 1e-320 once ended in an OverflowError from ceil_tol, and 1e-300 in one
+    # from the profit DP's int64 keys
+    path = tmp_path / "one.json"
+    save_instance(Instance(1, (0.1,), Additive((0.5,))), str(path))
+    assert run_cli("solve", "--instance", path, "--objective", objective,
+                   "--budget", 0.5, "--method", "fptas", "--epsilon", epsilon) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: sizecap: ") and err.count("\n") == 1, err
 
 
 @pytest.mark.parametrize("objective", list(OBJECTIVES))
@@ -464,7 +486,7 @@ def test_only_core_reads_the_size_caps():
         names = {getattr(node, "id", None) for node in ast.walk(tree)}
         names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
         names |= {getattr(node, "name", None) for node in ast.walk(tree)}
-        assert not {"ENUM_CAP", "CLASSIFY_CAP"} & names, path.name
+        assert not {"ENUM_CAP", "CLASSIFY_CAP", "LEVEL_CAP"} & names, path.name
 
 
 def test_the_tie_rule_lives_in_core():
@@ -698,3 +720,138 @@ def test_console_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     data = json.loads(out.read_text())
     assert data["n"] == 4 and data["reward"]["type"] == "table"
+
+
+# ---------------------------------------------------------------------------
+# serialize.write_text: the one write path, rewriting files in place
+# ---------------------------------------------------------------------------
+
+
+def test_write_text_leaves_no_stale_tail(tmp_path):
+    path = tmp_path / "out.json"
+    path.write_bytes(b"x" * 5000)
+    write_text(str(path), "ünï\n")
+    assert path.read_bytes() == "ünï\n".encode("utf-8")
+    write_text(str(path), "a\r\nb")  # no newline translation
+    assert path.read_bytes() == b"a\r\nb"
+
+
+def test_write_text_to_dev_null():
+    write_text(os.devnull, "body\n")
+
+
+def test_new_file_mode_is_that_of_open_w(tmp_path):
+    old = os.umask(0o027)
+    try:
+        write_text(str(tmp_path / "new"), "x")
+        with open(tmp_path / "reference", "w"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new").stat().st_mode)
+    assert mode == stat.S_IMODE((tmp_path / "reference").stat().st_mode) == 0o640
+
+
+def test_out_through_a_symlink_keeps_the_link(tmp_path, two_agent_file):
+    target = tmp_path / "target.json"
+    target.write_text("old contents, longer than the new ones " * 50)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run_cli("check", "--instance", two_agent_file, "--out", link) == 0
+    assert link.is_symlink()
+    body = json.loads(target.read_text())
+    assert body["n"] == 2
+    assert (tmp_path / "link.json.manifest.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_at_a_fifo_delivers_the_body(tmp_path, two_agent_file, capsys):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        assert run_cli("check", "--instance", two_agent_file, "--out", fifo) == 0
+    finally:
+        reader.join(timeout=30)
+    assert not reader.is_alive()
+    assert run_cli("check", "--instance", two_agent_file) == 0
+    assert got == [capsys.readouterr().out.encode("utf-8")]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+
+
+def test_directory_as_out_is_an_io_error(tmp_path, two_agent_file, capsys):
+    assert run_cli("check", "--instance", two_agent_file, "--out", tmp_path) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: io: ") and err.count("\n") == 1, err
+
+
+def test_verify_diffs_against_an_existing_file(tmp_path, two_agent_file, capsys):
+    out = tmp_path / "check.json"
+    out.write_text("stale\n")
+    argv = ["check", "--instance", two_agent_file, "--out", out, "--verify"]
+    assert run_cli(*argv) == 2
+    err = _one_input_error(capsys)
+    assert "verification failed" in err and "differs" in err
+    assert out.read_text() == "stale\n"
+    out.unlink()
+    assert run_cli(*argv) == 0
+    assert run_cli(*argv) == 0  # now against the file it wrote
+
+
+def _opens_for_writing(node: ast.Call) -> bool:
+    """Whether a call opens a file for writing: ``os.open``, a path's
+    ``write_text`` or ``write_bytes``, a temporary file, or ``open`` with a
+    writing or non-literal mode."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        name = func.attr
+        if name in {"write_text", "write_bytes"}:
+            return True
+        if name == "open" and getattr(func.value, "id", None) == "os":
+            return True
+    else:
+        name = getattr(func, "id", None)
+    if name in {"mkstemp", "NamedTemporaryFile"}:
+        return True
+    if name != "open":
+        return False
+    modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[1:2]
+    return any(
+        not (isinstance(m, ast.Constant) and isinstance(m.value, str))
+        or set(m.value) & set("wax+")
+        for m in modes
+    )
+
+
+@pytest.mark.parametrize("source, writes", [
+    ("open(p, 'w')", True), ("io.open(p, mode='a')", True), ("open(p, m)", True),
+    ("os.open(p, flags)", True), ("p.write_text(s)", True),
+    ("tempfile.mkstemp()", True), ("open(p)", False), ("open(p, 'rb')", False),
+    ("write_text(p, s)", False), ("fh.write(s)", False),
+])
+def test_write_detector(source, writes):
+    assert _opens_for_writing(ast.parse(source).body[0].value) == writes
+
+
+def test_only_serialize_opens_files_for_writing():
+    # every file the package writes goes through serialize.write_text
+    package = Path(budgeted_contracts.__file__).parent
+    writers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        if any(_opens_for_writing(call) for call in calls):
+            writers.add(path.name)
+    assert writers == {"serialize.py"}
+
+
+def test_manifest_records_corpus_and_library_versions(tmp_path, two_agent_file):
+    out = tmp_path / "check.json"
+    assert run_cli("check", "--instance", two_agent_file, "--out", out) == 0
+    manifest = json.loads((tmp_path / "check.json.manifest.json").read_text())
+    assert manifest["corpus_version"] == CORPUS_VERSION
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert manifest["command"][-1] == str(out)

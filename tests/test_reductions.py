@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from budgeted_contracts import (
@@ -16,7 +18,8 @@ from budgeted_contracts import (
     scale_instance,
     value,
 )
-from budgeted_contracts.corpora import submodular_corpus, xos_corpus
+from budgeted_contracts.core import XosClauses
+from budgeted_contracts.corpora import random_xos_instance, submodular_corpus, xos_corpus
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
 ALL3 = 0b111
@@ -170,9 +173,31 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # each pool member is scored once and the winner keeps its score: 9
-    # queries check the hub input (light agents, p(S)), 10 downsize it, 4 find
-    # the feasible singletons, 17 score the pool (the empty team, the piece
-    # {0, 1} and 4 singletons) and 3 pay for the winner
+    # queries check the hub input (light agents, p(S)), 10 downsize it, 17
+    # score the pool (the empty team, the piece {0, 1} and 4 singletons) and
+    # 3 pay for the winner; the feasible singletons are found from the
+    # singleton payments the light scan took, with no query of their own
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 43
+    assert len(table_queries) == 39
+
+
+def test_pipeline_scans_singletons_once(monkeypatch):
+    # 77 clause-oracle queries before the singleton payments were kept on the
+    # instance: the light scan ran in scale_instance and again in
+    # reduce_to_mrl (7 each), and the two pool filters took 5 light and 7
+    # singleton payments anew
+    calls = []
+    xos_value = XosClauses.value
+
+    def counting(self, team):
+        calls.append(team)
+        return xos_value(self, team)
+
+    inst = random_xos_instance(random.Random(3), 7, 3)
+    monkeypatch.setattr(XosClauses, "value", counting)
+    out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
+    assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
+    assert calls[:7] == [1 << i for i in range(7)]  # the one scan
+    assert len(calls) == 77 - 7 - 5 - 7 == 58
+    assert light_agents(inst) == 0b1001111 and len(calls) == 58

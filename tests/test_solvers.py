@@ -19,7 +19,15 @@ from budgeted_contracts import (
     value,
 )
 from budgeted_contracts import solvers
-from budgeted_contracts.core import EPS, _best_team, ceil_tol, floor_tol, profit
+from budgeted_contracts.core import (
+    EPS,
+    LEVEL_CAP,
+    _best_team,
+    _level_gate,
+    ceil_tol,
+    floor_tol,
+    profit,
+)
 from budgeted_contracts.corpora import (
     additive_corpus,
     random_additive_instance,
@@ -288,6 +296,45 @@ def test_knapsack_preconditions():
     for budget, eps in ((1.0, 1.0), (1.0, math.nan), (5.0, 0.1), (math.nan, 0.1)):
         with pytest.raises(InputError):
             knapsack_fptas(inst, budget, eps, REWARD)
+
+
+# ---------------------------------------------------------------------------
+# the level-count gate: an epsilon too small for the DP's size is rejected
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 40, 4095])
+def test_level_gate_boundary(n):
+    # the validator alone, at the largest accepted epsilon and the next below
+    edge = n * n / LEVEL_CAP
+    while n * n / edge > LEVEL_CAP:
+        edge = math.nextafter(edge, 1.0)
+    if edge < 1:
+        _level_gate(n, edge)
+    with pytest.raises(SizeCapError, match=f"capped at {LEVEL_CAP}"):
+        _level_gate(n, math.nextafter(edge, 0.0))
+    for eps in (5e-324, 1e-320, 1e-300):
+        with pytest.raises(SizeCapError):
+            _level_gate(n, eps)
+
+
+@pytest.mark.parametrize("solve", ["profit", "knapsack", "table"])
+@pytest.mark.parametrize("epsilon", [1e-300, 1e-320, 5e-324, 2.0**-25])
+def test_tiny_epsilon_is_rejected_before_any_allocation(solve, epsilon):
+    inst = Instance(1, (0.1,), Additive((0.5,)))
+    calls = {
+        "profit": lambda: fptas_additive_profit(inst, 0.5, epsilon),
+        "knapsack": lambda: knapsack_fptas(inst, 0.5, epsilon, REWARD),
+        "table": lambda: build_rounded_table(inst, epsilon, 0.5, 0.5),
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeCapError):
+            calls[solve]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
 
 
 # ---------------------------------------------------------------------------
