@@ -7,16 +7,22 @@ instance and the profit families, which is the plot-ready form of the
 budget-versus-value staircases.
 
 Usage: python scripts/pof_sweeps.py [--out-dir results] [--n 10]
+
+Every sweep recomputes its table with ``--verify``, which also diffs it
+against the existing table when that table's manifest records the same
+arguments; a rerun with other arguments (another --n) rewrites it instead.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from budgeted_contracts.cli import main as cli_main
+from budgeted_contracts.serialize import manifest_path
 
 
 @dataclass
@@ -57,15 +63,26 @@ def run(cfg: SweepConfig) -> int:
                 "--n", str(cfg.n),
                 "--objective", objective,
                 "--out", str(out),
-                "--verify",
             ]
             if family in ("xos-sep", "profit-2", "profit-k"):
                 args.append("--emit-curve")
+            recorded = _recorded_command(out)
+            if recorded is None or recorded in (args, [*args, "--verify"]):
+                args.append("--verify")  # recompute; diff with a table if one exists
             code = cli_main(args)
             status = "ok" if code == 0 else f"FAILED ({code})"
             print(f"  {family:12s} {objective:8s} -> {out.name:32s} {status}")
             failures += code != 0
     return failures
+
+
+def _recorded_command(out: Path) -> list[str] | None:
+    """The command line the manifest of ``out`` records, if it can be read."""
+    try:
+        text = Path(manifest_path(str(out))).read_text(encoding="utf-8")
+        return json.loads(text)["command"]
+    except (OSError, ValueError, KeyError, TypeError):
+        return None
 
 
 def main() -> int:

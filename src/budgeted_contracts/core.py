@@ -371,9 +371,18 @@ class Instance:
         return _tabulate(self)
 
     @functools.cached_property
-    def _singleton_payments(self) -> tuple[float, ...]:
+    def _singleton_values(self) -> tuple[float, ...]:
         f = self.reward
-        return tuple(_pay_term(c, f.value(1 << i)) for i, c in enumerate(self.costs))
+        return tuple(f.value(1 << i) for i in range(self.n))
+
+    @functools.cached_property
+    def _singleton_payments(self) -> tuple[float, ...]:
+        return tuple(map(_pay_term, self.costs, self._singleton_values))
+
+
+def _empty_value(f: SetFunction) -> float:
+    """f({}): 0 for the additive and XOS forms, asked of no oracle."""
+    return f.values.item(0) if isinstance(f, Table) else 0.0
 
 
 def _value_range(f: SetFunction) -> tuple[float, float]:
@@ -498,6 +507,19 @@ def singleton_payment(inst: Instance, agent: int) -> float:
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
     return inst._singleton_payments[agent]
+
+
+def singleton_team_payment(inst: Instance, agent: int) -> float:
+    """Payment of the one-agent team {i}: c_i / (f({i}) - f({})).
+
+    It is ``payment(inst, 1 << agent)`` bit for bit, from the singleton
+    values the instance keeps, and equals ``singleton_payment`` wherever
+    f({}) = 0.
+    """
+    if not 0 <= agent < inst.n:
+        raise InputError(f"agent {agent} out of range")
+    margin = inst._singleton_values[agent] - _empty_value(inst.reward)
+    return _pay_term(inst.costs[agent], margin)
 
 
 def profit(inst: Instance, team: int) -> float:
@@ -668,7 +690,38 @@ def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:
 
 
 def _table_is_submodular(t: np.ndarray, n: int, slack: float = EPS) -> bool:
-    """t[A+i] + t[A+j] >= t[A+i+j] + t[A] - slack for every A and i < j not in A."""
+    """t[A+i] + t[A+j] >= t[A+i+j] + t[A] - slack for every A and i < j not in A.
+
+    At slack EPS a near-modular table passes on its certificate alone.
+    """
+    if slack == EPS and _near_modular(t, n):
+        return True
+    return _submodular_pairs(t, n, slack)
+
+
+def _near_modular(t: np.ndarray, n: int) -> bool:
+    """Whether every value lies in [0, 2] and t is within EPS/8 of the modular
+    table g its singletons span, summed as the team tables are.
+
+    Then every face passes the pair kernel at slack EPS (u = 2^-53, n <= 20).
+    g adds m_i = t[{i}] - t[{}], each |m_i| <= 2, in at most n + 1 roundings
+    of partial sums at most 2n + 2 in size, so it is within (n + 1)(2n + 2) u
+    < 1e-13 of an exactly modular function, whose faces are 0. Each real face
+    t[A+i] + t[A+j] - t[A+i+j] - t[A] is then at least -4 (EPS/8 + 1e-13) >
+    -EPS/2 - 1e-12, and evaluating fl(a + b) >= fl(fl(c + d) - EPS) on
+    values in [0, 2] rounds three sums of at most 4, losing at most 12 u in
+    all: far short of the EPS/2 left over.
+    """
+    if not (0.0 <= t.min() and t.max() <= 2.0):
+        return False
+    g = _subset_sums(t[1 << np.arange(n)] - t[0], n)
+    g += t[0]
+    g -= t  # in place: a fresh 2^16 array per step costs 4 times as much
+    return bool(np.abs(g, out=g).max() <= EPS / 8)
+
+
+def _submodular_pairs(t: np.ndarray, n: int, slack: float) -> bool:
+    """The pair kernel: every face of every pair i < j, one vector per pair."""
     for i in range(n):
         for j in range(i + 1, n):
             # axis 1 splits teams by agent j, axis 3 by agent i

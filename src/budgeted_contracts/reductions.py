@@ -36,7 +36,7 @@ from .core import (
     mask_of,
     payment,
     restrict,
-    singleton_payment,
+    singleton_team_payment,
     value,
 )
 from .downsizing import downsize_submodular, downsize_xos
@@ -118,7 +118,9 @@ def reduce_to_mrl(
         else:
             pool.append(downsize_submodular(inst, mrl_team, 3).subset)
     pool.extend(
-        1 << i for i in range(inst.n) if singleton_payment(inst, i) <= budget + EPS
+        1 << i
+        for i in range(inst.n)
+        if singleton_team_payment(inst, i) <= budget + EPS
     )
     factor = 40.0 * gamma + 1.0 if path == "xos" else 6.0 * gamma + 1.0
     return _pick(inst, pool, lambda team: evaluate(obj, inst, team), factor, path)
@@ -151,7 +153,7 @@ def reduce_from_mrl(
         pool.extend(
             1 << i
             for i in scaled.agents
-            if singleton_payment(inst, i) <= budget + EPS
+            if singleton_team_payment(inst, i) <= budget + EPS
         )
     factor = 20.0 * gamma if path == "xos" else 6.0 * gamma
     return _pick(inst, pool, lambda team: value(inst.reward, team), factor, path)

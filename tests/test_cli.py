@@ -150,6 +150,19 @@ def test_reduce_command(separation_file, capsys):
     assert got["candidate_value"] * got["guarantee_factor"] >= opt - 1e-9
 
 
+def test_reduce_on_a_table_with_positive_empty_value(tmp_path, capsys):
+    # agent 0 is light (0.1 / 0.4 = 0.25) but alone pays 0.1 / (0.4 - 0.2) =
+    # 0.5 > 0.3, so no pool may admit it
+    path = tmp_path / "base.json"
+    path.write_text(json.dumps({
+        "n": 2, "costs": [0.1, 0.3],
+        "reward": {"type": "table", "values": [0.2, 0.4, 0.3, 0.5]},
+    }))
+    assert run_cli("reduce", "--instance", path, "--from", "reward@0.3",
+                   "--to", "reward@0.3", "--path", "submodular") == 0
+    assert json.loads(capsys.readouterr().out)["budget_used"] <= 0.3
+
+
 def test_pof_family_sweep_tight(tmp_path):
     out = tmp_path / "report.csv"
     assert run_cli("pof", "--family", "additive-lb", "--n", 10, "--B", 1.0,

@@ -478,6 +478,57 @@ def test_class_kernels_match_gather_references():
 
 
 # ---------------------------------------------------------------------------
+# the near-modular certificate against the pair kernel it skips
+
+
+def _near_modular_cases(n, seed):
+    """The additive-lb family over a b-grid; seeded additive tables in [0, 1],
+    and each perturbed by +-EPS/16 .. 4 EPS at one entry and at all; XOS,
+    coverage and subadd-lb tables; additive tables reaching past [0, 2]."""
+    rng = random.Random(seed)
+    noise = np.random.default_rng(seed)
+    for b in (0.1, 0.2, 0.3, 0.5, 0.9):  # 2 to n heads; b = 0.05, 0.7 repeat them
+        yield "additive-lb", np.asarray(gen_additive_lb(n, b, 1.0).reward.values)
+    if n > 10:
+        return
+    weights = [rng.random() for _ in range(n)]
+    additive = core._subset_sums(weights, n) / sum(weights)
+    for kind, t in (("additive", additive), ("additive-offset", 0.25 + additive / 2)):
+        yield kind, t
+        for delta in (EPS / 16, EPS / 8, EPS / 4, EPS / 2, EPS, 2 * EPS, 4 * EPS):
+            one = t.copy()
+            one[rng.randrange(1 << n)] += rng.choice((-delta, delta))
+            yield kind + "-one", one
+            yield kind + "-all", t + delta * noise.choice((-1.0, 1.0), 1 << n)
+    yield "xos", core._value_array(random_xos_instance(rng, n, 3).reward)
+    yield "coverage", np.asarray(random_submodular_instance(rng, n).reward.values)
+    if n >= 4 and n % 2 == 0:
+        yield "subadd-lb", np.asarray(gen_subadditive_lb(n, 0.5, 1.0).reward.values)
+    for kind, t in (("x3", 3 * additive), ("below", additive - 0.5)):
+        assert not core._near_modular(t, n)  # outside [0, 2]: declined
+        yield kind, t
+
+
+def test_near_modular_certificate_matches_pair_kernel():
+    fired = {}
+    for n in range(1, 17):
+        for kind, t in _near_modular_cases(n, 50 * n):
+            want = _submodular_reference(t, n)
+            assert core._table_is_submodular(t, n) == want, (kind, n)
+            got = core._table_is_submodular(t, n, 0.0)
+            assert got == _submodular_reference(t, n, 0.0), (kind, n)
+            certified = core._near_modular(t, n)
+            assert want or not certified, (kind, n)
+            if n >= 3:  # on fewer agents XOS and coverage can be modular
+                fired.setdefault(kind, set()).add(certified)
+    assert fired["additive-lb"] == fired["additive"] == {True}
+    for kind in ("additive-one", "additive-offset-one"):
+        assert fired[kind] == {True, False}, kind  # EPS/16 passes, 4 EPS not
+    for kind in ("xos", "coverage", "subadd-lb", "x3", "below"):
+        assert fired[kind] == {False}, kind
+
+
+# ---------------------------------------------------------------------------
 # classify against the pair kernels it skips where the class hierarchy decides
 
 
@@ -888,6 +939,19 @@ def test_payment_dominates_each_share(inst):
 def test_singleton_payment_consistency(inst, raw):
     i = raw % inst.n
     assert singleton_payment(inst, i) == payment(inst, 1 << i)
+
+
+def test_singleton_team_payment_is_the_one_agent_payment():
+    rng = random.Random(41)
+    for inst in (*xos_corpus(5, seed=41, n_hi=6), *submodular_corpus(5, seed=41, n_hi=6)):
+        base = rng.uniform(0.0, 0.3)
+        reward = Table(base + (1 - base) * core._value_array(inst.reward))
+        shifted = Instance(inst.n, inst.costs, reward)
+        for i in range(inst.n):
+            got = core.singleton_team_payment(inst, i)
+            assert got == singleton_payment(inst, i) == payment(inst, 1 << i)
+            got = core.singleton_team_payment(shifted, i)
+            assert got == payment(shifted, 1 << i) >= singleton_payment(shifted, i)
 
 
 @given(

@@ -46,6 +46,22 @@ def test_pof_example_family():
     assert rep.theoretical_bound == 4.0
 
 
+def test_pof_on_additive_lb_runs_no_submodularity_pair_kernel(monkeypatch):
+    calls = []
+    kernel = core._submodular_pairs
+    monkeypatch.setattr(
+        core, "_submodular_pairs", lambda t, n, s: calls.append(n) or kernel(t, n, s)
+    )
+    for n, b in ((6, 0.3), (13, 0.1), (16, 0.1)):
+        rep = pof(gen_additive_lb(n, b, 1.0), PofQuery(b=b, B=1.0))
+        assert rep.bound_kind == "submodular-exact"
+        assert rep.ratio == rep.theoretical_bound
+    assert calls == []  # the near-modular certificate decides
+    rep = pof(gen_subadditive_lb(8, 0.3, 1.0), PofQuery(b=0.3, B=1.0))
+    assert rep.bound_kind == "xos-asymptotic"
+    assert calls == [8]
+
+
 def test_pof_equal_budgets(separation):
     rep = pof(separation, PofQuery(b=1.0, B=1.0))
     assert rep.ratio == pytest.approx(1.0)

@@ -88,6 +88,9 @@ CASES = {
     "pof-xos-sep-curve": ["pof", "--family", "xos-sep", "--grid", "b=0.3:0.5:0.1", "--emit-curve"],
     "pof-subadd-lb": ["pof", "--family", "subadd-lb", "--n", "8", "--grid", "b=0.3:0.9:0.3"],
     "pof-profit-k": ["pof", "--family", "profit-k", "--n", "6", "--grid", "b=0.2:0.5:0.1", "--objective", "profit"],
+    "pof-additive-lb-n13-reward": ["pof", "--family", "additive-lb", "--n", "13", "--grid", "b=0.1:0.9:0.2"],
+    "pof-additive-lb-n13-welfare": ["pof", "--family", "additive-lb", "--n", "13", "--grid", "b=0.1:0.9:0.2", "--objective", "welfare"],
+    "pof-additive-lb-n16": ["pof", "--family", "additive-lb", "--n", "16", "--b", "0.1"],
 }
 
 

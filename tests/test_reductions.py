@@ -18,7 +18,7 @@ from budgeted_contracts import (
     scale_instance,
     value,
 )
-from budgeted_contracts.core import XosClauses
+from budgeted_contracts.core import EPS, Table, XosClauses
 from budgeted_contracts.corpora import random_xos_instance, submodular_corpus, xos_corpus
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
@@ -201,3 +201,22 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
     assert len(calls) == 77 - 7 - 5 - 7 == 58
     assert light_agents(inst) == 0b1001111 and len(calls) == 58
+
+
+def test_pools_admit_singletons_by_their_team_payment():
+    # with f({}) > 0 agent i alone is paid c_i / (f({i}) - f({})), above the
+    # c_i / f({i}) that decides lightness: pools that admitted singletons by
+    # the latter handed the hub an infeasible team, or returned one
+    rng = random.Random(29)
+    for inst in submodular_corpus(30, seed=29, n_lo=1, n_hi=6):
+        base = rng.uniform(0.0, 0.3) or 0.3  # f({}) in (0, 0.3]
+        shifted = Instance(
+            inst.n, inst.costs, Table(base + (1 - base) * inst.reward.values)
+        )
+        for path in ("xos", "submodular"):
+            for obj, budget in ((REWARD, 0.3), (PROFIT, 0.5), (WELFARE, 1.0)):
+                out = equivalence_pipeline(
+                    shifted, obj, budget, REWARD, budget, brute_solver, path=path
+                )
+                assert out.budget_used <= budget + EPS
+                assert out.budget_used == payment(shifted, out.candidate)
