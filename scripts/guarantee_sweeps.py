@@ -32,15 +32,17 @@ from budgeted_contracts.corpora import submodular_corpus, xos_corpus
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
 
+SHRINK_PARAMS = (3, 4, 5, 8)
+BUDGETS = (0.25, 0.5, 1.0)
+
+
 @dataclass
 class SweepConfig:
     count: int = 100
     seed: int = 0
-    shrink_params: tuple[int, ...] = (3, 4, 5, 8)
-    budgets: tuple[float, ...] = (0.25, 0.5, 1.0)
 
 
-def downsizing_sweep(cfg, name, corpus, rng, n_teams, downsize, slack, floor):
+def downsizing_sweep(name, corpus, rng, n_teams, downsize, slack, floor):
     """Worst value kept and payment ratio of one downsizing over one corpus.
 
     ``slack`` is 1 for bag-filling on submodular rewards and 2 for the XOS
@@ -48,8 +50,8 @@ def downsizing_sweep(cfg, name, corpus, rng, n_teams, downsize, slack, floor):
     proven floor is 1/(slack (M-1)) and the ceiling 2 slack / M. ``floor``
     spells the floor for the header.
     """
-    worst_obj = {m: math.inf for m in cfg.shrink_params}
-    worst_pay = {m: 0.0 for m in cfg.shrink_params}
+    worst_obj = {m: math.inf for m in SHRINK_PARAMS}
+    worst_pay = {m: 0.0 for m in SHRINK_PARAMS}
     for inst in corpus:
         full = (1 << inst.n) - 1
         teams = {full} | {rng.randrange(1, full + 1) for _ in range(n_teams)}
@@ -60,7 +62,7 @@ def downsizing_sweep(cfg, name, corpus, rng, n_teams, downsize, slack, floor):
             val_team = value(inst.reward, team)
             if val_team == 0.0:
                 continue
-            for m in cfg.shrink_params:
+            for m in SHRINK_PARAMS:
                 res = downsize(inst, team, m)
                 worst_obj[m] = min(worst_obj[m], res.objective_after / val_team)
                 if res.subset.bit_count() > 1:
@@ -68,7 +70,7 @@ def downsizing_sweep(cfg, name, corpus, rng, n_teams, downsize, slack, floor):
     title = f"{name} downsizing: "
     print(f"{title}worst value kept vs floor {floor},")
     print(f"{' ' * len(title)}worst payment ratio vs ceiling {2 * slack}/M")
-    for m in cfg.shrink_params:
+    for m in SHRINK_PARAMS:
         print(
             f"  M={m}: value {worst_obj[m]:.4f} >= {1 / (slack * m - slack):.4f},"
             f" payment {worst_pay[m]:.4f} <= {2 * slack / m:.4f}"
@@ -79,7 +81,7 @@ def reduction_sweep(cfg: SweepConfig) -> None:
     worst_fwd = math.inf
     worst_back = math.inf
     for inst in xos_corpus(cfg.count // 2, seed=cfg.seed + 20, n_hi=8):
-        for budget in cfg.budgets:
+        for budget in BUDGETS:
             hub = brute_force_max(REWARD, inst, budget, light_only=True)
             for obj in (REWARD, PROFIT, WELFARE):
                 opt = brute_force_max(obj, inst, budget).value
@@ -102,12 +104,12 @@ def main() -> int:
     cfg = SweepConfig(count=args.count, seed=args.seed)
     print(f"corpora: {cfg.count} instances per class, seed {cfg.seed}\n")
     downsizing_sweep(
-        cfg, "submodular", submodular_corpus(cfg.count, seed=cfg.seed, n_hi=10),
+        "submodular", submodular_corpus(cfg.count, seed=cfg.seed, n_hi=10),
         random.Random(cfg.seed + 1), 20, downsize_submodular, 1, "1/(M-1)",
     )
     print()
     downsizing_sweep(
-        cfg, "XOS", xos_corpus(cfg.count, seed=cfg.seed + 10, n_hi=10),
+        "XOS", xos_corpus(cfg.count, seed=cfg.seed + 10, n_hi=10),
         random.Random(cfg.seed + 2), 15, downsize_xos, 2, "1/(2M-2)",
     )
     print()

@@ -18,53 +18,48 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from budgeted_contracts.cli import main as cli_main
 from budgeted_contracts.serialize import manifest_path
 
 
+BIG_BUDGET = 1.0
+GRID = "b=0.1:0.9:0.1"
+#: The objectives swept per family, families in sweep order.
+OBJECTIVES = {
+    "additive-lb": ("reward", "welfare"),
+    "xos-sep": ("reward",),
+    "subadd-lb": ("reward",),
+    "profit-2": ("profit",),
+    "profit-k": ("profit",),
+}
+CURVE_FAMILIES = ("xos-sep", "profit-2", "profit-k")
+
+
 @dataclass
 class SweepConfig:
     out_dir: Path
     n: int = 10
-    big_budget: float = 1.0
-    grid: str = "b=0.1:0.9:0.1"
-    families: tuple[str, ...] = (
-        "additive-lb",
-        "xos-sep",
-        "subadd-lb",
-        "profit-2",
-        "profit-k",
-    )
-    objectives: dict = field(
-        default_factory=lambda: {
-            "additive-lb": ("reward", "welfare"),
-            "xos-sep": ("reward",),
-            "subadd-lb": ("reward",),
-            "profit-2": ("profit",),
-            "profit-k": ("profit",),
-        }
-    )
 
 
 def run(cfg: SweepConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
-    for family in cfg.families:
-        for objective in cfg.objectives[family]:
+    for family, objectives in OBJECTIVES.items():
+        for objective in objectives:
             out = cfg.out_dir / f"pof_{family}_{objective}.csv"
             args = [
                 "pof",
                 "--family", family,
-                "--grid", cfg.grid,
-                "--B", str(cfg.big_budget),
+                "--grid", GRID,
+                "--B", str(BIG_BUDGET),
                 "--n", str(cfg.n),
                 "--objective", objective,
                 "--out", str(out),
             ]
-            if family in ("xos-sep", "profit-2", "profit-k"):
+            if family in CURVE_FAMILIES:
                 args.append("--emit-curve")
             recorded = _recorded_command(out)
             if recorded is None or recorded in (args, [*args, "--verify"]):

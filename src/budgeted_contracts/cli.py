@@ -30,7 +30,6 @@ from .core import (
     EPS,
     ContractsError,
     InputError,
-    _class_verifiable,
     classify,
     mask_of,
     payment,
@@ -268,8 +267,8 @@ def cmd_downsize(args) -> dict[str, str]:
     except ValueError as exc:
         raise InputError(f"bad --set {args.set!r}") from exc
     downsize = downsize_submodular if args.mode == "submodular" else downsize_xos
-    # enforce the class preconditions wherever they can be verified
-    res = downsize(inst, team, args.m, check=_class_verifiable(inst.reward))
+    # enforce the class precondition: a table past ENUM_CAP ends in sizecap
+    res = downsize(inst, team, args.m, check=True)
     body = jsonable(res)
     body["subset"] = team_to_list(res.subset)
     body["mode"] = args.mode

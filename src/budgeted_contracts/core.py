@@ -28,7 +28,8 @@ EPS = 1e-9
 #: Cap on n for exhaustive subset enumeration (equilibria, brute force).
 ENUM_CAP = 20
 
-#: Cap on n for exhaustive function-class verification.
+#: Cap on n for the subadditivity kernels of class verification (3^n and 4^n
+#: steps); submodularity is checked wherever a reward tabulates.
 CLASSIFY_CAP = 16
 
 #: Cap on the level count n^2 / epsilon of an FPTAS's rounded DP. The
@@ -657,26 +658,17 @@ def classify(f: SetFunction) -> FunctionClasses:
 
 
 def is_submodular(f: SetFunction) -> bool:
-    """Submodularity check alone; additive functions pass at any size."""
+    """Submodularity check alone; additive functions pass at any size, others
+    wherever they tabulate (n <= ENUM_CAP)."""
     if isinstance(f, Additive):
         return True
-    _class_gate(f.n)
     return _table_is_submodular(_value_array(f), f.n)
 
 
-def _within_class_cap(n: int) -> bool:
-    """Whether a class can be verified on a 2^n table: the one CLASSIFY_CAP test."""
-    return n <= CLASSIFY_CAP
-
-
-def _class_verifiable(f: SetFunction) -> bool:
-    """Whether f's class can be verified: analytically if additive, else by table."""
-    return isinstance(f, Additive) or _within_class_cap(f.n)
-
-
 def _class_gate(n: int) -> None:
-    """Raise unless a class can be verified on a 2^n table."""
-    if not _within_class_cap(n):
+    """The one CLASSIFY_CAP gate: raise before a subadditivity kernel, which
+    takes 3^n or 4^n steps, runs on a 2^n table."""
+    if n > CLASSIFY_CAP:
         raise SizeCapError(f"class verification capped at n <= {CLASSIFY_CAP}")
 
 

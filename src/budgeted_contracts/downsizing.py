@@ -32,7 +32,6 @@ from .core import (
     XosClauses,
     _check_team,
     _class_gate,
-    _class_verifiable,
     _shares,
     _sum_over,
     _table_is_subadditive,
@@ -67,7 +66,8 @@ def downsize_submodular(
     into bags that stop once their share sum passes p(S)/M; the first bag
     preserving the psi fraction is returned, falling back to the unconsumed
     remainder. ``psi`` may be any subadditive objective; ``check=True``
-    verifies the submodularity precondition exhaustively (small n only).
+    verifies that the reward is submodular (n <= 20 unless additive) and
+    that any other psi is subadditive (n <= 16).
     """
     if not isinstance(m, int) or m < 3:
         raise InputError("downsizing parameter m must be an integer >= 3")
@@ -166,7 +166,8 @@ def downsize_xos(
     bound needs no submodularity, and the recovery stage converts it into a
     true payment bound at the cost of a factor two on each side.
     """
-    if check and not _certify_xos(inst):
+    f = inst.reward  # clause and additive forms are XOS, and so is a submodular table
+    if check and not (isinstance(f, XosClauses) or is_submodular(f)):
         raise PreconditionError("reward representation cannot be certified XOS")
     inner = downsize_submodular(inst, team, m)
     recovered = recover_marginals_xos(inst, inner.subset, team)
@@ -175,15 +176,6 @@ def downsize_xos(
         subset=recovered,
         payment_after=payment(inst, recovered),
         objective_after=value(inst.reward, recovered),
-    )
-
-
-def _certify_xos(inst: Instance) -> bool:
-    # Clause and additive forms are XOS by construction. A raw table cannot
-    # be certified cheaply; submodularity is accepted as a sufficient
-    # condition, otherwise table-backed callers own the precondition.
-    return isinstance(inst.reward, XosClauses) or (
-        _class_verifiable(inst.reward) and is_submodular(inst.reward)
     )
 
 

@@ -39,7 +39,6 @@ from .core import (
     XosClauses,
     _best,
     _check_agent_count,
-    _class_verifiable,
     _enum_gate,
     _subset_sums,
     ceil_tol,
@@ -108,8 +107,7 @@ def pof(inst: Instance, query: PofQuery) -> PofReport:
         ratio = None
     else:
         ratio = hi / lo
-    submodular = _class_verifiable(inst.reward) and is_submodular(inst.reward)
-    func_class = "submodular" if submodular else "xos"
+    func_class = "submodular" if is_submodular(inst.reward) else "xos"
     kind = pof_bound_kind(query.objective.name, func_class)
     return PofReport(
         b=query.b,

@@ -22,7 +22,7 @@ with the overall factor the composition of the per-stage constants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable, Iterable, Literal
 
 from .core import (
     EPS,
@@ -111,19 +111,16 @@ def reduce_to_mrl(
     if payment(inst, mrl_team) > budget + EPS:
         raise PreconditionError("hub input is not budget-feasible")
 
-    pool = [0]
+    pool = {0: 0.0}
     if mrl_team:
         if path == "xos":
-            pool.append(downsize_xos(inst, mrl_team, 5).subset)
+            piece = downsize_xos(inst, mrl_team, 5)
         else:
-            pool.append(downsize_submodular(inst, mrl_team, 3).subset)
-    pool.extend(
-        1 << i
-        for i in range(inst.n)
-        if singleton_team_payment(inst, i) <= budget + EPS
-    )
+            piece = downsize_submodular(inst, mrl_team, 3)
+        pool[piece.subset] = piece.payment_after
+    _add_singletons(inst, pool, range(inst.n), budget)
     factor = 40.0 * gamma + 1.0 if path == "xos" else 6.0 * gamma + 1.0
-    return _pick(inst, pool, lambda team: evaluate(obj, inst, team), factor, path)
+    return _pick(pool, lambda team: evaluate(obj, inst, team), factor, path)
 
 
 def reduce_from_mrl(
@@ -142,35 +139,38 @@ def reduce_from_mrl(
     is budget-feasible at B. Every pool member is re-checked feasible at B.
     """
     scaled = scale_instance(inst, budget, budget_prime)
-    pool = [0]
+    pool = {0: 0.0}
     if scaled.agents:
         team_scaled = solver(scaled.instance, budget_prime, obj)
         if payment(scaled.instance, team_scaled) > budget_prime + EPS:
             raise SolverContractError("solver output exceeds the scaled budget")
         mapped = scaled.to_original(team_scaled)
-        if payment(inst, mapped) <= budget + EPS:
-            pool.append(mapped)
-        pool.extend(
-            1 << i
-            for i in scaled.agents
-            if singleton_team_payment(inst, i) <= budget + EPS
-        )
+        pay_mapped = payment(inst, mapped)
+        if pay_mapped <= budget + EPS:
+            pool[mapped] = pay_mapped
+        _add_singletons(inst, pool, scaled.agents, budget)
     factor = 20.0 * gamma if path == "xos" else 6.0 * gamma
-    return _pick(inst, pool, lambda team: value(inst.reward, team), factor, path)
+    return _pick(pool, lambda team: value(inst.reward, team), factor, path)
+
+
+def _add_singletons(
+    inst: Instance, pool: dict[int, float], agents: Iterable[int], budget: float
+) -> None:
+    """Add each one-agent team among ``agents`` paid within ``budget``."""
+    for i in agents:
+        pay = singleton_team_payment(inst, i)
+        if pay <= budget + EPS:
+            pool[1 << i] = pay
 
 
 def _pick(
-    inst: Instance,
-    pool: list[int],
-    score: Callable[[int], float],
-    factor: float,
-    path: Path,
+    pool: dict[int, float], score: Callable[[int], float], factor: float, path: Path
 ) -> ReductionOutcome:
     """The pool member scoring highest (ties to the smallest bitmask), valued
-    at the score it was picked by."""
+    at the score it was picked by. ``pool`` maps each member to its payment,
+    equal to ``payment()`` bit for bit, so the winner is not paid again."""
     candidate, candidate_value = _best_team(pool, score)
-    budget_used = payment(inst, candidate)
-    return ReductionOutcome(candidate, candidate_value, factor, budget_used, path)
+    return ReductionOutcome(candidate, candidate_value, factor, pool[candidate], path)
 
 
 def equivalence_pipeline(

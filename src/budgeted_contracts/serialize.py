@@ -173,21 +173,14 @@ def parse_objective_at_budget(spec: str) -> tuple[Objective, float]:
     return objective_from_name(name), _real(budget)
 
 
-def jsonable(obj: Any) -> Any:
-    """Dataclasses to dicts, team masks stay ints; inf becomes a string."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {
-            f.name: jsonable(getattr(obj, f.name))
-            for f in dataclasses.fields(obj)
-            if not f.name.startswith("_")
-        }
-    if isinstance(obj, float):
-        if math.isinf(obj):
-            return "inf" if obj > 0 else "-inf"
-        return obj
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    return obj
+def jsonable(result: Any) -> dict[str, Any]:
+    """A result dataclass as a dict of its fields, all scalars: team masks
+    stay ints, and an infinite float becomes a string."""
+    body = {f.name: getattr(result, f.name) for f in dataclasses.fields(result)}
+    for name, v in body.items():
+        if isinstance(v, float) and math.isinf(v):
+            body[name] = "inf" if v > 0 else "-inf"
+    return body
 
 
 # ---------------------------------------------------------------------------

@@ -138,6 +138,35 @@ def test_downsize_rejects_wrong_class(separation_file, capsys):
     assert "error: precondition:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family, n, codes, kind", [
+    # submodularity is checked wherever the reward tabulates (n <= 20), and
+    # a check that needs a table past that ends in sizecap, not unchecked
+    ("random-xos", 18, (2, 0), "precondition"),
+    ("random-xos", 25, (2, 0), "sizecap"),
+    ("random-additive", 63, (0, 0), None),
+], ids=["xos-18", "xos-25", "additive-63"])
+def test_downsize_checks_its_precondition_at_every_size(
+    tmp_path, capsys, family, n, codes, kind
+):
+    path = tmp_path / "inst.json"
+    assert run_cli("gen", "--family", family, "--n", n, "--seed", 1,
+                   "--out", path) == 0
+    for mode, code in zip(("submodular", "xos"), codes):
+        capsys.readouterr()
+        assert run_cli("downsize", "--instance", path, "--set", "0,1,2",
+                       "--m", 3, "--mode", mode) == code, mode
+        err = capsys.readouterr().err
+        if code:
+            assert err.startswith(f"error: {kind}: ") and err.count("\n") == 1, err
+
+
+def test_pof_takes_the_exact_bound_past_the_classify_cap(capsys):
+    assert run_cli("pof", "--family", "additive-lb", "--n", 17, "--b", 0.1) == 0
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "additive-lb,17,0.1,1.0,reward,0.058823529411764705,1.0,17.0,17.0,true"
+    )
+
+
 def test_reduce_command(separation_file, capsys):
     assert run_cli("reduce", "--instance", separation_file,
                    "--from", "welfare@1.0", "--to", "profit@0.5",
@@ -500,6 +529,27 @@ def test_only_core_reads_the_size_caps():
         names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
         names |= {getattr(node, "name", None) for node in ast.walk(tree)}
         assert not {"ENUM_CAP", "CLASSIFY_CAP", "LEVEL_CAP"} & names, path.name
+
+
+def test_each_cap_is_read_by_its_own_gate():
+    # inside core each cap has one reader, its gate: one size rule per cap
+    gates = {"ENUM_CAP": "_enum_gate", "CLASSIFY_CAP": "_class_gate",
+             "LEVEL_CAP": "_level_gate"}
+    tree = ast.parse(Path(budgeted_contracts.core.__file__).read_text(encoding="utf-8"))
+    readers = {cap: set() for cap in gates}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name) and node.id in gates:
+                    readers[node.id].add(func.name)
+    assert readers == {cap: {gate} for cap, gate in gates.items()}
+    # and nothing outside a function reads a cap but its own assignment
+    top = [node for node in tree.body if not isinstance(node, ast.FunctionDef)]
+    loads = {
+        node.id for stmt in top for node in ast.walk(stmt)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    assert not set(gates) & loads
 
 
 def test_the_tie_rule_lives_in_core():

@@ -654,9 +654,13 @@ def test_table_cap_raises_before_allocating(additive21, call, reward):
     _assert_cap_without_allocating(lambda: _TABLE_CALLS[call](inst))
 
 
-@pytest.mark.parametrize("check", [classify, is_submodular])
-def test_class_cap_raises_before_allocating(check):
-    f = _xos(17).reward
+@pytest.mark.parametrize(
+    "check, n", [(classify, 17), (is_submodular, 21)], ids=["classify", "is_submodular"]
+)
+def test_class_cap_raises_before_allocating(check, n):
+    # classify stops at CLASSIFY_CAP; submodularity is checked wherever the
+    # reward tabulates, so is_submodular stops at ENUM_CAP
+    f = _xos(n).reward
     _assert_cap_without_allocating(lambda: check(f))
 
 

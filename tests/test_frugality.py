@@ -62,6 +62,15 @@ def test_pof_on_additive_lb_runs_no_submodularity_pair_kernel(monkeypatch):
     assert calls == [8]
 
 
+@pytest.mark.parametrize("n, bound", [(17, 17.0), (20, 19.0)])
+def test_pof_on_additive_lb_past_the_classify_cap(n, bound):
+    # submodularity is checked at every size the team table holds, so the
+    # exact bound applies past CLASSIFY_CAP and is met
+    rep = pof(gen_additive_lb(n, 0.1, 1.0), PofQuery(b=0.1, B=1.0))
+    assert rep.bound_kind == "submodular-exact"
+    assert rep.ratio == rep.theoretical_bound == bound
+
+
 def test_pof_equal_budgets(separation):
     rep = pof(separation, PofQuery(b=1.0, B=1.0))
     assert rep.ratio == pytest.approx(1.0)

@@ -173,20 +173,21 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # each pool member is scored once and the winner keeps its score: 9
-    # queries check the hub input (light agents, p(S)), 10 downsize it, 17
-    # score the pool (the empty team, the piece {0, 1} and 4 singletons) and
-    # 3 pay for the winner; the feasible singletons are found from the
-    # singleton payments the light scan took, with no query of their own
+    # queries check the hub input (light agents, p(S)), 10 downsize it and
+    # 17 score the pool (the empty team, the piece {0, 1} and 4 singletons);
+    # the feasible singletons are found from the singleton payments the
+    # light scan took, and the winner's payment is the one its pool kept,
+    # with no query of their own
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 39
+    assert len(table_queries) == 36
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):
     # 77 clause-oracle queries before the singleton payments were kept on the
     # instance: the light scan ran in scale_instance and again in
     # reduce_to_mrl (7 each), and the two pool filters took 5 light and 7
-    # singleton payments anew
+    # singleton payments anew; 5 more paid each stage's winner again
     calls = []
     xos_value = XosClauses.value
 
@@ -199,8 +200,8 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 == 58
-    assert light_agents(inst) == 0b1001111 and len(calls) == 58
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 == 53
+    assert light_agents(inst) == 0b1001111 and len(calls) == 53
 
 
 def test_pools_admit_singletons_by_their_team_payment():
