@@ -97,16 +97,6 @@ def downsize_submodular(
             return exit_with(1 << i, psi_single, singleton=True)
 
     queue = [i for i in bits(team) if share[i] <= threshold]
-    if len(outliers) >= m - 1:
-        # With M-1 outliers (more is impossible: each share exceeds p/M),
-        # the piece accounting would run out of bags, but folding the
-        # cheapest outlier into the remainder still works: the remainder's
-        # share total is below p/M and the cheapest outlier is at most
-        # 1/(M-1) of the rest, which together stay within (2/M) p(S);
-        # the other M-2 outliers each failed the value floor above.
-        cheapest = min(outliers, key=lambda i: (share[i], i))
-        fold = mask_of(queue) | (1 << cheapest)
-        return exit_with(fold, evaluate(psi, inst, fold))
     pos = 0
     for _ in range(m - len(outliers) - 2):
         bag, bag_sum = 0, 0.0
@@ -119,6 +109,14 @@ def downsize_submodular(
         if psi_bag >= floor:
             return exit_with(bag, psi_bag)
     remainder = mask_of(queue[pos:])
+    if len(outliers) >= m - 1:
+        # With M-1 outliers (more is impossible: each share exceeds p/M),
+        # the piece accounting would run out of bags, but folding the
+        # cheapest outlier into the remainder still works: the remainder's
+        # share total is below p/M and the cheapest outlier is at most
+        # 1/(M-1) of the rest, which together stay within (2/M) p(S);
+        # the other M-2 outliers each failed the value floor above.
+        remainder |= 1 << min(outliers, key=lambda i: (share[i], i))
     return exit_with(remainder, evaluate(psi, inst, remainder))
 
 

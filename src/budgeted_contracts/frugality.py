@@ -131,11 +131,16 @@ def pof_bound_kind(objective: str, func_class: str) -> BoundKind:
     return "xos-asymptotic"
 
 
+def _head_count(b: float, B: float, n: int) -> int:
+    """min(ceil(2B/b) - 1, n), clamped first: 2B/b overflows at a subnormal b."""
+    return ceil_tol(min(2 * B / b, n + 1)) - 1
+
+
 def best_head_count(b: float, B: float, n: int) -> int:
     """Head count k of the profit lower-bound curve: the best k fitting under b."""
     _check_budget_pair(b, B)
     _check_agent_count(n)
-    return min(floor_tol(1 / b + 0.5), ceil_tol(2 * B / b) - 1, n)
+    return min(floor_tol(min(1 / b + 0.5, n)), _head_count(b, B, n))
 
 
 def pof_bound(b: float, B: float, n: int, kind: BoundKind) -> float:
@@ -155,7 +160,7 @@ def pof_bound(b: float, B: float, n: int, kind: BoundKind) -> float:
     if b == B:
         return 1.0
     if kind in ("submodular-exact", "profit-upper"):
-        return float(min(ceil_tol(2 * B / b) - 1, n))
+        return float(_head_count(b, B, n))
     if kind == "xos-asymptotic":
         return min(B / b, float(n))
     k = best_head_count(b, B, n)
@@ -179,7 +184,7 @@ def gen_additive_lb(n: int, b: float, B: float) -> Instance:
     _check_budget_pair(b, B)
     _check_agent_count(n)
     _enum_gate(n)
-    m_heads = min(ceil_tol(2 * B / b) - 1, n)
+    m_heads = _head_count(b, B, n)
     # B / M^2 is the scale of the head costs; when n itself is the binding
     # head count it can exceed b / M, which would break singleton
     # feasibility at b, so the cost is capped there.

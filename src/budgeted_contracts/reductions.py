@@ -108,15 +108,15 @@ def reduce_to_mrl(
     light = light_agents(inst)
     if mrl_team & ~light:
         raise PreconditionError("hub input must contain only light agents")
-    if payment(inst, mrl_team) > budget + EPS:
-        raise PreconditionError("hub input is not budget-feasible")
 
-    pool = {0: 0.0}
+    pool = {0: 0.0}  # the empty team is paid nothing, so it is always feasible
     if mrl_team:
         if path == "xos":
             piece = downsize_xos(inst, mrl_team, 5)
         else:
             piece = downsize_submodular(inst, mrl_team, 3)
+        if piece.payment_before > budget + EPS:  # p(S), bit for bit
+            raise PreconditionError("hub input is not budget-feasible")
         pool[piece.subset] = piece.payment_after
     _add_singletons(inst, pool, range(inst.n), budget)
     factor = 40.0 * gamma + 1.0 if path == "xos" else 6.0 * gamma + 1.0

@@ -2,8 +2,9 @@
 
 ``brute_force_max`` enumerates every budget-feasible team at desk scale and
 is the oracle against which everything else is judged. For additive rewards
-two polynomial schemes are provided, both 0/1 dynamic programs over rounded
-levels with item weights c_i / f({i}) (Ibarra-Kim 1975, Lawler 1979):
+two polynomial schemes are provided, both 0/1 dynamic programs over one
+item set (``_items``, weights c_i / f({i})) and values rounded to levels
+by ``_floor_levels`` (Ibarra-Kim 1975, Lawler 1979):
 
 - The profit FPTAS guesses the largest singleton value in the optimum (the
   anchor), rounds every reward down to a multiple of a delta grid set by
@@ -18,7 +19,7 @@ levels with item weights c_i / f({i}) (Ibarra-Kim 1975, Lawler 1979):
   plain knapsack problems, rounds values down on one grid and keeps a
   single payment row over exact levels, updated in place per item, plus a
   boolean take matrix from which the team is rebuilt. Each item step fills
-  only the levels a team within the budget can reach.
+  only the levels a team within the budget can reach; the last is the best.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .core import (
     ceil_tol,
     check_budget,
     check_epsilon,
-    floor_tol,
     light_agents,
     payment,
     profit,
@@ -90,56 +90,68 @@ def brute_force_max(
 
 
 # ---------------------------------------------------------------------------
-# the exact-level dynamic program of the knapsack FPTAS
+# the items of both FPTAS and the exact-level dynamic program of the knapsack
 # ---------------------------------------------------------------------------
 
-#: An item of the level DP: (agent, rounded level, payment weight).
-Item = tuple[int, int, float]
+
+def _items(
+    inst: Instance, values: Sequence[float], cap: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The agents that are items of a level DP, ascending, and their weights.
+
+    An item's weight is its payment alone, c_i / f({i}). An agent with value
+    0 never lowers a level's payment, nor does one whose weight exceeds
+    ``cap``: neither is an item.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    with np.errstate(all="ignore"):  # a zero or subnormal value
+        weights = np.asarray(inst.costs, dtype=np.float64) / values
+    (agents,) = ((values > 0) & (weights <= cap)).nonzero()
+    return agents, weights[agents]
 
 
 def _cheapest_per_level(
-    items: Sequence[Item], n_levels: int, cap: float
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Minimal payment at most ``cap`` per exact level over 0/1 item choices.
+    lev: np.ndarray, weights: np.ndarray, n_levels: int, cap: float
+) -> tuple[int, list[np.ndarray]]:
+    """Best level within ``cap`` over 0/1 item choices, and the take matrix.
 
-    Returns the final payment row (level 0 costs nothing; a level no team
-    within ``cap`` hits is infinite) and a ragged take matrix, one bool row
-    per item: ``take[s][k]`` is True exactly where item s lowered level k's
-    payment.
+    Item s has level ``lev[s]`` and weight ``weights[s]``; a team sits at
+    the sum of its items' levels. One row keeps the least payment per level,
+    and ``take[s][k]`` is True exactly where item s lowered level k's payment.
 
-    ``front`` is the last level whose payment is at most ``cap``. Weights
-    are non-negative, so a payment above ``cap`` never leads to one within
-    it: each item step fills only levels up to ``front + lev``, and on every
-    cell within ``cap`` the row and the take bits equal those of the
-    full-width table. Reconstruction visits only such cells.
+    The level returned, ``front``, is the last whose payment is at most
+    ``cap``. Weights are non-negative, so a payment above ``cap`` never leads
+    to one within it: each item step fills only levels up to ``front + lev``,
+    and on every cell within ``cap`` the row and the take bits equal those of
+    the full-width table. Reconstruction visits only such cells.
     """
     cur = np.full(n_levels + 1, math.inf)
     cur[0] = 0.0
     cand = np.empty_like(cur)
     take = []
     front = 0
-    for _, lev, weight in items:
-        width = min(n_levels, front + lev) + 1
+    for step, weight in zip(lev.tolist(), weights.tolist()):
+        width = min(n_levels, front + step) + 1
         row, new = cur[:width], cand[:width]
-        np.add(cur[: width - lev], weight, out=new[lev:])
-        new[:lev] = math.inf
+        np.add(cur[: width - step], weight, out=new[step:])
+        new[:step] = math.inf
         take.append(new < row)
         np.minimum(row, new, out=row)
         (within,) = (row[front + 1 :] <= cap).nonzero()
         if within.size:
             front += int(within[-1]) + 1
-    cur[front + 1 :] = math.inf
-    return cur, take
+    return front, take
 
 
-def _walk_back(take: Sequence[np.ndarray], items: Sequence[Item], level: int) -> int:
+def _walk_back(
+    take: Sequence[np.ndarray], lev: np.ndarray, agents: np.ndarray, level: int
+) -> int:
     """Reconstruct the team behind ``level`` from a take matrix."""
     team, k = 0, level
-    for s in range(len(items) - 1, -1, -1):
-        if take[s][k]:
-            agent, lev, _ = items[s]
+    for row, step, agent in zip(take[::-1], lev[::-1].tolist(), agents[::-1].tolist()):
+        if row[k]:
             team |= 1 << agent
-            k -= lev
+            k -= step
     return team
 
 
@@ -148,12 +160,13 @@ def _walk_back(take: Sequence[np.ndarray], items: Sequence[Item], level: int) ->
 # ---------------------------------------------------------------------------
 
 
-def _floor_levels(x: np.ndarray, top: int) -> np.ndarray:
+def _floor_levels(x: np.ndarray, top: float) -> np.ndarray:
     """``min(floor_tol(x), top)`` per entry, as int64.
 
     Clamping before flooring is exact, since ``floor_tol`` maps every
-    x >= top to top or more; it also maps an infinite x to ``top``.
-    ``np.rint`` rounds half to even, as ``round`` does.
+    x >= top to top or more; it also maps an infinite x to ``top``. An
+    infinite ``top`` clamps nothing. ``np.rint`` rounds half to even, as
+    ``round`` does.
     """
     x = np.minimum(x, top)
     nearest = np.rint(x)
@@ -250,9 +263,6 @@ def _rounded_steps(
 ) -> tuple[np.ndarray, _LevelSteps]:
     """Lifted grid per anchor and the Pareto steps of its rounded-reward table.
 
-    An agent with value 0 never lowers a level's payment, nor does one whose
-    weight c_i / f({i}) alone exceeds the budget: neither is an item.
-
     An anchor's grid and the values divided by it are lifted by the power
     of two that puts the anchor in [0.5, 1]: the grid of a tiny anchor then
     does not underflow, and wherever it did not underflow before, every
@@ -267,15 +277,11 @@ def _rounded_steps(
     shifts = np.maximum(-np.frexp(anchors)[1], 0)
     grids = delta * np.ldexp(anchors, shifts)
     cap = budget + PAY_TOL
-    agents = [i for i, v in enumerate(values) if v > 0 and inst.costs[i] / v <= cap]
-    weights = np.array([inst.costs[i] / values[i] for i in agents], dtype=np.float64)
-    item_values = np.array([values[i] for i in agents], dtype=np.float64)
+    agents, weights = _items(inst, values, cap)
     with np.errstate(divide="ignore", over="ignore"):
-        lifted = np.ldexp(item_values, shifts[:, None])
+        lifted = np.ldexp(np.asarray(values)[agents], shifts[:, None])
         lev = _floor_levels(lifted / grids[:, None], n_levels)
-    steps = _LevelSteps.fill(
-        n, n_levels, lev, np.array(agents, dtype=np.intp), weights, cap
-    )
+    steps = _LevelSteps.fill(n, n_levels, lev, agents, weights, cap)
     return grids, steps
 
 
@@ -387,36 +393,25 @@ def knapsack_fptas(
     check_epsilon(epsilon)
     _level_gate(inst.n, epsilon)
 
-    items = []
-    for i, v in enumerate(values):
-        worth = evaluate(obj, inst, 1 << i)
-        if worth <= 0 or v <= 0:
-            continue
-        weight = inst.costs[i] / v
-        if weight > budget + PAY_TOL:
-            continue
-        items.append((i, weight, worth))
-    if not items:
+    cap = budget + PAY_TOL
+    agents, weights = _items(inst, values, cap)
+    worths = np.array([evaluate(obj, inst, 1 << i) for i in agents.tolist()])
+    valued = worths > 0
+    agents, weights, worths = agents[valued], weights[valued], worths[valued]
+    if not agents.size:
         return SolveResult(0, evaluate(obj, inst, 0), 0.0, 1)
 
     # Worths are lifted by one power of two so that the largest lies in
     # [0.5, 1]: a tiny worth's grid then does not underflow, and wherever it
     # did not underflow before, every quotient worth / scale is unchanged.
-    top = max(w for _, _, w in items)
+    top = float(worths.max())
     shift = max(-math.frexp(top)[1], 0)
-    scale = epsilon * math.ldexp(top, shift) / len(items)
-    dp_items = [
-        (i, max(floor_tol(math.ldexp(worth, shift) / scale), 0), weight)
-        for i, weight, worth in items
-    ]
-    total = sum(lev for _, lev, _ in dp_items)
-    cap = budget + PAY_TOL
-    payments, take = _cheapest_per_level(dp_items, total, cap)
-    best_level = int(np.nonzero(payments <= cap)[0].max())
-    team = _walk_back(take, dp_items, best_level)
-    return SolveResult(
-        team, evaluate(obj, inst, team), payment(inst, team), total + 1
-    )
+    scale = epsilon * math.ldexp(top, shift) / agents.size
+    lev = _floor_levels(np.ldexp(worths, shift) / scale, math.inf)
+    total = int(lev.sum())
+    best_level, take = _cheapest_per_level(lev, weights, total, cap)
+    team = _walk_back(take, lev, agents, best_level)
+    return SolveResult(team, evaluate(obj, inst, team), payment(inst, team), total + 1)
 
 
 def _additive_values(inst: Instance) -> tuple[float, ...]:

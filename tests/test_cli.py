@@ -387,6 +387,119 @@ def test_cli_contract_on_mutated_instance_files(tmp_path_factory, field, replace
             assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
+#: Values for one flag of each subcommand. Sizes above the caps reach only
+#: the validators (``_gen_size``, ``_enum_gate``); every accepted size is small.
+_ARGV_MENUS = {
+    "INST": ["{add3}", "{xos3}", "{bad}", "{missing}", "{dir}"],
+    "REAL": ["-1", "0", "-0.0", "nan", "inf", "-inf", "1e308", "1e400", "abc", "",
+             "5e-324", "1e-320", "2.2250738585072014e-308", "1e-300", "1e-3", "0.3",
+             "0.999999", "1", "1.0000001", "2"],
+    "SIZE": ["-1", "0", "1", "2", "3", "21", "1001", "1" + "0" * 30, "nan", "1.5",
+             "x", ""],
+    "M": ["-1", "0", "1", "2", "3", "4", "7", "1.5", "nan", "x", ""],
+    "SEED": ["-1", "0", "7", "9" * 30, "x", ""],
+    "SET": ["0", "0,1,2", "", "2,2", "0,5", "-1", "a", "0,,1", "1,0"],
+    "SPEC": ["profit@0.5", "reward@1", "welfare@1e-320", "reward@5e-324",
+             "reward@nan", "reward@inf", "reward@-1", "reward@2", "reward",
+             "frob@0.5", "@0.5", "reward@abc", "reward@"],
+    "GRID": ["b=0.1:0.9:0.2", "b=5e-324:0.5:0.25", "b=1e-320:1e-320:1",
+             "b=nan:1:0.1", "b=0.1:0.9:0", "b=0.1:0.9", "b=0.1:0.9:1e-12",
+             "c=0.1:0.9:0.1", "x", ""],
+    "OBJ": ["profit", "reward", "welfare", "frob", ""],
+    "METHOD": ["brute", "fptas", "frob"],
+    "MODE": ["submodular", "xos", "frob"],
+    "FAMILY": ["additive-lb", "xos-sep", "subadd-lb", "profit-2", "profit-k",
+               "random-additive", "random-submodular", "random-xos", "frob"],
+    "PATH": ["xos", "submodular", "frob"],
+    "SOLVER": ["brute", "frob"],
+}
+#: One valid command per subcommand and family: (flag, menu, default) each.
+_ARGV_BASES = [
+    ["solve", ("--instance", "INST", "{add3}"), ("--budget", "REAL", "0.5"),
+     ("--objective", "OBJ", "reward")],
+    ["solve", ("--instance", "INST", "{add3}"), ("--budget", "REAL", "0.5"),
+     ("--method", "METHOD", "fptas"), ("--epsilon", "REAL", "0.1"),
+     ("--objective", "OBJ", "profit")],
+    ["downsize", ("--instance", "INST", "{add3}"), ("--set", "SET", "0,1,2"),
+     ("--m", "M", "3"), ("--mode", "MODE", "xos")],
+    ["reduce", ("--instance", "INST", "{xos3}"), ("--from", "SPEC", "profit@0.5"),
+     ("--to", "SPEC", "reward@0.5"), ("--solver", "SOLVER", "brute"),
+     ("--path", "PATH", "xos")],
+    ["pof", ("--family", "FAMILY", "additive-lb"), ("--n", "SIZE", "4"),
+     ("--b", "REAL", "0.3"), ("--B", "REAL", "1"), ("--objective", "OBJ", "reward")],
+    ["pof", ("--family", "FAMILY", "profit-2"), ("--grid", "GRID", "b=0.2:0.6:0.2"),
+     ("--n", "SIZE", "4"), ("--eps", "REAL", "0.01"), ("--objective", "OBJ", "profit")],
+    ["pof", ("--family", "FAMILY", "profit-k"), ("--b", "REAL", "0.3"),
+     ("--k", "SIZE", "2"), ("--eps", "REAL", "0.01")],
+    ["gen", ("--family", "FAMILY", "additive-lb"), ("--n", "SIZE", "4"),
+     ("--b", "REAL", "0.3"), ("--B", "REAL", "1"), ("--eps", "REAL", "0.01")],
+    ["gen", ("--family", "FAMILY", "random-xos"), ("--n", "SIZE", "4"),
+     ("--clauses", "SIZE", "2"), ("--seed", "SEED", "1")],
+    ["gen", ("--family", "FAMILY", "profit-k"), ("--b", "REAL", "0.3"),
+     ("--k", "SIZE", "2")],
+    ["check", ("--instance", "INST", "{add3}")],
+]
+_ARGV_CASES = [
+    (base, slot, value)
+    for base in _ARGV_BASES
+    for slot in range(len(base))
+    for value in ([None] if slot == 0 else _ARGV_MENUS[base[slot][1]])
+]
+
+
+def _fuzzed_argv(base, slot, value, files):
+    argv = [base[0]]
+    for k, (flag, _, default) in enumerate(base[1:], start=1):
+        argv += [flag, (value if k == slot else default).format(**files)]
+    return argv
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("argv")
+    save_instance(Instance(3, (0.1, 0.1, 0.0), Additive((0.3, 0.3, 0.2))),
+                  str(root / "add3.json"))
+    save_instance(gen_xos_separation(0.5, 1.0), str(root / "xos3.json"))
+    (root / "bad.json").write_text("{")
+    return {"add3": root / "add3.json", "xos3": root / "xos3.json",
+            "bad": root / "bad.json", "missing": root / "missing.json", "dir": root}
+
+
+@given(st.sampled_from(_ARGV_CASES))
+@settings(max_examples=400, derandomize=True, deadline=None)
+def test_cli_contract_on_fuzzed_argv(argv_files, case):
+    # one flag of a valid command (or none: slot 0) takes a value from its
+    # menu; the command succeeds quietly or fails with one error line, never
+    # with a traceback
+    argv = _fuzzed_argv(*case, argv_files)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err, argv
+    if code:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    else:
+        assert err == "" and out.getvalue(), (argv, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pof", "--family", "additive-lb", "--b", "1e-320"],
+    ["pof", "--family", "profit-2", "--b", "1e-320"],
+    ["pof", "--family", "profit-2", "--b", "1e-320", "--objective", "profit"],
+    ["pof", "--family", "profit-k", "--b", "1e-320"],
+    ["pof", "--family", "profit-k", "--b", "5e-324", "--objective", "profit"],
+    ["gen", "--family", "additive-lb", "--b", "1e-320"],
+    ["gen", "--family", "profit-k", "--b", "1e-320"],
+])
+def test_subnormal_small_budget_runs(argv, capsys):
+    # 2B/b and 1/b overflow to infinity here; the head counts stay finite
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out
+
+
 @pytest.mark.parametrize("grid", [
     "b=0.1:0.9:0.2", "b=0.9:0.1:0.1", "b=0.1:inf:0.1", "b=-inf:1:0.1",
     "b=0.1:0.9:inf", "b=nan:0.9:0.1", "b=0.1:nan:0.1", "b=0.1:0.9:nan",

@@ -162,6 +162,28 @@ def test_best_head_count():
             best_head_count(b, B, n)
 
 
+def test_head_counts_hold_for_every_positive_small_budget():
+    # 2B/b and 1/b overflow to infinity at a subnormal b; n binds there
+    for b in (1e-320, 5e-324):
+        assert best_head_count(b, 1.0, 5) == 5
+        assert pof_bound(b, 1.0, 5, "submodular-exact") == 5.0
+        assert pof_bound(b, 1.0, 5, "profit-upper") == 5.0
+        assert pof_bound(b, 1.0, 5, "profit-lower") == max(2 - b, 5 * (2 - 5 * b) / (2 - b))
+        assert gen_additive_lb(5, b, 1.0).costs == (b / 5,) * 5
+    # and at a normal b every count is the unclamped one
+    bs = [k / 1000 for k in range(1, 1000)] + [2 / m for m in range(3, 60)]
+    bs += [2 / m + d for m in range(3, 60) for d in (-1e-12, 1e-12)]
+    for b in bs:
+        for B in (0.25, 0.5, 1.0):
+            if not b < B:
+                continue
+            for n in (1, 2, 3, 7, 50):
+                heads = min(core.ceil_tol(2 * B / b) - 1, n)
+                best = min(core.floor_tol(1 / b + 0.5), heads)
+                assert best_head_count(b, B, n) == best
+                assert pof_bound(b, B, n, "submodular-exact") == heads
+
+
 def test_profit_lower_bound_crossover():
     # the linear term 2 - b overtakes the k-head curve past (sqrt(33)-5)/2
     cross = (math.sqrt(33) - 5) / 2

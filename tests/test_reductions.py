@@ -172,22 +172,24 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
-    # each pool member is scored once and the winner keeps its score: 9
-    # queries check the hub input (light agents, p(S)), 10 downsize it and
-    # 17 score the pool (the empty team, the piece {0, 1} and 4 singletons);
+    # each pool member is scored once and the winner keeps its score: 4
+    # queries find the light agents, 10 downsize the hub input (p(S), which
+    # also checks it is feasible, among them) and 17 score the pool (the
+    # empty team, the piece {0, 1} and 4 singletons);
     # the feasible singletons are found from the singleton payments the
     # light scan took, and the winner's payment is the one its pool kept,
     # with no query of their own
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 36
+    assert len(table_queries) == 31
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):
     # 77 clause-oracle queries before the singleton payments were kept on the
     # instance: the light scan ran in scale_instance and again in
     # reduce_to_mrl (7 each), and the two pool filters took 5 light and 7
-    # singleton payments anew; 5 more paid each stage's winner again
+    # singleton payments anew; 5 more paid each stage's winner again, and 3
+    # paid the hub input apart from the downsizing that pays it too
     calls = []
     xos_value = XosClauses.value
 
@@ -200,8 +202,8 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 == 53
-    assert light_agents(inst) == 0b1001111 and len(calls) == 53
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 == 50
+    assert light_agents(inst) == 0b1001111 and len(calls) == 50
 
 
 def test_pools_admit_singletons_by_their_team_payment():
@@ -221,3 +223,13 @@ def test_pools_admit_singletons_by_their_team_payment():
                 )
                 assert out.budget_used <= budget + EPS
                 assert out.budget_used == payment(shifted, out.candidate)
+
+
+@pytest.mark.parametrize("path", ["xos", "submodular"])
+def test_reduce_to_mrl_takes_the_hub_payment_from_its_downsizing(uniform4, path):
+    # p(S) = 1 at budget 0.5, and an infinite p(S) (no member has a marginal)
+    overlap = Instance(2, (0.1, 0.1), Table((0.0, 0.5, 0.5, 0.5)))
+    for inst, team in ((uniform4, 0b1111), (overlap, 0b11)):
+        assert payment(inst, team) > 0.5
+        with pytest.raises(PreconditionError, match="^hub input is not budget-feasible$"):
+            reduce_to_mrl(inst, 0.5, PROFIT, team, path=path)

@@ -1,6 +1,8 @@
+import ast
 import math
 import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -342,18 +344,18 @@ def test_tiny_epsilon_is_rejected_before_any_allocation(solve, epsilon):
 # ---------------------------------------------------------------------------
 
 
-def _full_width_levels(items, n_levels, cap):
+def _full_width_levels(levs, weights, n_levels, cap):
     """Reference exact-level DP, no budget cut: every item fills every level."""
     cur = np.full(n_levels + 1, math.inf)
     cur[0] = 0.0
     cand = np.empty_like(cur)
-    take = np.empty((len(items), n_levels + 1), dtype=bool)
-    for s, (_, lev, weight) in enumerate(items):
+    take = np.empty((len(levs), n_levels + 1), dtype=bool)
+    for s, (lev, weight) in enumerate(zip(levs.tolist(), weights)):
         np.add(cur[: n_levels + 1 - lev], weight, out=cand[lev:])
         cand[:lev] = math.inf
         np.less(cand, cur, out=take[s])
         np.minimum(cur, cand, out=cur)
-    return cur, take
+    return int(np.nonzero(cur <= cap)[0].max()), take
 
 
 def _dense_anchor_choices(inst, budget, epsilon):
@@ -514,3 +516,22 @@ def test_floor_levels_match_floor_tol():
     assert got.tolist() == [min(floor_tol(x), top) for x in xs]
     huge = solvers._floor_levels(np.array([math.inf, 1e300]), top)
     assert huge.tolist() == [top, top]
+
+
+def test_both_fptas_take_their_items_from_one_rule():
+    # inside solvers only _items reads the costs, and no second rounding
+    # path (a scalar floor_tol loop over item tuples) is left
+    tree = ast.parse(Path(solvers.__file__).read_text(encoding="utf-8"))
+
+    def costs_reads(node):
+        return sum(
+            isinstance(sub, ast.Attribute) and sub.attr == "costs"
+            for sub in ast.walk(node)
+        )
+
+    (items,) = [
+        node for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_items"
+    ]
+    assert costs_reads(items) == costs_reads(tree) > 0
+    assert not hasattr(solvers, "Item") and not hasattr(solvers, "floor_tol")
