@@ -56,7 +56,7 @@ from .reductions import SOLVERS, equivalence_pipeline
 from .serialize import (
     RunManifest,
     file_sha256,
-    instance_to_dict,
+    instance_text,
     jsonable,
     load_instance,
     objective_from_name,
@@ -263,9 +263,13 @@ def cmd_solve(args) -> dict[str, str]:
 def cmd_downsize(args) -> dict[str, str]:
     inst = load_instance(_require_instance(args))
     try:
-        team = mask_of(int(tok) for tok in args.set.split(",") if tok != "")
+        agents = [int(tok) for tok in args.set.split(",") if tok != ""]
     except ValueError as exc:
         raise InputError(f"bad --set {args.set!r}") from exc
+    for i in agents:  # checked before any shift: 1 << i takes i + 1 bits
+        if not 0 <= i < inst.n:
+            raise InputError(f"--set agent {i} is outside 0..{inst.n - 1}")
+    team = mask_of(agents)
     downsize = downsize_submodular if args.mode == "submodular" else downsize_xos
     # enforce the class precondition: a table past ENUM_CAP ends in sizecap
     res = downsize(inst, team, args.m, check=True)
@@ -382,7 +386,7 @@ def cmd_gen(args) -> dict[str, str]:
     else:
         rng = random.Random(args.seed if args.seed is not None else 0)
         inst = _RANDOM_FAMILIES[args.family](args, rng)
-    return {"": json.dumps(instance_to_dict(inst), indent=2) + "\n"}
+    return {"": instance_text(inst)}
 
 
 def cmd_check(args) -> dict[str, str]:

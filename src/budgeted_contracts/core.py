@@ -86,8 +86,10 @@ def mask_of(agents: Sequence[int]) -> int:
 
 
 def _check_team(team: int, n: int) -> None:
-    if team < 0 or team >> n:
-        raise InputError(f"team {team:#b} has agents outside 0..{n - 1}")
+    if team < 0:
+        raise InputError("a team mask cannot be negative")
+    if team >> n:
+        raise InputError(f"team has agent {team.bit_length() - 1} outside 0..{n - 1}")
 
 
 def _check_agent_count(n: int) -> None:
@@ -388,9 +390,9 @@ def _empty_value(f: SetFunction) -> float:
 
 def _value_range(f: SetFunction) -> tuple[float, float]:
     if isinstance(f, Additive):
-        return 0.0, sum(f.values)
+        return 0.0, _sum_over(f.values, range(f.n))
     if isinstance(f, XosClauses):
-        return 0.0, max(sum(row) for row in f.clauses)
+        return 0.0, max(_sum_over(row, range(f.n)) for row in f.clauses)
     return f.values.min(), f.values.max()
 
 

@@ -130,8 +130,34 @@ def load_instance(path: str) -> Instance:
     return instance_from_dict(data)
 
 
+def instance_text(inst: Instance) -> str:
+    """The text of an instance file: ``json.dumps`` of ``instance_to_dict``
+    with ``indent=2`` and a final newline, byte for byte.
+
+    An indented ``json.dumps`` formats every float in Python, one at a
+    time, so a ``Table`` is written apart: the head is encoded with an empty
+    ``values`` list (the text's last ``[]``, as ``values`` ends the last
+    key), and each distinct bit pattern of the values is formatted once and
+    spliced in there. Keying by bits keeps ``-0.0`` apart from ``0.0``;
+    ``float.__repr__`` is the text ``json`` writes for a finite float, and a
+    ``Table`` holds only finite values.
+    """
+    f = inst.reward
+    if not isinstance(f, Table):
+        return json.dumps(instance_to_dict(inst), indent=2) + "\n"
+    head = json.dumps(
+        {"n": inst.n, "costs": list(inst.costs), "reward": {"type": "table", "values": []}},
+        indent=2,
+    )
+    cut = head.rindex("[]")
+    patterns, inverse = np.unique(f.values.view(np.int64), return_inverse=True)
+    reprs = np.array([repr(v) for v in patterns.view(np.float64).tolist()], dtype=object)
+    block = ",\n      ".join(reprs[inverse].tolist())
+    return f"{head[:cut]}[\n      {block}\n    ]{head[cut + 2:]}\n"
+
+
 def save_instance(inst: Instance, path: str) -> None:
-    write_text(path, json.dumps(instance_to_dict(inst), indent=2) + "\n")
+    write_text(path, instance_text(inst))
 
 
 def write_text(path: str, body: str) -> None:

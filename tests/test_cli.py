@@ -10,6 +10,7 @@ import math
 import os
 import pkgutil
 import platform
+import random
 import stat
 import subprocess
 import sys
@@ -28,16 +29,24 @@ from budgeted_contracts import (
     Additive,
     Instance,
     InputError,
+    Table,
     brute_force_max,
     cli,
+    gen_additive_lb,
+    gen_subadditive_lb,
     gen_xos_separation,
 )
 from budgeted_contracts.cli import main
-from budgeted_contracts.corpora import CORPUS_VERSION
+from budgeted_contracts.corpora import (
+    CORPUS_VERSION,
+    random_submodular_instance,
+    random_xos_instance,
+)
 from budgeted_contracts.objectives import OBJECTIVES, PROFIT
 from budgeted_contracts.reductions import SOLVERS
 from budgeted_contracts.serialize import (
     RunManifest,
+    instance_text,
     instance_to_dict,
     load_instance,
     save_instance,
@@ -301,6 +310,16 @@ def test_downsize_rejects_agents_out_of_range(two_agent_file, capsys, mode):
     _one_input_error(capsys)
 
 
+@pytest.mark.parametrize("bad", ["10000", "999999999999", "-1"])
+def test_downsize_names_a_huge_index_in_one_short_line(two_agent_file, capsys, bad):
+    # the index is checked before 1 << i, so no mask that long is ever built
+    assert run_cli("downsize", "--instance", two_agent_file, "--set", f"0,{bad}",
+                   "--m", 3) == 2
+    err = _one_input_error(capsys)
+    assert f"agent {bad} is outside 0..1" in err
+    assert len(err.encode()) < 120, err
+
+
 def test_instance_file_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")
@@ -398,7 +417,8 @@ _ARGV_MENUS = {
              "x", ""],
     "M": ["-1", "0", "1", "2", "3", "4", "7", "1.5", "nan", "x", ""],
     "SEED": ["-1", "0", "7", "9" * 30, "x", ""],
-    "SET": ["0", "0,1,2", "", "2,2", "0,5", "-1", "a", "0,,1", "1,0"],
+    "SET": ["0", "0,1,2", "", "2,2", "0,5", "-1", "a", "0,,1", "1,0", "0,10000",
+            "0,999999999999"],
     "SPEC": ["profit@0.5", "reward@1", "welfare@1e-320", "reward@5e-324",
              "reward@nan", "reward@inf", "reward@-1", "reward@2", "reward",
              "frob@0.5", "@0.5", "reward@abc", "reward@"],
@@ -858,6 +878,48 @@ def test_instance_json_round_trip(tmp_path, separation_file):
     save_instance(inst, str(again))
     assert load_instance(str(again)) == inst
     assert instance_to_dict(inst)["reward"]["type"] == "xos"
+
+
+def _encoder_cases():
+    rng = np.random.default_rng(21)
+    cases = {}
+    for n in range(1, 13):
+        costs = tuple(rng.uniform(0, 0.1, n))
+        off_grid = rng.uniform(0, 1, 1 << n)
+        planted = off_grid.copy()
+        specials = [-0.0, 5e-324, 2.2250738585072014e-308, 0.0, 1.0]
+        planted[rng.choice(1 << n, min(5, 1 << n), replace=False)] = specials[: 1 << n]
+        cases |= {
+            f"coverage-{n}": random_submodular_instance(random.Random(n), n),
+            f"additive-lb-{n}": gen_additive_lb(n, 0.3, 1.0),
+            f"off-grid-{n}": Instance(n, costs, Table(off_grid)),
+            f"all-equal-{n}": Instance(n, costs, Table(np.full(1 << n, 0.1))),
+            f"planted-{n}": Instance(n, costs, Table(planted)),
+            f"additive-{n}": Instance(n, costs, Additive(tuple(off_grid[:n] / n))),
+            f"xos-{n}": random_xos_instance(random.Random(n), n, 3),
+        }
+        if n >= 4 and n % 2 == 0:
+            cases[f"subadd-lb-{n}"] = gen_subadditive_lb(n, 0.5, 1.0)
+    return [pytest.param(inst, id=name) for name, inst in cases.items()]
+
+
+@pytest.mark.parametrize("inst", _encoder_cases())
+def test_instance_text_is_the_indented_dump(inst):
+    assert instance_text(inst) == json.dumps(instance_to_dict(inst), indent=2) + "\n"
+
+
+def test_only_serialize_calls_instance_to_dict():
+    # instance_text is the one encoder of instance files
+    package = Path(budgeted_contracts.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                if name == "instance_to_dict":
+                    callers.add(path.name)
+    assert callers == {"serialize.py"}
 
 
 def test_serializer_error_paths(tmp_path):

@@ -94,6 +94,14 @@ def test_team_out_of_range(separation):
         value(separation.reward, 1 << 3)
 
 
+def test_team_out_of_range_names_its_highest_stray_agent(separation):
+    # the message names one agent, not the mask: it stays short for any team
+    with pytest.raises(InputError, match=r"^team has agent 10000 outside 0\.\.2$"):
+        value(separation.reward, 1 << 10000 | 1 << 5 | 1)
+    with pytest.raises(InputError, match=r"^a team mask cannot be negative$"):
+        value(separation.reward, -(1 << 10000))
+
+
 # ---------------------------------------------------------------------------
 # payment / profit / contracts
 # ---------------------------------------------------------------------------
@@ -790,6 +798,19 @@ def test_instance_validation():
         Instance(0, (), Additive(()))
     with pytest.raises(InputError):
         Contract((-0.1,))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_value_range_top_is_the_full_team_value(seed):
+    # off-grid values: a sum that rounds in another order would differ
+    rng = random.Random(seed)
+    n = 9
+
+    def row():
+        return tuple(rng.uniform(0, 1 / n) for _ in range(n))
+
+    for f in (Additive(row()), XosClauses(tuple(row() for _ in range(4)))):
+        assert core._value_range(f)[1] == f.value((1 << n) - 1)
 
 
 NON_FINITE = (math.nan, math.inf, -math.inf)
