@@ -1,7 +1,8 @@
 """Command-line driver: solve, downsize, reduce, pof, gen, check.
 
 Every run that writes an output file also writes a ``<out>.manifest.json``
-sidecar recording the command line, input-file hashes, tool version, seed,
+sidecar recording the command line, input-file hashes (of the bytes the
+command read: an instance file is read once), tool version, seed,
 wall time, corpus version and the Python and numpy versions; data files
 themselves contain nothing nondeterministic, so rerunning a manifest's
 command reproduces the bytes. Both go through ``serialize.write_text``,
@@ -30,6 +31,7 @@ from .core import (
     EPS,
     ContractsError,
     InputError,
+    Instance,
     classify,
     mask_of,
     payment,
@@ -55,12 +57,11 @@ from .objectives import OBJECTIVES, PROFIT, REWARD, WELFARE, check_best_conditio
 from .reductions import SOLVERS, equivalence_pipeline
 from .serialize import (
     RunManifest,
-    file_sha256,
     instance_text,
     jsonable,
-    load_instance,
     objective_from_name,
     parse_objective_at_budget,
+    read_instance,
     team_to_list,
     write_manifest,
     write_text,
@@ -242,8 +243,7 @@ def _require_instance(args) -> str:
     return args.instance
 
 
-def cmd_solve(args) -> dict[str, str]:
-    inst = load_instance(_require_instance(args))
+def cmd_solve(args, inst: Instance) -> dict[str, str]:
     obj = objective_from_name(args.objective)
     if args.light_only and args.method != "brute":
         raise InputError("--light-only is only supported with --method brute")
@@ -260,16 +260,33 @@ def cmd_solve(args) -> dict[str, str]:
     return {"": json.dumps(body, indent=2) + "\n"}
 
 
-def cmd_downsize(args) -> dict[str, str]:
-    inst = load_instance(_require_instance(args))
-    try:
-        agents = [int(tok) for tok in args.set.split(",") if tok != ""]
-    except ValueError as exc:
-        raise InputError(f"bad --set {args.set!r}") from exc
-    for i in agents:  # checked before any shift: 1 << i takes i + 1 bits
-        if not 0 <= i < inst.n:
-            raise InputError(f"--set agent {i} is outside 0..{inst.n - 1}")
-    team = mask_of(agents)
+def _cut(text: str) -> str:
+    """An argument entry for a one-line error: its first 30 characters, and
+    its length when it is longer."""
+    if len(text) <= 30:
+        return text
+    return f"{text[:30]}... ({len(text)} characters)"
+
+
+def _agents(spec: str, n: int) -> list[int]:
+    """The agent indices of a ``--set`` list; an error names the one bad
+    entry, cut short."""
+    agents = []
+    for tok in spec.split(","):
+        if tok == "":
+            continue
+        try:
+            i = int(tok)
+        except ValueError as exc:  # int() also refuses over 4,300 digits
+            raise InputError(f"bad --set entry {_cut(tok)!r}") from exc
+        if not 0 <= i < n:  # checked before any shift: 1 << i takes i + 1 bits
+            raise InputError(f"--set agent {_cut(str(i))} is outside 0..{n - 1}")
+        agents.append(i)
+    return agents
+
+
+def cmd_downsize(args, inst: Instance) -> dict[str, str]:
+    team = mask_of(_agents(args.set, inst.n))
     downsize = downsize_submodular if args.mode == "submodular" else downsize_xos
     # enforce the class precondition: a table past ENUM_CAP ends in sizecap
     res = downsize(inst, team, args.m, check=True)
@@ -280,8 +297,7 @@ def cmd_downsize(args) -> dict[str, str]:
     return {"": json.dumps(body, indent=2) + "\n"}
 
 
-def cmd_reduce(args) -> dict[str, str]:
-    inst = load_instance(_require_instance(args))
+def cmd_reduce(args, inst: Instance) -> dict[str, str]:
     obj_from, b_from = parse_objective_at_budget(args.from_spec)
     obj_to, b_to = parse_objective_at_budget(args.to_spec)
     outcome = equivalence_pipeline(
@@ -389,8 +405,7 @@ def cmd_gen(args) -> dict[str, str]:
     return {"": instance_text(inst)}
 
 
-def cmd_check(args) -> dict[str, str]:
-    inst = load_instance(_require_instance(args))
+def cmd_check(args, inst: Instance) -> dict[str, str]:
     classes = classify(inst.reward)
     body = {
         "n": inst.n,
@@ -431,9 +446,16 @@ def main(argv: list[str] | None = None) -> int:
     start = time.perf_counter()
     try:
         args = _build_parser().parse_args(argv)
-        outputs = _COMMANDS[args.command](args)
+        run = functools.partial(_COMMANDS[args.command], args)
+        hashes = {}
+        if hasattr(args, "instance"):  # solve, downsize, reduce and check
+            # one read: the manifest hashes the bytes the command used
+            inst, digest = read_instance(_require_instance(args))
+            hashes = {args.instance: digest}
+            run = functools.partial(run, inst)
+        outputs = run()
         if args.verify:
-            if _COMMANDS[args.command](args) != outputs:
+            if run() != outputs:
                 raise InputError("verification failed: recomputation differs")
             for key, body in outputs.items():
                 path = _out_path_for(args, key)
@@ -446,8 +468,6 @@ def main(argv: list[str] | None = None) -> int:
                     continue
                 if existing != body:
                     raise InputError(f"verification failed: {path} differs")
-        instance = getattr(args, "instance", None)
-        hashes = {instance: file_sha256(instance)} if instance else {}
         for key, body in outputs.items():
             path = _out_path_for(args, key)
             if path is None:

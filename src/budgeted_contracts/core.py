@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
@@ -171,6 +172,22 @@ class Additive:
 
     def value(self, team: int) -> float:
         return _sum_over(self.values, bits(team))
+
+    def drop_values(self, team: int) -> tuple[float, list[float]]:
+        """f(S) and f(S - {i}) for each member i of S, ascending, in one pass.
+
+        Each equals ``value`` bit for bit. With members a_0 < a_1 < ...,
+        the sum over S - {a_j} first adds a_0 .. a_(j-1), which is the
+        prefix sum P_j, and then the values after a_j in order; ``reduce``
+        repeats exactly those additions. That is O(|S|^2) additions in C
+        against |S| + 1 walks of ``value``.
+        """
+        xs = list(map(self.values.__getitem__, bits(team)))
+        total, drops = 0.0, []
+        for j, x in enumerate(xs, 1):
+            drops.append(functools.reduce(operator.add, xs[j:], total))
+            total += x
+        return total, drops
 
 
 @dataclass(frozen=True)
@@ -420,8 +437,19 @@ def _pay_term(cost: float, margin: float) -> float:
 
 
 def _shares(inst: Instance, team: int) -> Iterator[tuple[int, float]]:
-    """(agent, payment share c_i / f_S(i)) for each member, agents ascending."""
+    """(agent, payment share c_i / f_S(i)) for each member, agents ascending.
+
+    An additive team of four or more gives f(S) and every f(S - {i}) in one
+    pass; at three members or fewer the queries below take less time. Other
+    teams are asked f(S) and then one f(S - {i}) per share taken, so a
+    payment that turns infinite asks no further.
+    """
     f = inst.reward
+    if isinstance(f, Additive) and team.bit_count() > 3:
+        f_team, drops = f.drop_values(team)
+        for i, drop in zip(bits(team), drops):
+            yield i, _pay_term(inst.costs[i], f_team - drop)
+        return
     f_team = f.value(team)
     for i in bits(team):
         yield i, _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))

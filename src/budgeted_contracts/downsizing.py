@@ -23,16 +23,18 @@ guarantees tolerate either resolution of an exact tie.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .core import (
+    Additive,
     Instance,
     InputError,
     PreconditionError,
+    SetFunction,
     XosClauses,
     _check_team,
     _class_gate,
-    _shares,
+    _pay_term,
     _sum_over,
     _table_is_subadditive,
     bits,
@@ -40,7 +42,6 @@ from .core import (
     mask_of,
     payment,
     team_table,
-    value,
 )
 from .objectives import REWARD, Objective, Reward, evaluate, evaluate_all
 
@@ -69,34 +70,48 @@ def downsize_submodular(
     verifies that the reward is submodular (n <= 20 unless additive) and
     that any other psi is subadditive (n <= 16).
     """
-    if not isinstance(m, int) or m < 3:
-        raise InputError("downsizing parameter m must be an integer >= 3")
-    _check_team(team, inst.n)
-    if team == 0:
-        raise InputError("cannot downsize the empty team")
+    _check_downsize(inst, team, m)
     if check:
         if not is_submodular(inst.reward):
             raise PreconditionError("reward function is not submodular")
         if not isinstance(psi, Reward):  # a submodular reward is subadditive
             _assert_subadditive(psi, inst)
-    share = dict(_shares(inst, team))
-    pay_team = _sum_over(share, bits(team))  # payment(inst, team), bit for bit
-    threshold = pay_team / m
+    share, pay_team = _paid(inst, _margins(inst.reward, team)[1])
     psi_team = evaluate(psi, inst, team)
+    after, psi_after, singleton = _fill_bags(inst, m, psi, share, pay_team, psi_team)
+    return DownsizeResult(
+        after, pay_team, payment(inst, after), psi_team, psi_after, singleton
+    )
+
+
+def _check_downsize(inst: Instance, team: int, m: int) -> None:
+    if not isinstance(m, int) or m < 3:
+        raise InputError("downsizing parameter m must be an integer >= 3")
+    _check_team(team, inst.n)
+    if team == 0:
+        raise InputError("cannot downsize the empty team")
+
+
+def _fill_bags(
+    inst: Instance,
+    m: int,
+    psi: Objective,
+    share: dict[int, float],
+    pay_team: float,
+    psi_team: float,
+) -> tuple[int, float, bool]:
+    """The piece bag filling returns, psi of it, and whether it is an outlier
+    singleton, from p(S), psi(S) and ``share``, which maps each member to
+    its payment share, members ascending."""
+    threshold = pay_team / m
     floor = psi_team / (m - 1)
-
-    def exit_with(after: int, psi_after: float, singleton=False) -> DownsizeResult:
-        return DownsizeResult(
-            after, pay_team, payment(inst, after), psi_team, psi_after, singleton
-        )
-
-    outliers = [i for i in bits(team) if share[i] > threshold]
+    outliers = [i for i, s in share.items() if s > threshold]
     for i in outliers:
         psi_single = evaluate(psi, inst, 1 << i)
         if psi_single >= floor:
-            return exit_with(1 << i, psi_single, singleton=True)
+            return 1 << i, psi_single, True
 
-    queue = [i for i in bits(team) if share[i] <= threshold]
+    queue = [i for i, s in share.items() if s <= threshold]
     pos = 0
     for _ in range(m - len(outliers) - 2):
         bag, bag_sum = 0, 0.0
@@ -107,7 +122,7 @@ def downsize_submodular(
             bag_sum += share[i]
         psi_bag = evaluate(psi, inst, bag)
         if psi_bag >= floor:
-            return exit_with(bag, psi_bag)
+            return bag, psi_bag, False
     remainder = mask_of(queue[pos:])
     if len(outliers) >= m - 1:
         # With M-1 outliers (more is impossible: each share exceeds p/M),
@@ -117,7 +132,50 @@ def downsize_submodular(
         # 1/(M-1) of the rest, which together stay within (2/M) p(S);
         # the other M-2 outliers each failed the value floor above.
         remainder |= 1 << min(outliers, key=lambda i: (share[i], i))
-    return exit_with(remainder, evaluate(psi, inst, remainder))
+    return remainder, evaluate(psi, inst, remainder), False
+
+
+def _margins(f: SetFunction, team: int) -> tuple[float, dict[int, float]]:
+    """f(S) and each member's marginal f(S) - f(S - {i}), members ascending:
+    one pass for an additive reward, else |S| + 1 value queries, f(S) first,
+    as ``payment`` asks them."""
+    if isinstance(f, Additive):
+        f_team, drops = f.drop_values(team)
+    else:
+        f_team = f.value(team)
+        drops = [f.value(team & ~(1 << i)) for i in bits(team)]
+    return f_team, {i: f_team - drop for i, drop in zip(bits(team), drops)}
+
+
+def _paid(inst: Instance, marg: dict[int, float]) -> tuple[dict[int, float], float]:
+    """Each member's payment share c_i / f_S(i), from its marginal, and p(S),
+    their sum, which equals ``payment`` bit for bit."""
+    share = {i: _pay_term(inst.costs[i], mg) for i, mg in marg.items()}
+    return share, _sum_over(share, share)
+
+
+def _recover(
+    f: SetFunction, current: int, team_marg: dict[int, float]
+) -> tuple[int, float, dict[int, float]]:
+    """``recover_marginals_xos`` from the members' team marginals; it also
+    returns the value and the marginals of the set it keeps, which are what
+    p() of that set asks."""
+    while True:
+        f_cur, own_marg = _margins(f, current)
+        worst, worst_ratio = None, math.inf
+        violated = False
+        for i, own in own_marg.items():
+            target = team_marg[i]
+            if target <= 0.0:
+                continue
+            if own < 0.5 * target:
+                violated = True
+            ratio = own / target
+            if ratio < worst_ratio:
+                worst, worst_ratio = i, ratio
+        if not violated:
+            return current, f_cur, own_marg
+        current &= ~(1 << worst)
 
 
 def recover_marginals_xos(inst: Instance, kept: int, team: int) -> int:
@@ -132,27 +190,7 @@ def recover_marginals_xos(inst: Instance, kept: int, team: int) -> int:
     _check_team(team, inst.n)
     if kept & ~team:
         raise InputError("kept agents must form a subset of the team")
-    f = inst.reward
-    f_team = f.value(team)
-    team_marg = {i: f_team - f.value(team & ~(1 << i)) for i in bits(kept)}
-    current = kept
-    while True:
-        f_cur = f.value(current)
-        worst, worst_ratio = None, math.inf
-        violated = False
-        for i in bits(current):
-            target = team_marg[i]
-            if target <= 0.0:
-                continue
-            own = f_cur - f.value(current & ~(1 << i))
-            if own < 0.5 * target:
-                violated = True
-            ratio = own / target
-            if ratio < worst_ratio:
-                worst, worst_ratio = i, ratio
-        if not violated:
-            return current
-        current &= ~(1 << worst)
+    return _recover(inst.reward, kept, _margins(inst.reward, team)[1])[0]
 
 
 def downsize_xos(
@@ -163,17 +201,23 @@ def downsize_xos(
     The bag stage is run with psi equal to the reward itself; its share-sum
     bound needs no submodularity, and the recovery stage converts it into a
     true payment bound at the cost of a factor two on each side.
+
+    The two stages share their queries: f(S) and each f(S - {i}) are taken
+    once, for the bag stage's shares and psi(S) and for recovery's team
+    marginals, and the value and marginals of the set recovery keeps give
+    its payment and value. The result equals running
+    ``downsize_submodular`` and then ``recover_marginals_xos`` bit for bit.
     """
     f = inst.reward  # clause and additive forms are XOS, and so is a submodular table
     if check and not (isinstance(f, XosClauses) or is_submodular(f)):
         raise PreconditionError("reward representation cannot be certified XOS")
-    inner = downsize_submodular(inst, team, m)
-    recovered = recover_marginals_xos(inst, inner.subset, team)
-    return replace(
-        inner,
-        subset=recovered,
-        payment_after=payment(inst, recovered),
-        objective_after=value(inst.reward, recovered),
+    _check_downsize(inst, team, m)
+    f_team, team_marg = _margins(f, team)
+    share, pay_team = _paid(inst, team_marg)
+    after, _, singleton = _fill_bags(inst, m, REWARD, share, pay_team, f_team)
+    kept, f_kept, kept_marg = _recover(f, after, team_marg)
+    return DownsizeResult(
+        kept, pay_team, _paid(inst, kept_marg)[1], f_team, f_kept, singleton
     )
 
 

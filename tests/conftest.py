@@ -5,6 +5,7 @@ from budgeted_contracts import (
     Instance,
     Table,
     XosClauses,
+    bits,
     gen_additive_lb,
     gen_xos_separation,
 )
@@ -56,4 +57,27 @@ def table_queries(monkeypatch):
         return table_value(self, team)
 
     monkeypatch.setattr(Table, "value", counting)
+    return calls
+
+
+@pytest.fixture
+def additive_queries(monkeypatch):
+    """The masks whose value ``Additive`` was asked while the test runs, in
+    call order: one ``drop_values`` pass over S counts as the |S| + 1
+    queries it answers, S first and then S - {i} for each member i
+    ascending."""
+    calls = []
+    additive_value, drop_values = Additive.value, Additive.drop_values
+
+    def counting_value(self, team):
+        calls.append(team)
+        return additive_value(self, team)
+
+    def counting_drops(self, team):
+        calls.append(team)
+        calls.extend(team & ~(1 << i) for i in bits(team))
+        return drop_values(self, team)
+
+    monkeypatch.setattr(Additive, "value", counting_value)
+    monkeypatch.setattr(Additive, "drop_values", counting_drops)
     return calls

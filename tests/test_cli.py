@@ -1,7 +1,9 @@
 import ast
+import builtins
 import copy
 import csv
 import dataclasses
+import hashlib
 import importlib
 import inspect
 import io
@@ -320,6 +322,20 @@ def test_downsize_names_a_huge_index_in_one_short_line(two_agent_file, capsys, b
     assert len(err.encode()) < 120, err
 
 
+@pytest.mark.parametrize("digit, count, named", [
+    ("9", 5000, "bad --set entry '999999999999999999999999999999... (5000 characters)'"),
+    ("1", 4000, "--set agent 111111111111111111111111111111... (4000 characters) "
+                "is outside 0..1"),
+], ids=["unparsed", "out-of-range"])
+def test_downsize_cuts_a_long_entry_short(two_agent_file, capsys, digit, count, named):
+    # more than 4,300 digits int() refuses; 4,000 it parses, far out of range
+    assert run_cli("downsize", "--instance", two_agent_file, "--set",
+                   f"0,{digit * count}", "--m", 3) == 2
+    err = _one_input_error(capsys)
+    assert err == f"error: input: {named}\n"
+    assert len(err.encode()) < 120, err
+
+
 def test_instance_file_must_be_an_object(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2, 3]")
@@ -418,7 +434,7 @@ _ARGV_MENUS = {
     "M": ["-1", "0", "1", "2", "3", "4", "7", "1.5", "nan", "x", ""],
     "SEED": ["-1", "0", "7", "9" * 30, "x", ""],
     "SET": ["0", "0,1,2", "", "2,2", "0,5", "-1", "a", "0,,1", "1,0", "0,10000",
-            "0,999999999999"],
+            "0,999999999999", "0," + "9" * 5000, "0," + "1" * 4000],
     "SPEC": ["profit@0.5", "reward@1", "welfare@1e-320", "reward@5e-324",
              "reward@nan", "reward@inf", "reward@-1", "reward@2", "reward",
              "frob@0.5", "@0.5", "reward@abc", "reward@"],
@@ -1093,3 +1109,23 @@ def test_manifest_records_corpus_and_library_versions(tmp_path, two_agent_file):
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert manifest["command"][-1] == str(out)
+
+
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["run", "verify"])
+def test_instance_is_read_once_and_hashed_as_read(tmp_path, two_agent_file,
+                                                  monkeypatch, verify):
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    out = tmp_path / "solve.json"
+    assert run_cli("solve", "--instance", two_agent_file, "--budget", 0.5,
+                   "--out", out, *verify) == 0
+    assert opened.count(str(two_agent_file)) == 1
+    manifest = json.loads((tmp_path / "solve.json.manifest.json").read_text())
+    digest = hashlib.sha256(two_agent_file.read_bytes()).hexdigest()
+    assert manifest["instance_hashes"] == {str(two_agent_file): digest}

@@ -813,6 +813,39 @@ def test_value_range_top_is_the_full_team_value(seed):
         assert core._value_range(f)[1] == f.value((1 << n) - 1)
 
 
+def _drop_value_cases(rng):
+    """Seeded additive rows for the drop kernel: n = 1-63, off-grid values
+    with 0.0, -0.0 and 5e-324 planted, and rows whose total is near 1."""
+    for n in list(range(1, 64)) * 4:
+        row = [rng.uniform(0, 2 / n) for _ in range(n)]
+        for _ in range(rng.randrange(n // 3 + 1)):
+            row[rng.randrange(n)] = rng.choice((0.0, -0.0, 5e-324))
+        if rng.random() < 0.5:  # scale so that the team sums sit next to 1
+            total = math.fsum(row) or 1.0
+            row = [v / total * (1 - rng.choice((0.0, 1e-16, 2e-16))) for v in row]
+        yield row
+
+
+def _hex(xs):
+    return [x.hex() for x in xs]
+
+
+def test_drop_values_equal_the_per_query_sums():
+    # the reference sums each f(S - {i}) from 0.0 over the members in order,
+    # as value() does; hex compares bits, so -0.0 against 0.0 is caught
+    rng = random.Random(22)
+    for row in _drop_value_cases(rng):
+        n, f = len(row), Additive(row)
+        sizes = {0, 1, n, rng.randint(0, n)} if n < 63 else range(64)
+        for size in sizes:
+            team = mask_of(rng.sample(range(n), size))
+            f_team, drops = f.drop_values(team)
+            expect = [core._sum_over(row, bits(team & ~(1 << i))) for i in bits(team)]
+            assert f_team.hex() == core._sum_over(row, bits(team)).hex()
+            assert _hex(drops) == _hex(expect), (n, team)
+            assert f_team.hex() == f.value(team).hex()
+
+
 NON_FINITE = (math.nan, math.inf, -math.inf)
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -21,9 +22,16 @@ from budgeted_contracts import (
     marginal,
     payment,
     recover_marginals_xos,
+    to_table,
     value,
 )
-from budgeted_contracts.corpora import submodular_corpus, xos_corpus
+from budgeted_contracts.core import _pay_term
+from budgeted_contracts.corpora import (
+    random_additive_instance,
+    random_xos_instance,
+    submodular_corpus,
+    xos_corpus,
+)
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE, evaluate
 
 ALL3 = 0b111
@@ -259,3 +267,172 @@ def test_downsizing_guarantee_property(case):
         composed.payment_after <= (4 / m) * pay_team + 1e-9
         or composed.subset.bit_count() == 1
     )
+
+
+# Reference oracles: the downsizings as they were before their two stages
+# shared queries, asking every f(S) and f(S - {i}) of ``value`` one query at
+# a time (the additive drop kernel included), so the shared and one-pass
+# forms are checked against the plain oracle definitions.
+
+
+def _ref_payment(inst, team):
+    f, total = inst.reward, 0.0
+    f_team = f.value(team)
+    for i in bits(team):
+        total += _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
+        if total == math.inf:
+            return math.inf
+    return total
+
+
+def _ref_evaluate(psi, inst, team):
+    if psi is not PROFIT:
+        return evaluate(psi, inst, team)
+    f_team = inst.reward.value(team)
+    if f_team == 0.0:
+        return 0.0
+    pay = _ref_payment(inst, team)
+    return -math.inf if pay == math.inf else (1.0 - pay) * f_team
+
+
+def _ref_downsize_submodular(inst, team, m, psi=REWARD):
+    f = inst.reward
+    f_team = f.value(team)
+    share = {
+        i: _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
+        for i in bits(team)
+    }
+    pay_team = 0.0
+    for i in bits(team):
+        pay_team += share[i]
+    threshold = pay_team / m
+    psi_team = _ref_evaluate(psi, inst, team)
+    floor = psi_team / (m - 1)
+
+    def exit_with(after, psi_after, singleton=False):
+        return DownsizeResult(
+            after, pay_team, _ref_payment(inst, after), psi_team, psi_after, singleton
+        )
+
+    outliers = [i for i in bits(team) if share[i] > threshold]
+    for i in outliers:
+        psi_single = _ref_evaluate(psi, inst, 1 << i)
+        if psi_single >= floor:
+            return exit_with(1 << i, psi_single, singleton=True)
+    queue = [i for i in bits(team) if share[i] <= threshold]
+    pos = 0
+    for _ in range(m - len(outliers) - 2):
+        bag, bag_sum = 0, 0.0
+        while pos < len(queue) and bag_sum <= threshold:
+            i = queue[pos]
+            pos += 1
+            bag |= 1 << i
+            bag_sum += share[i]
+        psi_bag = _ref_evaluate(psi, inst, bag)
+        if psi_bag >= floor:
+            return exit_with(bag, psi_bag)
+    remainder = 0
+    for i in queue[pos:]:
+        remainder |= 1 << i
+    if len(outliers) >= m - 1:
+        remainder |= 1 << min(outliers, key=lambda i: (share[i], i))
+    return exit_with(remainder, _ref_evaluate(psi, inst, remainder))
+
+
+def _ref_recover_marginals_xos(inst, kept, team):
+    f = inst.reward
+    f_team = f.value(team)
+    team_marg = {i: f_team - f.value(team & ~(1 << i)) for i in bits(kept)}
+    current = kept
+    while True:
+        f_cur = f.value(current)
+        worst, worst_ratio = None, math.inf
+        violated = False
+        for i in bits(current):
+            target = team_marg[i]
+            if target <= 0.0:
+                continue
+            own = f_cur - f.value(current & ~(1 << i))
+            if own < 0.5 * target:
+                violated = True
+            ratio = own / target
+            if ratio < worst_ratio:
+                worst, worst_ratio = i, ratio
+        if not violated:
+            return current
+        current &= ~(1 << worst)
+
+
+def _ref_downsize_xos(inst, team, m):
+    inner = _ref_downsize_submodular(inst, team, m)
+    recovered = _ref_recover_marginals_xos(inst, inner.subset, team)
+    return replace(
+        inner,
+        subset=recovered,
+        payment_after=_ref_payment(inst, recovered),
+        objective_after=inst.reward.value(recovered),
+    )
+
+
+def _off_grid_row(rng, n):
+    row = [rng.uniform(0, 1 / n) for _ in range(n)]  # every sum stays below 1
+    if rng.random() < 0.2:
+        row[rng.randrange(n)] = 0.0  # a free or an unpayable agent
+    return row
+
+
+def _off_grid_costs(rng, row):
+    return tuple(rng.choice((0.0, 0.1, 0.5, 1.0)) * rng.uniform(0.2, 1) * max(v, 0.01)
+                 for v in row)
+
+
+def _reference_cases(rng):
+    """(instance, team) pairs on additive, XOS and table rewards, dyadic and
+    off-grid, n = 2-63 for the oracle forms and 2-8 for tables."""
+    for _ in range(20):
+        n = rng.randint(2, 63)
+        row = _off_grid_row(rng, n)
+        yield random_additive_instance(rng, n)
+        yield Instance(n, _off_grid_costs(rng, row), Additive(row))
+        n = rng.randint(2, 30)
+        clauses = [_off_grid_row(rng, n) for _ in range(rng.randint(1, 5))]
+        yield random_xos_instance(rng, n, rng.randint(1, 5))
+        yield Instance(n, _off_grid_costs(rng, clauses[0]), XosClauses(clauses))
+        n = rng.randint(2, 8)
+        yield submodular_corpus(1, rng.randrange(1 << 30), n, n)[0]
+        off = Instance(n, _off_grid_costs(rng, [0.1] * n),
+                       XosClauses([_off_grid_row(rng, n) for _ in range(3)]))
+        yield Instance(n, off.costs, to_table(off.reward))
+
+
+def test_downsizings_equal_their_reference_oracles():
+    # repr() compares floats bit for bit (-0.0, inf), within the dataclass
+    rng = random.Random(2207)
+    cases = 0
+    for inst in _reference_cases(rng):
+        full = (1 << inst.n) - 1
+        for team in {full, rng.randrange(1, full + 1), rng.randrange(1, full + 1)}:
+            for m in (3, 5, 8):
+                for psi in (REWARD, PROFIT, WELFARE):
+                    got = downsize_submodular(inst, team, m, psi)
+                    assert repr(got) == repr(_ref_downsize_submodular(inst, team, m, psi))
+                got = downsize_xos(inst, team, m)
+                assert repr(got) == repr(_ref_downsize_xos(inst, team, m))
+                cases += 1
+            kept = team & rng.randrange(0, full + 1)
+            assert recover_marginals_xos(inst, kept, team) == (
+                _ref_recover_marginals_xos(inst, kept, team)
+            )
+    assert cases >= 900
+
+
+def test_downsize_xos_asks_each_drop_once(additive_queries):
+    # one pass over S gives the shares, psi(S) and the team marginals (5),
+    # the first bag {0, 1} is valued (1), and recovery's one round over it
+    # (3) gives its payment and value: 20 queries when each stage asked its
+    # own, 5 + 1 + 1 + 3 for the bag stage and 3 + 3 + 4 for recovery
+    inst = Instance(4, (1 / 16,) * 4, Additive((0.25,) * 4))
+    res = downsize_xos(inst, ALL4, 4)
+    assert (res.subset, res.payment_after, res.objective_after) == (0b0011, 0.5, 0.5)
+    assert additive_queries == [ALL4, 0b1110, 0b1101, 0b1011, 0b0111, 0b0011,
+                                0b0011, 0b0010, 0b0001]

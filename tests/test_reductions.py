@@ -189,7 +189,11 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     # instance: the light scan ran in scale_instance and again in
     # reduce_to_mrl (7 each), and the two pool filters took 5 light and 7
     # singleton payments anew; 5 more paid each stage's winner again, and 3
-    # paid the hub input apart from the downsizing that pays it too
+    # paid the hub input apart from the downsizing that pays it too; 8 more
+    # went when downsize_xos's two stages shared their queries: psi(S) and
+    # the 2 team marginals recovery needs come from the pass that takes the
+    # shares, recovery's first round asks the 2 queries p(T) took, and its
+    # last round gives the kept set's payment and value (3)
     calls = []
     xos_value = XosClauses.value
 
@@ -202,8 +206,8 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 == 50
-    assert light_agents(inst) == 0b1001111 and len(calls) == 50
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 == 42
+    assert light_agents(inst) == 0b1001111 and len(calls) == 42
 
 
 def test_pools_admit_singletons_by_their_team_payment():
