@@ -16,7 +16,6 @@ import argparse
 import math
 import random
 import sys
-from dataclasses import dataclass
 
 from budgeted_contracts import (
     brute_force_max,
@@ -34,12 +33,6 @@ from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
 SHRINK_PARAMS = (3, 4, 5, 8)
 BUDGETS = (0.25, 0.5, 1.0)
-
-
-@dataclass
-class SweepConfig:
-    count: int = 100
-    seed: int = 0
 
 
 def downsizing_sweep(name, corpus, rng, n_teams, downsize, slack, floor):
@@ -77,10 +70,10 @@ def downsizing_sweep(name, corpus, rng, n_teams, downsize, slack, floor):
         )
 
 
-def reduction_sweep(cfg: SweepConfig) -> None:
+def reduction_sweep(count: int, seed: int) -> None:
     worst_fwd = math.inf
     worst_back = math.inf
-    for inst in xos_corpus(cfg.count // 2, seed=cfg.seed + 20, n_hi=8):
+    for inst in xos_corpus(count // 2, seed=seed + 20, n_hi=8):
         for budget in BUDGETS:
             hub = brute_force_max(REWARD, inst, budget, light_only=True)
             for obj in (REWARD, PROFIT, WELFARE):
@@ -96,24 +89,24 @@ def reduction_sweep(cfg: SweepConfig) -> None:
     print(f"  hub reward kept from a solver:  {worst_back:.4f} >= {1 / 20:.4f}")
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=100)
     parser.add_argument("--seed", type=int, default=0)
-    args = parser.parse_args()
-    cfg = SweepConfig(count=args.count, seed=args.seed)
-    print(f"corpora: {cfg.count} instances per class, seed {cfg.seed}\n")
+    args = parser.parse_args(argv)
+    count, seed = args.count, args.seed
+    print(f"corpora: {count} instances per class, seed {seed}\n")
     downsizing_sweep(
-        "submodular", submodular_corpus(cfg.count, seed=cfg.seed, n_hi=10),
-        random.Random(cfg.seed + 1), 20, downsize_submodular, 1, "1/(M-1)",
+        "submodular", submodular_corpus(count, seed=seed, n_hi=10),
+        random.Random(seed + 1), 20, downsize_submodular, 1, "1/(M-1)",
     )
     print()
     downsizing_sweep(
-        "XOS", xos_corpus(cfg.count, seed=cfg.seed + 10, n_hi=10),
-        random.Random(cfg.seed + 2), 15, downsize_xos, 2, "1/(2M-2)",
+        "XOS", xos_corpus(count, seed=seed + 10, n_hi=10),
+        random.Random(seed + 2), 15, downsize_xos, 2, "1/(2M-2)",
     )
     print()
-    reduction_sweep(cfg)
+    reduction_sweep(count, seed)
     return 0
 
 

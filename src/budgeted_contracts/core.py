@@ -436,34 +436,46 @@ def _pay_term(cost: float, margin: float) -> float:
     return cost / margin
 
 
-def _shares(inst: Instance, team: int) -> Iterator[tuple[int, float]]:
-    """(agent, payment share c_i / f_S(i)) for each member, agents ascending.
+def _margins(f: SetFunction, team: int) -> tuple[float, dict[int, float]]:
+    """f(S) and each member's marginal f(S) - f(S - {i}), members ascending:
+    the one path by which payments, profits, contracts and both downsizings
+    ask a team's drops.
 
     An additive team of four or more gives f(S) and every f(S - {i}) in one
-    pass; at three members or fewer the queries below take less time. Other
-    teams are asked f(S) and then one f(S - {i}) per share taken, so a
-    payment that turns infinite asks no further.
+    ``drop_values`` pass; at three members or fewer the queries below take
+    less time. Other teams are asked f(S) and then f(S - {i}) for each
+    member, every one even where a share turns out infinite, which leaves a
+    sum of shares as it was (inf + x = inf).
     """
-    f = inst.reward
     if isinstance(f, Additive) and team.bit_count() > 3:
         f_team, drops = f.drop_values(team)
-        for i, drop in zip(bits(team), drops):
-            yield i, _pay_term(inst.costs[i], f_team - drop)
-        return
+        return f_team, {i: f_team - drop for i, drop in zip(bits(team), drops)}
     f_team = f.value(team)
-    for i in bits(team):
-        yield i, _pay_term(inst.costs[i], f_team - f.value(team & ~(1 << i)))
+    marg = {}
+    for i in bits(team):  # a loop, not a comprehension: faster on a small team
+        marg[i] = f_team - f.value(team & ~(1 << i))
+    return f_team, marg
+
+
+def _pay(inst: Instance, marg: dict[int, float]) -> float:
+    """p(S) from the members' marginals: their shares summed in member order."""
+    total = 0.0
+    for i, mg in marg.items():
+        total += _pay_term(inst.costs[i], mg)
+    return total
+
+
+def _paid(inst: Instance, marg: dict[int, float]) -> tuple[dict[int, float], float]:
+    """Each member's payment share c_i / f_S(i), from its marginal, and p(S),
+    their sum, which equals ``payment`` bit for bit."""
+    share = {i: _pay_term(inst.costs[i], mg) for i, mg in marg.items()}
+    return share, _sum_over(share, share)
 
 
 def payment(inst: Instance, team: int) -> float:
     """Minimum total payment incentivizing exactly this team (may be +inf)."""
     _check_team(team, inst.n)
-    total = 0.0
-    for _, share in _shares(inst, team):
-        total += share
-        if total == math.inf:
-            return math.inf
-    return total
+    return _pay(inst, _margins(inst.reward, team)[1])
 
 
 def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
@@ -560,10 +572,10 @@ def profit(inst: Instance, team: int) -> float:
     rank it last; if f(S) = 0 the profit is 0 regardless of payment.
     """
     _check_team(team, inst.n)
-    f_team = inst.reward.value(team)
+    f_team, marg = _margins(inst.reward, team)
     if f_team == 0.0:
         return 0.0
-    pay = payment(inst, team)
+    pay = _pay(inst, marg)
     if pay == math.inf:
         return -math.inf
     return (1.0 - pay) * f_team
@@ -573,7 +585,7 @@ def optimal_contract_for(inst: Instance, team: int) -> Contract:
     """Cheapest contract making this team an equilibrium: alpha_i = c_i / f_S(i)."""
     _check_team(team, inst.n)
     alpha = [0.0] * inst.n
-    for i, share in _shares(inst, team):
+    for i, share in _paid(inst, _margins(inst.reward, team)[1])[0].items():
         if share == math.inf:
             raise InfeasibleSetError(
                 f"agent {i} has zero marginal but positive cost in this team"

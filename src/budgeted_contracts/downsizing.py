@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 from .core import (
-    Additive,
     Instance,
     InputError,
     PreconditionError,
@@ -34,10 +33,10 @@ from .core import (
     XosClauses,
     _check_team,
     _class_gate,
-    _pay_term,
-    _sum_over,
+    _margins,
+    _pay,
+    _paid,
     _table_is_subadditive,
-    bits,
     is_submodular,
     mask_of,
     payment,
@@ -135,25 +134,6 @@ def _fill_bags(
     return remainder, evaluate(psi, inst, remainder), False
 
 
-def _margins(f: SetFunction, team: int) -> tuple[float, dict[int, float]]:
-    """f(S) and each member's marginal f(S) - f(S - {i}), members ascending:
-    one pass for an additive reward, else |S| + 1 value queries, f(S) first,
-    as ``payment`` asks them."""
-    if isinstance(f, Additive):
-        f_team, drops = f.drop_values(team)
-    else:
-        f_team = f.value(team)
-        drops = [f.value(team & ~(1 << i)) for i in bits(team)]
-    return f_team, {i: f_team - drop for i, drop in zip(bits(team), drops)}
-
-
-def _paid(inst: Instance, marg: dict[int, float]) -> tuple[dict[int, float], float]:
-    """Each member's payment share c_i / f_S(i), from its marginal, and p(S),
-    their sum, which equals ``payment`` bit for bit."""
-    share = {i: _pay_term(inst.costs[i], mg) for i, mg in marg.items()}
-    return share, _sum_over(share, share)
-
-
 def _recover(
     f: SetFunction, current: int, team_marg: dict[int, float]
 ) -> tuple[int, float, dict[int, float]]:
@@ -217,7 +197,7 @@ def downsize_xos(
     after, _, singleton = _fill_bags(inst, m, REWARD, share, pay_team, f_team)
     kept, f_kept, kept_marg = _recover(f, after, team_marg)
     return DownsizeResult(
-        kept, pay_team, _paid(inst, kept_marg)[1], f_team, f_kept, singleton
+        kept, pay_team, _pay(inst, kept_marg), f_team, f_kept, singleton
     )
 
 

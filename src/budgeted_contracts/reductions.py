@@ -21,12 +21,14 @@ with the overall factor the composition of the per-stage constants.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Literal
 
 from .core import (
     EPS,
     Instance,
+    InputError,
     PreconditionError,
     SolverContractError,
     _best_team,
@@ -78,8 +80,12 @@ def scale_instance(inst: Instance, budget: float, budget_prime: float) -> Scaled
     """Build the light-restricted instance with costs scaled by B'/B."""
     check_budget(budget)
     check_budget(budget_prime)
-    agents = tuple(bits(light_agents(inst)))
     scale = budget_prime / budget
+    if not math.isfinite(scale):  # B' / B overflows when B is tiny
+        raise InputError(
+            f"budget ratio B'/B = {budget_prime!r} / {budget!r} is not finite"
+        )
+    agents = tuple(bits(light_agents(inst)))
     if not agents:
         return ScaledInstance(instance=None, agents=(), scale=scale)
     scaled = Instance(

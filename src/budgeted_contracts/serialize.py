@@ -48,11 +48,12 @@ def _real(x: Any) -> float:
 
 
 def _reals(xs: list) -> np.ndarray:
-    """``_real`` over a list, as one float64 array.
+    """``_real`` over a list, as one float64 array: the one way a file's
+    costs, additive values, clauses and table values are read.
 
     A list of JSON numbers converts in one step; a list holding a decimal
     string or a bad entry goes through ``_real`` one element at a time, so
-    the first bad entry gives the same error as before.
+    the first bad entry gives the same error as ``_real`` would.
     """
     if set(map(type, xs)) <= {float, int}:
         try:
@@ -87,10 +88,10 @@ def reward_from_dict(d: dict) -> SetFunction:
         raise InputError(f"reward must be an object, got {type(d).__name__}")
     kind = d.get("type")
     if kind == "additive":
-        return Additive(tuple(_real(v) for v in _list(d["values"], "values")))
+        return Additive(_reals(_list(d["values"], "values")).tolist())
     if kind == "xos":
         rows = (_list(row, "a clause") for row in _list(d["clauses"], "clauses"))
-        return XosClauses(tuple(tuple(_real(v) for v in row) for row in rows))
+        return XosClauses([_reals(row).tolist() for row in rows])
     if kind == "table":
         return Table(_reals(_list(d["values"], "values")))
     raise InputError(f"unknown reward type {kind!r}")
@@ -113,7 +114,7 @@ def instance_from_dict(d: dict) -> Instance:
             raise InputError(f"n must be an integer, got {type(n).__name__}")
         return Instance(
             n=n,
-            costs=tuple(_real(c) for c in _list(d["costs"], "costs")),
+            costs=_reals(_list(d["costs"], "costs")).tolist(),
             reward=reward_from_dict(d["reward"]),
         )
     except KeyError as exc:

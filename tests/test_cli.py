@@ -190,6 +190,15 @@ def test_reduce_command(separation_file, capsys):
     assert got["candidate_value"] * got["guarantee_factor"] >= opt - 1e-9
 
 
+def test_reduce_rejects_a_budget_ratio_that_overflows(separation_file, capsys):
+    # B'/B = 0.5 / 1e-320 overflows: the error names the two budgets, not
+    # the light agents' costs scaled by an infinite ratio
+    assert run_cli("reduce", "--instance", separation_file,
+                   "--from", "profit@1e-320", "--to", "reward@0.5") == 2
+    err = capsys.readouterr().err
+    assert err == "error: input: budget ratio B'/B = 0.5 / 1e-320 is not finite\n"
+
+
 def test_reduce_on_a_table_with_positive_empty_value(tmp_path, capsys):
     # agent 0 is light (0.1 / 0.4 = 0.25) but alone pays 0.1 / (0.4 - 0.2) =
     # 0.5 > 0.3, so no pool may admit it
@@ -699,6 +708,23 @@ def test_each_cap_is_read_by_its_own_gate():
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
     }
     assert not set(gates) & loads
+
+
+def test_only_core_margins_asks_drop_values():
+    # a team's drops are asked on one path, core._margins: no other function
+    # in the package calls the additive drop pass
+    package = Path(budgeted_contracts.__file__).parent
+    callers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if isinstance(func, ast.FunctionDef):
+                for node in ast.walk(func):
+                    if (isinstance(node, ast.Call)
+                            and isinstance(node.func, ast.Attribute)
+                            and node.func.attr == "drop_values"):
+                        callers.add(f"{path.stem}.{func.name}")
+    assert callers == {"core._margins"}
 
 
 def test_the_tie_rule_lives_in_core():

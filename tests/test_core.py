@@ -44,7 +44,8 @@ from budgeted_contracts import core, corpora
 from budgeted_contracts.core import (
     EPS,
     _best_team,
-    _shares,
+    _margins,
+    _paid,
     ceil_tol,
     is_submodular,
     team_table,
@@ -140,6 +141,14 @@ def test_profit_sentinels():
     assert profit(zero, 0b1) == 0.0
 
 
+def test_profit_asks_each_drop_once(additive_queries):
+    # f(S) and p(S) come from one pass over S: S and each S - {i} once (5),
+    # where asking f(S) apart from p(S) took 6
+    inst = Instance(4, (1 / 32,) * 4, Additive((0.25,) * 4))
+    assert profit(inst, ALL4) == 0.5
+    assert additive_queries == [ALL4, 0b1110, 0b1101, 0b1011, 0b0111]
+
+
 def test_optimal_contract_examples(single_agent, uniform4):
     assert optimal_contract_for(single_agent, 0b1).alpha == (0.5,)
     assert optimal_contract_for(single_agent, 0).alpha == (0.0,)
@@ -153,15 +162,17 @@ def test_contract_total_sums_in_order():
 
 def test_shares_are_payment_and_contract_terms(nondyadic):
     for team in range(1 << nondyadic.n):
-        shares = list(_shares(nondyadic, team))
-        assert [i for i, _ in shares] == list(bits(team))
+        f_team, marg = _margins(nondyadic.reward, team)
+        assert f_team == value(nondyadic.reward, team)
+        share, pay = _paid(nondyadic, marg)
+        assert list(share) == list(marg) == list(bits(team))
         total = 0.0
-        for _, share in shares:
-            total += share
-        assert total == payment(nondyadic, team)
+        for s in share.values():
+            total += s
+        assert total == pay == payment(nondyadic, team)
         alpha = [0.0] * nondyadic.n
-        for i, share in shares:
-            alpha[i] = share
+        for i, s in share.items():
+            alpha[i] = s
         assert optimal_contract_for(nondyadic, team).alpha == tuple(alpha)
 
 

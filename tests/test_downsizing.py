@@ -436,3 +436,21 @@ def test_downsize_xos_asks_each_drop_once(additive_queries):
     assert (res.subset, res.payment_after, res.objective_after) == (0b0011, 0.5, 0.5)
     assert additive_queries == [ALL4, 0b1110, 0b1101, 0b1011, 0b0111, 0b0011,
                                 0b0011, 0b0010, 0b0001]
+
+
+def test_small_additive_team_asks_per_member_queries(monkeypatch, additive_queries):
+    # at three members or fewer downsize_xos asks f(S) and each f(S - {i})
+    # one query at a time, as payment does, and takes no drop_values pass
+    passes = []
+    drop_values = Additive.drop_values
+
+    def counting(self, team):
+        passes.append(team)
+        return drop_values(self, team)
+
+    monkeypatch.setattr(Additive, "drop_values", counting)
+    inst = Instance(3, (1 / 16,) * 3, Additive((0.25,) * 3))
+    res = downsize_xos(inst, ALL3, 3)
+    assert res.payment_before == payment(inst, ALL3)
+    assert passes == []
+    assert additive_queries[:4] == [ALL3, 0b110, 0b101, 0b011]

@@ -174,14 +174,15 @@ def test_every_outcome_is_feasible_at_original_budget():
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # each pool member is scored once and the winner keeps its score: 4
     # queries find the light agents, 10 downsize the hub input (p(S), which
-    # also checks it is feasible, among them) and 17 score the pool (the
-    # empty team, the piece {0, 1} and 4 singletons);
+    # also checks it is feasible, among them) and 12 score the pool: f({})
+    # for the empty team, then f(S) and each f(S - {i}) once for the piece
+    # {0, 1} (3) and the 4 singletons (2 each);
     # the feasible singletons are found from the singleton payments the
     # light scan took, and the winner's payment is the one its pool kept,
     # with no query of their own
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 31
+    assert len(table_queries) == 26
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):
@@ -193,7 +194,9 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     # went when downsize_xos's two stages shared their queries: psi(S) and
     # the 2 team marginals recovery needs come from the pass that takes the
     # shares, recovery's first round asks the 2 queries p(T) took, and its
-    # last round gives the kept set's payment and value (3)
+    # last round gives the kept set's payment and value (3); 5 more went
+    # when profit took f(S) and p(S) from one pass, one for each of the 5
+    # non-empty teams the last pool scores
     calls = []
     xos_value = XosClauses.value
 
@@ -206,8 +209,8 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 == 42
-    assert light_agents(inst) == 0b1001111 and len(calls) == 42
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 == 37
+    assert light_agents(inst) == 0b1001111 and len(calls) == 37
 
 
 def test_pools_admit_singletons_by_their_team_payment():

@@ -1,6 +1,7 @@
 """The experiment scripts under ``scripts/``, run in-process on small sizes."""
 
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -30,3 +31,16 @@ def test_pof_sweeps_rerun_into_one_directory(tmp_path, capsys):
     table.write_text(table.read_text().replace("true", "false"))
     assert sweeps.run(sweeps.SweepConfig(out_dir=tmp_path, n=4)) == 1
     assert "verification failed" in capsys.readouterr().err
+
+
+def test_guarantee_sweeps_stay_within_their_bounds(capsys):
+    # every worst ratio the sweep prints holds against its proven floor or
+    # ceiling: 2 downsizings x 4 shrink parameters x (value, payment), and
+    # the 2 reduction directions
+    sweeps = _load("guarantee_sweeps")
+    assert sweeps.main(["--count", "4"]) == 0
+    bounds = re.findall(r"(\S+) (>=|<=) (\d+\.\d+)", capsys.readouterr().out)
+    assert len(bounds) == 18
+    for seen, op, bound in bounds:
+        seen, bound = float(seen), float(bound)
+        assert seen >= bound if op == ">=" else seen <= bound, (seen, op, bound)
