@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from budgeted_contracts.cli import main as cli_main
@@ -38,24 +37,18 @@ OBJECTIVES = {
 CURVE_FAMILIES = ("xos-sep", "profit-2", "profit-k")
 
 
-@dataclass
-class SweepConfig:
-    out_dir: Path
-    n: int = 10
-
-
-def run(cfg: SweepConfig) -> int:
-    cfg.out_dir.mkdir(parents=True, exist_ok=True)
+def run(out_dir: Path, n: int) -> int:
+    out_dir.mkdir(parents=True, exist_ok=True)
     failures = 0
     for family, objectives in OBJECTIVES.items():
         for objective in objectives:
-            out = cfg.out_dir / f"pof_{family}_{objective}.csv"
+            out = out_dir / f"pof_{family}_{objective}.csv"
             args = [
                 "pof",
                 "--family", family,
                 "--grid", GRID,
                 "--B", str(BIG_BUDGET),
-                "--n", str(cfg.n),
+                "--n", str(n),
                 "--objective", objective,
                 "--out", str(out),
             ]
@@ -86,7 +79,7 @@ def main() -> int:
     parser.add_argument("--n", default=10, type=int)
     args = parser.parse_args()
     print(f"Sweeping price-of-frugality families into {args.out_dir}/ ...")
-    failures = run(SweepConfig(out_dir=args.out_dir, n=args.n))
+    failures = run(args.out_dir, args.n)
     print("done." if not failures else f"{failures} sweeps failed.")
     return 1 if failures else 0
 

@@ -1,13 +1,14 @@
 """Command-line driver: solve, downsize, reduce, pof, gen, check.
 
-Every run that writes an output file also writes a ``<out>.manifest.json``
+Every output written to a regular file gets a ``<out>.manifest.json``
 sidecar recording the command line, input-file hashes (of the bytes the
 command read: an instance file is read once), tool version, seed,
 wall time, corpus version and the Python and numpy versions; data files
 themselves contain nothing nondeterministic, so rerunning a manifest's
 command reproduces the bytes. Both go through ``serialize.write_text``,
 which rewrites an existing file in place. ``--verify`` recomputes the
-output in-process (and diffs against a pre-existing file) before writing.
+output in-process and, before writing, diffs it against an existing regular
+file (``serialize.differs``); a FIFO or a device holds no earlier output.
 Exit codes: 0 success, 1 I/O failure, 2 precondition, input or usage error;
 errors print a single ``error: <kind>: <reason>`` line to stderr, an
 unknown, missing or malformed flag included (kind ``usage``).
@@ -57,6 +58,7 @@ from .objectives import OBJECTIVES, PROFIT, REWARD, WELFARE, check_best_conditio
 from .reductions import SOLVERS, equivalence_pipeline
 from .serialize import (
     RunManifest,
+    differs,
     instance_text,
     jsonable,
     objective_from_name,
@@ -243,6 +245,13 @@ def _require_instance(args) -> str:
     return args.instance
 
 
+def _result_output(res, team: str, extra: dict) -> dict[str, str]:
+    """The output of a result dataclass: its fields, the ``team`` field as an
+    index list, then ``extra``, as indented JSON."""
+    body = jsonable(res) | {team: team_to_list(getattr(res, team))} | extra
+    return {"": json.dumps(body, indent=2) + "\n"}
+
+
 def cmd_solve(args, inst: Instance) -> dict[str, str]:
     obj = objective_from_name(args.objective)
     if args.light_only and args.method != "brute":
@@ -253,11 +262,9 @@ def cmd_solve(args, inst: Instance) -> dict[str, str]:
         res = fptas_additive_profit(inst, args.budget, args.epsilon)
     else:
         res = knapsack_fptas(inst, args.budget, args.epsilon, obj)
-    body = jsonable(res)
-    body["optimum"] = team_to_list(res.optimum)
-    body["objective"] = args.objective
-    body["method"] = args.method
-    return {"": json.dumps(body, indent=2) + "\n"}
+    return _result_output(
+        res, "optimum", {"objective": args.objective, "method": args.method}
+    )
 
 
 def _cut(text: str) -> str:
@@ -290,11 +297,7 @@ def cmd_downsize(args, inst: Instance) -> dict[str, str]:
     downsize = downsize_submodular if args.mode == "submodular" else downsize_xos
     # enforce the class precondition: a table past ENUM_CAP ends in sizecap
     res = downsize(inst, team, args.m, check=True)
-    body = jsonable(res)
-    body["subset"] = team_to_list(res.subset)
-    body["mode"] = args.mode
-    body["m"] = args.m
-    return {"": json.dumps(body, indent=2) + "\n"}
+    return _result_output(res, "subset", {"mode": args.mode, "m": args.m})
 
 
 def cmd_reduce(args, inst: Instance) -> dict[str, str]:
@@ -303,11 +306,9 @@ def cmd_reduce(args, inst: Instance) -> dict[str, str]:
     outcome = equivalence_pipeline(
         inst, obj_from, b_from, obj_to, b_to, SOLVERS[args.solver], path=args.path
     )
-    body = jsonable(outcome)
-    body["candidate"] = team_to_list(outcome.candidate)
-    body["from"] = args.from_spec
-    body["to"] = args.to_spec
-    return {"": json.dumps(body, indent=2) + "\n"}
+    return _result_output(
+        outcome, "candidate", {"from": args.from_spec, "to": args.to_spec}
+    )
 
 
 #: Most points one ``--grid`` may hold. The sweeps in use have at most 9, so
@@ -430,15 +431,11 @@ _COMMANDS = {
 }
 
 
-def _out_path_for(args, key: str) -> str | None:
-    if not args.out:
-        return None
+def _out_path_for(out: str, key: str) -> str:
     if key == "":
-        return args.out
-    stem, dot, ext = args.out.rpartition(".")
-    if not dot:
-        return f"{args.out}.{key}"
-    return f"{stem}.{key}.{ext}"
+        return out
+    stem, dot, ext = out.rpartition(".")
+    return f"{stem}.{key}.{ext}" if dot else f"{out}.{key}"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -454,34 +451,21 @@ def main(argv: list[str] | None = None) -> int:
             hashes = {args.instance: digest}
             run = functools.partial(run, inst)
         outputs = run()
+        if args.verify and run() != outputs:
+            raise InputError("verification failed: recomputation differs")
+        if not args.out:
+            sys.stdout.write("".join(outputs.values()))
+            return 0
+        files = {_out_path_for(args.out, key): body for key, body in outputs.items()}
         if args.verify:
-            if run() != outputs:
-                raise InputError("verification failed: recomputation differs")
-            for key, body in outputs.items():
-                path = _out_path_for(args, key)
-                if path is None:
-                    continue
-                try:
-                    with open(path, "r", encoding="utf-8") as fh:
-                        existing = fh.read()
-                except FileNotFoundError:
-                    continue
-                if existing != body:
+            for path, body in files.items():
+                if differs(path, body):
                     raise InputError(f"verification failed: {path} differs")
-        for key, body in outputs.items():
-            path = _out_path_for(args, key)
-            if path is None:
-                sys.stdout.write(body)
-                continue
-            write_text(path, body)
-            manifest = RunManifest(
-                command=argv,
-                instance_hashes=hashes,
-                tool_version=__version__,
-                seed=getattr(args, "seed", None),
-                wall_time_s=time.perf_counter() - start,
-            )
-            write_manifest(manifest, path)
+        for path, body in files.items():
+            if write_text(path, body):  # a manifest only beside a regular file
+                wall = time.perf_counter() - start
+                seed = getattr(args, "seed", None)
+                write_manifest(RunManifest(argv, hashes, __version__, seed, wall), path)
         return 0
     except _ParserExit as exc:
         return exc.status

@@ -75,8 +75,9 @@ def downsize_submodular(
             raise PreconditionError("reward function is not submodular")
         if not isinstance(psi, Reward):  # a submodular reward is subadditive
             _assert_subadditive(psi, inst)
-    share, pay_team = _paid(inst, _margins(inst.reward, team)[1])
-    psi_team = evaluate(psi, inst, team)
+    f_team, marg = _margins(inst.reward, team)
+    share, pay_team = _paid(inst, marg)
+    psi_team = f_team if psi == REWARD else evaluate(psi, inst, team)
     after, psi_after, singleton = _fill_bags(inst, m, psi, share, pay_team, psi_team)
     return DownsizeResult(
         after, pay_team, payment(inst, after), psi_team, psi_after, singleton

@@ -32,11 +32,13 @@ from .core import (
     PreconditionError,
     SolverContractError,
     _best_team,
+    _check_team,
+    _margins,
+    _pay,
     bits,
     check_budget,
     light_agents,
     mask_of,
-    payment,
     restrict,
     singleton_team_payment,
     value,
@@ -148,10 +150,16 @@ def reduce_from_mrl(
     pool = {0: 0.0}
     if scaled.agents:
         team_scaled = solver(scaled.instance, budget_prime, obj)
-        if payment(scaled.instance, team_scaled) > budget_prime + EPS:
-            raise SolverContractError("solver output exceeds the scaled budget")
+        _check_team(team_scaled, scaled.instance.n)
         mapped = scaled.to_original(team_scaled)
-        pay_mapped = payment(inst, mapped)
+        # ``restrict`` keeps each agent's oracle values and the mapping keeps
+        # member order, so the mapped team's marginals give both payments
+        # bit for bit: at B' over the scaled costs, and at B
+        marg = _margins(inst.reward, mapped)[1]
+        scaled_marg = dict(zip(bits(team_scaled), marg.values()))
+        if _pay(scaled.instance, scaled_marg) > budget_prime + EPS:
+            raise SolverContractError("solver output exceeds the scaled budget")
+        pay_mapped = _pay(inst, marg)
         if pay_mapped <= budget + EPS:
             pool[mapped] = pay_mapped
         _add_singletons(inst, pool, scaled.agents, budget)

@@ -181,8 +181,9 @@ def save_instance(inst: Instance, path: str) -> None:
     write_text(path, instance_text(inst))
 
 
-def write_text(path: str, body: str) -> None:
-    """Write ``body`` to ``path`` as UTF-8: the one way this package writes a file.
+def write_text(path: str, body: str) -> bool:
+    """Write ``body`` to ``path`` as UTF-8: the one way this package writes a
+    file. Returns whether ``path`` is a regular file.
 
     An existing file is rewritten in place and then cut to the written
     length, not truncated to empty first: on ext4 (``auto_da_alloc``, the
@@ -196,8 +197,26 @@ def write_text(path: str, body: str) -> None:
     """
     with open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated) as fh:
         fh.write(body)
-        if stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+        if regular:
             fh.truncate()
+    return regular
+
+
+def differs(path: str, body: str) -> bool:
+    """Whether ``path`` is an existing regular file whose bytes are not
+    ``body`` encoded as UTF-8, as ``write_text`` would write it.
+
+    Only a regular file holds an earlier output: a missing path, a FIFO or a
+    device differs from nothing, and none of them is opened here.
+    """
+    try:
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return False
+    except FileNotFoundError:
+        return False
+    with open(path, "rb") as fh:
+        return fh.read() != body.encode("utf-8")
 
 
 def _open_untruncated(path: str, flags: int) -> int:

@@ -1080,6 +1080,64 @@ def test_verify_diffs_against_an_existing_file(tmp_path, two_agent_file, capsys)
     assert run_cli(*argv) == 0  # now against the file it wrote
 
 
+@pytest.mark.parametrize("stale", [b"\xff\xfe not UTF-8\n", "crlf"])
+def test_verify_compares_bytes(tmp_path, two_agent_file, capsys, stale):
+    # the old output is diffed byte for byte: bytes that are not UTF-8 fail
+    # as any other difference does, and so do the right lines ended by CRLF
+    out = tmp_path / "check.json"
+    assert run_cli("check", "--instance", two_agent_file) == 0
+    if stale == "crlf":
+        stale = capsys.readouterr().out.replace("\n", "\r\n").encode("utf-8")
+    out.write_bytes(stale)
+    capsys.readouterr()
+    assert run_cli("check", "--instance", two_agent_file, "--out", out, "--verify") == 2
+    assert capsys.readouterr().err == f"error: input: verification failed: {out} differs\n"
+    assert out.read_bytes() == stale
+    assert not (tmp_path / "check.json.manifest.json").exists()
+
+
+def test_verify_names_the_stale_curve_and_writes_nothing(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    curve = tmp_path / "sweep.curve.csv"
+    argv = ["pof", "--family", "xos-sep", "--b", 0.5, "--emit-curve", "--out", out]
+    assert run_cli(*argv) == 0
+    curve.write_text("family,b\n")
+    written = {p: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(written) == 4  # both tables and both manifests
+    assert run_cli(*argv, "--verify") == 2
+    assert capsys.readouterr().err == (
+        f"error: input: verification failed: {curve} differs\n"
+    )
+    assert {p: p.read_bytes() for p in tmp_path.iterdir()} == written
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+@pytest.mark.parametrize("verify", [[], ["--verify"]], ids=["run", "verify"])
+def test_fifo_out_gets_the_body_and_no_manifest(tmp_path, two_agent_file, capsys,
+                                                verify):
+    # a FIFO holds no earlier output, so --verify does not read it (a read
+    # would wait for a writer that never comes), and it gets no manifest;
+    # the command runs in a child process, which the timeout ends if it hangs
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # lets the writer open
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "budgeted_contracts.cli", "check",
+             "--instance", str(two_agent_file), "--out", str(fifo), *verify],
+            capture_output=True, text=True, timeout=30,
+        )
+        got = b""
+        while chunk := os.read(reader, 1 << 16):
+            got += chunk
+    finally:
+        os.close(reader)
+    assert proc.returncode == 0, proc.stderr
+    assert run_cli("check", "--instance", two_agent_file) == 0
+    assert got == capsys.readouterr().out.encode("utf-8")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pipe", "two.json"]
+
+
 def _opens_for_writing(node: ast.Call) -> bool:
     """Whether a call opens a file for writing: ``os.open``, a path's
     ``write_text`` or ``write_bytes``, a temporary file, or ``open`` with a
@@ -1125,6 +1183,38 @@ def test_only_serialize_opens_files_for_writing():
         if any(_opens_for_writing(call) for call in calls):
             writers.add(path.name)
     assert writers == {"serialize.py"}
+
+
+def _opens_a_file(node: ast.Call) -> bool:
+    """Whether a call opens a file to read or write it: ``open``, ``io.open``,
+    ``os.open``, a path's ``open``, or a path's read or write call."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr in {"open", "read_text", "read_bytes", "write_text", "write_bytes"}
+    return getattr(func, "id", None) == "open"
+
+
+@pytest.mark.parametrize("source, opens", [
+    ("open(p)", True), ("open(p, 'rb')", True), ("io.open(p)", True),
+    ("os.open(p, flags)", True), ("Path(p).open()", True), ("p.read_text()", True),
+    ("p.read_bytes()", True), ("p.write_bytes(b)", True),
+    ("write_text(p, s)", False), ("differs(p, s)", False), ("fh.read()", False),
+    ("os.stat(p)", False),
+])
+def test_open_detector(source, opens):
+    assert _opens_a_file(ast.parse(source).body[0].value) == opens
+
+
+def test_only_serialize_opens_files():
+    # every file the package reads or writes goes through serialize: the
+    # instance read, the --verify read and write_text
+    package = Path(budgeted_contracts.__file__).parent
+    openers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if any(_opens_a_file(node) for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            openers.add(path.name)
+    assert openers == {"serialize.py"}
 
 
 def test_manifest_records_corpus_and_library_versions(tmp_path, two_agent_file):

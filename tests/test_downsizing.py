@@ -201,12 +201,12 @@ def test_bag_stage_query_budget(uniform4, table_queries):
 
 
 def test_downsizing_reuses_what_it_holds(uniform4, table_queries):
-    # p(S) comes from the shares and psi of the returned piece from its test:
-    # 5 queries for the shares, 1 for psi(S), 1 for psi of the first outlier
-    # and 2 for p({0})
+    # p(S) and psi(S) = f(S) come from the shares and psi of the returned
+    # piece from its test: 5 queries for the shares, 1 for psi of the first
+    # outlier and 2 for p({0})
     res = downsize_submodular(uniform4, ALL4, 5)
     assert res.singleton_exit and res.subset == 0b0001
-    assert len(table_queries) == 9
+    assert len(table_queries) == 8
 
 
 def test_before_fields_equal_the_oracles():

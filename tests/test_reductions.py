@@ -19,7 +19,12 @@ from budgeted_contracts import (
     value,
 )
 from budgeted_contracts.core import EPS, Table, XosClauses
-from budgeted_contracts.corpora import random_xos_instance, submodular_corpus, xos_corpus
+from budgeted_contracts.corpora import (
+    additive_corpus,
+    random_xos_instance,
+    submodular_corpus,
+    xos_corpus,
+)
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 
 ALL3 = 0b111
@@ -115,6 +120,47 @@ def test_reduce_from_mrl_solver_contract():
         reduce_from_mrl(inst, 0.5, 0.5, PROFIT, cheater)
 
 
+@pytest.mark.parametrize("team", [1 << 3, -1], ids=["past-n", "negative"])
+def test_reduce_from_mrl_rejects_a_team_outside_the_scaled_instance(team):
+    # agent 2 is heavy, so the scaled instance has agents 0, 1 and 3 only
+    inst = Instance(4, (0.1, 0.1, 0.9, 0.1), Additive((0.25, 0.25, 0.25, 0.25)))
+    assert scale_instance(inst, 0.5, 0.5).instance.n == 3
+    with pytest.raises(InputError):
+        reduce_from_mrl(inst, 0.5, 0.5, PROFIT, lambda scaled, budget, obj: team)
+
+
+def test_reduce_from_mrl_pays_the_solver_team_as_payment_does():
+    # both payments come from the mapped team's marginals on the original
+    # instance: each equals payment() on its own instance bit for bit
+    rng = random.Random(47)
+    insts = submodular_corpus(10, seed=47, n_lo=2, n_hi=7)
+    insts += xos_corpus(10, seed=48, n_lo=2, n_hi=7)
+    insts += additive_corpus(5, 6, seed=49) + additive_corpus(5, 9, seed=50)
+    seen = {"over": 0, "picked": 0}
+    for inst in insts:
+        for budget, budget_prime in ((0.5, 0.5), (1.0, 0.25), (0.3, 0.9)):
+            scaled = scale_instance(inst, budget, budget_prime)
+            if scaled.instance is None:
+                continue
+            team = rng.randrange(1 << scaled.instance.n)
+            pay_scaled = payment(scaled.instance, team)
+            mapped = scaled.to_original(team)
+
+            def solver(scaled_inst, b, obj):
+                return team
+
+            if pay_scaled > budget_prime + EPS:
+                with pytest.raises(SolverContractError):
+                    reduce_from_mrl(inst, budget, budget_prime, REWARD, solver)
+                seen["over"] += 1
+                continue
+            out = reduce_from_mrl(inst, budget, budget_prime, REWARD, solver)
+            if out.candidate == mapped:
+                assert out.budget_used == payment(inst, mapped)
+                seen["picked"] += mapped.bit_count() > 1
+    assert min(seen.values()) > 0, seen
+
+
 def test_pipeline_example(separation):
     out = equivalence_pipeline(separation, WELFARE, 1.0, PROFIT, 0.5, brute_solver)
     assert out.guarantee_factor == pytest.approx(801.0)
@@ -173,8 +219,9 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # each pool member is scored once and the winner keeps its score: 4
-    # queries find the light agents, 10 downsize the hub input (p(S), which
-    # also checks it is feasible, among them) and 12 score the pool: f({})
+    # queries find the light agents, 9 downsize the hub input (p(S), which
+    # also checks it is feasible, among them; psi(S) = f(S) comes from the
+    # pass that takes the shares) and 12 score the pool: f({})
     # for the empty team, then f(S) and each f(S - {i}) once for the piece
     # {0, 1} (3) and the 4 singletons (2 each);
     # the feasible singletons are found from the singleton payments the
@@ -182,7 +229,7 @@ def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # with no query of their own
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 26
+    assert len(table_queries) == 25
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):
@@ -196,7 +243,9 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     # shares, recovery's first round asks the 2 queries p(T) took, and its
     # last round gives the kept set's payment and value (3); 5 more went
     # when profit took f(S) and p(S) from one pass, one for each of the 5
-    # non-empty teams the last pool scores
+    # non-empty teams the last pool scores; 3 more when the hub solver's
+    # 2-member team was paid at B' and at B from one pass of f(S) and its
+    # 2 drops, not from one pass for each budget
     calls = []
     xos_value = XosClauses.value
 
@@ -209,8 +258,8 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 == 37
-    assert light_agents(inst) == 0b1001111 and len(calls) == 37
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 - 3 == 34
+    assert light_agents(inst) == 0b1001111 and len(calls) == 34
 
 
 def test_pools_admit_singletons_by_their_team_payment():

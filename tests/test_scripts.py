@@ -2,21 +2,15 @@
 
 import importlib.util
 import re
-import sys
 from pathlib import Path
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def _load(stem: str):
-    name = f"scripts_{stem}"
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{stem}.py")
+    spec = importlib.util.spec_from_file_location(f"scripts_{stem}", SCRIPTS / f"{stem}.py")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look up their module here
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        del sys.modules[name]
+    spec.loader.exec_module(module)
     return module
 
 
@@ -24,12 +18,12 @@ def test_pof_sweeps_rerun_into_one_directory(tmp_path, capsys):
     sweeps = _load("pof_sweeps")
     table = tmp_path / "pof_additive-lb_reward.csv"
     for n in (4, 6, 4):  # each rerun changes --n over the last run's tables
-        assert sweeps.run(sweeps.SweepConfig(out_dir=tmp_path, n=n)) == 0
+        assert sweeps.run(tmp_path, n) == 0
         assert table.read_text().splitlines()[1].split(",")[1] == str(n)
     # the same arguments again diff against the tables: an edited one fails
-    assert sweeps.run(sweeps.SweepConfig(out_dir=tmp_path, n=4)) == 0
+    assert sweeps.run(tmp_path, 4) == 0
     table.write_text(table.read_text().replace("true", "false"))
-    assert sweeps.run(sweeps.SweepConfig(out_dir=tmp_path, n=4)) == 1
+    assert sweeps.run(tmp_path, 4) == 1
     assert "verification failed" in capsys.readouterr().err
 
 
