@@ -436,21 +436,25 @@ def _pay_term(cost: float, margin: float) -> float:
     return cost / margin
 
 
-def _margins(f: SetFunction, team: int) -> tuple[float, dict[int, float]]:
+def _margins(
+    f: SetFunction, team: int, f_team: float | None = None
+) -> tuple[float, dict[int, float]]:
     """f(S) and each member's marginal f(S) - f(S - {i}), members ascending:
     the one path by which payments, profits, contracts and both downsizings
     ask a team's drops.
 
     An additive team of four or more gives f(S) and every f(S - {i}) in one
     ``drop_values`` pass; at three members or fewer the queries below take
-    less time. Other teams are asked f(S) and then f(S - {i}) for each
-    member, every one even where a share turns out infinite, which leaves a
-    sum of shares as it was (inf + x = inf).
+    less time. Other teams are asked f(S), unless the caller already holds
+    it as ``f_team``, and then f(S - {i}) for each member, every one even
+    where a share turns out infinite, which leaves a sum of shares as it was
+    (inf + x = inf).
     """
     if isinstance(f, Additive) and team.bit_count() > 3:
         f_team, drops = f.drop_values(team)
         return f_team, {i: f_team - drop for i, drop in zip(bits(team), drops)}
-    f_team = f.value(team)
+    if f_team is None:
+        f_team = f.value(team)
     marg = {}
     for i in bits(team):  # a loop, not a comprehension: faster on a small team
         marg[i] = f_team - f.value(team & ~(1 << i))

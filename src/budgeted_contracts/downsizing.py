@@ -39,7 +39,6 @@ from .core import (
     _table_is_subadditive,
     is_submodular,
     mask_of,
-    payment,
     team_table,
 )
 from .objectives import REWARD, Objective, Reward, evaluate, evaluate_all
@@ -79,9 +78,9 @@ def downsize_submodular(
     share, pay_team = _paid(inst, marg)
     psi_team = f_team if psi == REWARD else evaluate(psi, inst, team)
     after, psi_after, singleton = _fill_bags(inst, m, psi, share, pay_team, psi_team)
-    return DownsizeResult(
-        after, pay_team, payment(inst, after), psi_team, psi_after, singleton
-    )
+    f_after = psi_after if psi == REWARD else None  # the bag test asked f(T)
+    pay_after = _pay(inst, _margins(inst.reward, after, f_after)[1])
+    return DownsizeResult(after, pay_team, pay_after, psi_team, psi_after, singleton)
 
 
 def _check_downsize(inst: Instance, team: int, m: int) -> None:

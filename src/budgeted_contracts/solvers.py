@@ -181,10 +181,14 @@ class _LevelSteps:
     the cap, over teams of the first s items whose levels ``lev[a]`` sum to
     k or more (levels are capped at ``n_levels``). The row never falls as k
     rises, so it is stored as its steps: ``stages[s]`` holds two sorted
-    arrays, ``key = a * (n_levels + 1) + level`` and ``payment``, and within
-    an anchor both strictly increase. row_s(a, k) is the payment of the
-    first point of anchor a at or above level k, or infinite if there is
-    none: the float a budget-cut dense row holds in the same cell.
+    arrays, ``key = a * (n_levels + 2) + level`` and ``payment``, and within
+    an anchor both strictly increase. Each anchor's steps end in a sentinel
+    at level ``n_levels + 1`` with an infinite payment, the highest key of
+    the anchor. row_s(a, k) is the payment of the first point at or above
+    key ``a * (n_levels + 2) + k``: for k <= n_levels the sentinel keeps
+    that point within anchor a, so no lookup needs an anchor-boundary mask,
+    and it reads infinite exactly where no finite step reaches k, the float
+    a budget-cut dense row holds in the same cell.
     """
 
     n: int
@@ -200,56 +204,65 @@ class _LevelSteps:
 
         Each point moves to (min(level + lev, n_levels), payment + w); moved
         points above ``cap`` are dropped, since weights are non-negative and
-        such a point never leads back within the cap. Sorting by anchor,
-        payment up and level down, a point survives if its key is above
-        every key before it, that is, if no point at least as cheap reaches
-        its level.
+        such a point never leads back within the cap. A sentinel, at payment
+        inf, never moves. Sorting by anchor, payment up and level down, a
+        point survives if its key is above every key before it, that is, if
+        no point at least as cheap reaches its level; a sentinel sorts last
+        in its anchor at its highest key, so it always survives and changes
+        no other point's fate. Each point carries its anchor id in the
+        smallest unsigned type that holds it, which the sort takes fastest.
         """
-        width = n_levels + 1
-        key = np.arange(len(lev), dtype=np.int64) * width
-        pay = np.zeros(len(lev))
+        ids = np.arange(len(lev), dtype=np.int64)
+        base = ids * (n_levels + 2)
+        tops = base + n_levels
+        key = np.stack((base, tops + 1), axis=1).ravel()  # level 0, sentinel
+        pay = np.tile([0.0, math.inf], len(lev))
+        anchor = ids.astype(np.min_scalar_type(len(lev))).repeat(2)
+        item_lev = np.ascontiguousarray(lev.T)  # row s: item s's level per anchor
         stages = [(key, pay)]
         for s, weight in enumerate(weights):
             moved = pay + weight
             fits = moved <= cap
-            anchor, level = np.divmod(key[fits], width)
-            level = np.minimum(level + lev[anchor, s], n_levels)
-            key = np.concatenate((key, anchor * width + level))
+            a = anchor[fits]
+            clamped = np.minimum(key[fits] + item_lev[s].take(a), tops.take(a))
+            key = np.concatenate((key, clamped))
             pay = np.concatenate((pay, moved[fits]))
-            order = np.lexsort((-key, pay, key // width))
-            key, pay = key[order], pay[order]
+            anchor = np.concatenate((anchor, a))
+            order = np.lexsort((-key, pay, anchor))
+            key = key[order]
             keep = np.empty(len(key), dtype=bool)
             keep[0] = True
             np.greater(key[1:], np.maximum.accumulate(key)[:-1], out=keep[1:])
-            key, pay = key[keep], pay[keep]
+            kept = order[keep]
+            key, pay, anchor = key[keep], pay[kept], anchor[kept]
             stages.append((key, pay))
         return cls(n, n_levels, lev, agents, weights, stages)
 
     def row(self, s: int, anchors: np.ndarray, levels: np.ndarray) -> np.ndarray:
-        """row_s(anchors[j], levels[j]) for every j."""
+        """row_s(anchors[j], levels[j]) for every j, levels at most n_levels."""
         key, pay = self.stages[s]
-        base = anchors * (self.n_levels + 1)
-        at = np.searchsorted(key, base + levels)
-        hit = np.minimum(at, len(key) - 1)
-        same = (at < len(key)) & (key[hit] <= base + self.n_levels)
-        return np.where(same, pay[hit], math.inf)
+        return pay[np.searchsorted(key, anchors * (self.n_levels + 2) + levels)]
 
     def teams(self, levels: np.ndarray) -> list[int]:
         """The team behind ``levels[a]`` for every anchor a, as bitmasks.
 
         Walking back, item s is taken at level k exactly where it lowered
         the dense row: row_s(max(k - lev, 0)) + w < row_s(k), row_s being
-        the row before item s.
+        the row before item s. The walk holds each anchor's key, and one
+        lookup per item reads both rows for every anchor.
         """
-        k = np.asarray(levels, dtype=np.int64)
-        anchors = np.arange(len(k))
-        member = np.zeros((len(k), self.n), dtype=bool)
+        count = len(levels)
+        base = np.arange(count, dtype=np.int64) * (self.n_levels + 2)
+        at = base + np.asarray(levels, dtype=np.int64)
+        taken = np.empty((len(self.weights), count), dtype=bool)
         for s in range(len(self.weights) - 1, -1, -1):
-            lower = np.maximum(k - self.lev[:, s], 0)
-            new = self.row(s, anchors, lower) + self.weights[s]
-            take = new < self.row(s, anchors, k)
-            member[take, self.agents[s]] = True
-            k = np.where(take, lower, k)
+            key, pay = self.stages[s]
+            lower = np.maximum(at - self.lev[:, s], base)
+            rows = pay[np.searchsorted(key, np.concatenate((lower, at)))]
+            take = np.less(rows[:count] + self.weights[s], rows[count:], out=taken[s])
+            at = np.where(take, lower, at)
+        member = np.zeros((count, self.n), dtype=bool)
+        member[:, self.agents] = taken.T
         packed = np.packbits(member, axis=1, bitorder="little")
         return [int.from_bytes(bits.tobytes(), "little") for bits in packed]
 
@@ -343,9 +356,11 @@ def _proxy_levels(steps: _LevelSteps, grids: np.ndarray) -> np.ndarray:
     with the level, so the first maximum is the first step top holding it:
     the lifted grid is at least epsilon / 2n, a positive 1 - payment is at
     least 2^-54, and two levels below 2^50 then never round to one proxy.
+    A sentinel's proxy is -inf, and every anchor keeps a point at payment 0,
+    whose proxy is 0 or more, so no sentinel's level is returned.
     """
     key, pay = steps.stages[-1]
-    anchor, level = np.divmod(key, steps.n_levels + 1)
+    anchor, level = np.divmod(key, steps.n_levels + 2)
     proxy = (1.0 - pay) * level * grids[anchor]
     starts = np.flatnonzero(np.diff(anchor, prepend=-1))
     best = np.maximum.reduceat(proxy, starts)

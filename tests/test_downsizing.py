@@ -193,20 +193,21 @@ def test_downsizing_is_optimal_on_hard_family():
 
 
 def test_bag_stage_query_budget(uniform4, table_queries):
-    # the bag stage needs O(n + M) value queries: n + 1 for the shares, one
-    # for psi(S), at most M for the pieces tested, n + 1 for p(T)
+    # the bag stage needs O(n + M) value queries: n + 1 for the shares, which
+    # give psi(S) = f(S), at most M for the pieces tested, and at most n for
+    # p(T), whose f(T) the piece's test took
     m = 5
     downsize_submodular(uniform4, ALL4, m)
     assert len(table_queries) <= 2 * (uniform4.n + 1) + m + 1
 
 
 def test_downsizing_reuses_what_it_holds(uniform4, table_queries):
-    # p(S) and psi(S) = f(S) come from the shares and psi of the returned
-    # piece from its test: 5 queries for the shares, 1 for psi of the first
-    # outlier and 2 for p({0})
+    # p(S) and psi(S) = f(S) come from the shares, and psi of the returned
+    # piece from its test, which p({0}) reuses as f({0}): 5 queries for the
+    # shares, 1 for psi of the first outlier and 1, f({}), for p({0})
     res = downsize_submodular(uniform4, ALL4, 5)
     assert res.singleton_exit and res.subset == 0b0001
-    assert len(table_queries) == 8
+    assert table_queries == [0b1111, 0b1110, 0b1101, 0b1011, 0b0111, 0b0001, 0]
 
 
 def test_before_fields_equal_the_oracles():

@@ -219,9 +219,10 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # each pool member is scored once and the winner keeps its score: 4
-    # queries find the light agents, 9 downsize the hub input (p(S), which
+    # queries find the light agents, 8 downsize the hub input (p(S), which
     # also checks it is feasible, among them; psi(S) = f(S) comes from the
-    # pass that takes the shares) and 12 score the pool: f({})
+    # pass that takes the shares, and p({0, 1}) asks only the 2 drops, f of
+    # the piece coming from its bag test) and 12 score the pool: f({})
     # for the empty team, then f(S) and each f(S - {i}) once for the piece
     # {0, 1} (3) and the 4 singletons (2 each);
     # the feasible singletons are found from the singleton payments the
@@ -229,7 +230,7 @@ def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # with no query of their own
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 25
+    assert len(table_queries) == 24
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):

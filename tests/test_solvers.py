@@ -231,20 +231,20 @@ def _fptas_peak_bytes(n, epsilon):
 
 
 def test_fptas_memory_stays_small():
-    # only the Pareto steps of each anchor's row are kept, 0.15 MiB here; a
+    # only the Pareto steps of each anchor's row are kept, 0.18 MiB here; a
     # take matrix of one byte per (item, level) peaked at 5.2 MiB, and a
     # float64 table per stage above 50 MB
     assert _fptas_peak_bytes(40, 0.02) < 4 * 2**20
 
 
 def test_fptas_memory_stays_small_at_n100():
-    # 0.6 MiB; one anchor's budget-cut take matrix at a time peaked at
+    # 0.7 MiB; one anchor's budget-cut take matrix at a time peaked at
     # 12.5 MiB here, and the full-width table at 22 MiB
     assert _fptas_peak_bytes(100, 0.1) < 4 * 2**20
 
 
 def test_fptas_memory_stays_small_at_n400():
-    # 2.8 MiB; one budget-cut take matrix at a time peaked at 612 MiB here
+    # 3.4 MiB; one budget-cut take matrix at a time peaked at 612 MiB here
     assert _fptas_peak_bytes(400, 0.1) < 16 * 2**20
 
 
@@ -501,6 +501,146 @@ def test_budget_cut_matches_full_width_dp(monkeypatch):
     cut = knapsacks()
     monkeypatch.setattr(solvers, "_cheapest_per_level", _full_width_levels)
     assert cut == knapsacks()
+
+
+# ---------------------------------------------------------------------------
+# the sentinel layout of the profit DP against the masked lookups it replaced
+# ---------------------------------------------------------------------------
+
+
+def _reference_fill(n_levels, lev, weights, cap):
+    """The stages of the Pareto DP with no sentinel: keys
+    a * (n_levels + 1) + level, finite payments only."""
+    width = n_levels + 1
+    key = np.arange(len(lev), dtype=np.int64) * width
+    pay = np.zeros(len(lev))
+    stages = [(key, pay)]
+    for s, weight in enumerate(weights):
+        moved = pay + weight
+        fits = moved <= cap
+        anchor, level = np.divmod(key[fits], width)
+        level = np.minimum(level + lev[anchor, s], n_levels)
+        key = np.concatenate((key, anchor * width + level))
+        pay = np.concatenate((pay, moved[fits]))
+        order = np.lexsort((-key, pay, key // width))
+        key, pay = key[order], pay[order]
+        keep = np.empty(len(key), dtype=bool)
+        keep[0] = True
+        np.greater(key[1:], np.maximum.accumulate(key)[:-1], out=keep[1:])
+        key, pay = key[keep], pay[keep]
+        stages.append((key, pay))
+    return stages
+
+
+def _reference_row(stage, n_levels, anchors, levels):
+    """row_s with a mask at each anchor's boundary."""
+    key, pay = stage
+    base = anchors * (n_levels + 1)
+    at = np.searchsorted(key, base + levels)
+    hit = np.minimum(at, len(key) - 1)
+    same = (at < len(key)) & (key[hit] <= base + n_levels)
+    return np.where(same, pay[hit], math.inf)
+
+
+def _reference_teams(stages, steps, levels):
+    """The walk back over the reference stages, two masked rows per item."""
+    k = np.asarray(levels, dtype=np.int64)
+    anchors = np.arange(len(k))
+    member = np.zeros((len(k), steps.n), dtype=bool)
+    for s in range(len(steps.weights) - 1, -1, -1):
+        lower = np.maximum(k - steps.lev[:, s], 0)
+        new = _reference_row(stages[s], steps.n_levels, anchors, lower)
+        take = new + steps.weights[s] < _reference_row(
+            stages[s], steps.n_levels, anchors, k
+        )
+        member[take, steps.agents[s]] = True
+        k = np.where(take, lower, k)
+    packed = np.packbits(member, axis=1, bitorder="little")
+    return [int.from_bytes(bits.tobytes(), "little") for bits in packed]
+
+
+def _sentinel_cases(sizes):
+    """Seeded dyadic and off-grid instances of each size, each at every
+    epsilon, with the budgets in turn."""
+    budgets = (0.05, 0.3, 0.5, 1.0)
+    for n in sizes:
+        rng = random.Random(900 + n)
+        for inst in (random_additive_instance(rng, n), _non_dyadic_instance(rng, n)):
+            for j, eps in enumerate((0.3, 0.1, 0.02)):
+                yield inst, budgets[(n + j) % 4], eps
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _row_queries(rng, n_levels, count, key, pay):
+    """(anchor, level) pairs: every pair when there are few; else the level
+    of every finite step and the levels on either side of it, each with the
+    step's own anchor, plus both ends and a seeded sample for every anchor."""
+    if count * (n_levels + 1) <= 20_000:
+        return np.divmod(np.arange(count * (n_levels + 1)), n_levels + 1)
+    anchor, level = np.divmod(key[pay < math.inf], n_levels + 2)
+    sample = rng.integers(0, n_levels + 1, 16 * count)
+    anchors = np.concatenate((np.tile(anchor, 3), np.arange(16 * count) % count))
+    levels = np.concatenate((level - 1, level, level + 1, sample))
+    anchors = np.concatenate((anchors, np.arange(count), np.arange(count)))
+    levels = np.concatenate((levels, np.zeros(count, int), np.full(count, n_levels)))
+    return anchors, np.clip(levels, 0, n_levels)
+
+
+def test_sentinel_steps_match_masked_reference():
+    # stage arrays are compared point by point, not only teams: a sort that
+    # lost its key-descending tie-break changes the stages of 60 of the
+    # cases here but none of their teams
+    rng = np.random.default_rng(901)
+    teams_checked = 0
+    # 162 cases, every epsilon and budget pair at 12 or more of them; the
+    # sizes past 24 are sparse because a case at n = 63 costs as much as ten
+    # at n = 32
+    for inst, budget, eps in _sentinel_cases([*range(1, 25), 32, 40, 63]):
+        values = inst.reward.values
+        anchors = sorted({v for v in values if v > 0})
+        grids, steps = solvers._rounded_steps(inst, values, eps, anchors, budget)
+        n_levels, count = steps.n_levels, len(anchors)
+        ref = _reference_fill(n_levels, steps.lev, steps.weights, budget + PAY_TOL)
+        assert len(steps.stages) == len(ref)
+        for s, ((key, pay), (ref_key, ref_pay)) in enumerate(zip(steps.stages, ref)):
+            case = (inst.n, budget, eps, s)
+            finite = pay < math.inf
+            got = np.divmod(key[finite], n_levels + 2)
+            assert np.array_equal(got, np.divmod(ref_key, n_levels + 1)), case
+            assert np.array_equal(_bits(pay[finite]), _bits(ref_pay)), case
+            at, levels = _row_queries(rng, n_levels, count, key, pay)
+            want = _reference_row(ref[s], n_levels, at, levels)
+            assert np.array_equal(_bits(steps.row(s, at, levels)), _bits(want)), case
+        picks = solvers._proxy_levels(steps, grids)
+        spread = rng.integers(0, n_levels + 1, count)
+        for levels in (picks, spread, np.full_like(picks, n_levels)):
+            assert steps.teams(levels) == _reference_teams(ref, steps, levels)
+            teams_checked += count
+    assert teams_checked > 5_000
+
+
+def test_every_anchor_ends_in_one_sentinel():
+    # the sentinels add 16 B per anchor and stage to the stored points
+    picked_top = False
+    for inst, budget, eps in _sentinel_cases(range(1, 64, 6)):
+        values = inst.reward.values
+        anchors = sorted({v for v in values if v > 0})
+        grids, steps = solvers._rounded_steps(inst, values, eps, anchors, budget)
+        width = steps.n_levels + 2
+        sentinels = np.arange(len(anchors)) * width + steps.n_levels + 1
+        for key, pay in steps.stages:
+            infinite = pay == math.inf
+            assert np.array_equal(key[infinite], sentinels)
+            ends = np.flatnonzero(np.diff(key // width, append=len(anchors)))
+            assert np.array_equal(ends, np.flatnonzero(infinite))
+            assert not np.isnan(pay).any()
+        levels = solvers._proxy_levels(steps, grids)
+        assert ((0 <= levels) & (levels <= steps.n_levels)).all()
+        picked_top |= bool((levels == steps.n_levels).any())
+    assert picked_top
 
 
 def test_floor_levels_match_floor_tol():
