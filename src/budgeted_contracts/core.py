@@ -486,27 +486,38 @@ def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     """Reward and payment of every team mask, as two read-only arrays of
     length 2^n.
 
-    Entries equal ``value`` and ``payment`` bit for bit. The pair is built on
-    the first call and kept on the instance, which is immutable, so callers
-    asking again about one instance (a ``pof`` cell and its curves, the three
-    objectives ``check`` verifies) share one build; it lives as long as the
-    instance does.
+    Entries equal ``value`` and ``payment`` bit for bit, although a free
+    agent (cost 0.0 or -0.0) adds nothing to the payments: its share is
+    +-0.0 in every team, and adding +-0.0 leaves each payment, +0.0, positive
+    or inf, with the same bits. The pair is built on the first call and kept
+    on the instance, which is immutable, so callers asking again about one
+    instance (a ``pof`` cell and its curves, the three objectives ``check``
+    verifies) share one build; it lives as long as the instance does.
     """
     return inst._team_table
 
 
 def _tabulate(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
-    """``team_table`` built afresh. Payments take one pass per agent, so no
-    n x 2^n array is built."""
+    """``team_table`` built afresh. Payments take one pass per agent with a
+    positive cost, so no n x 2^n array is built.
+
+    A free agent's pass is skipped, which is exact: its share is 0/m = +-0.0
+    on a positive margin and 0 by the 0/0 convention otherwise, and the
+    payments start at +0.0 and gain only shares that are +0.0, positive or
+    inf, so adding +-0.0 to any of them changes no bit. With every cost left
+    positive, a non-positive margin always gives an infinite share.
+    """
     f = _value_array(inst.reward)
     pay = np.zeros(f.shape)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, cost in enumerate(inst.costs):
+            if cost == 0.0:  # -0.0 too
+                continue
             # axis 1 splits teams by agent i: [:, 1] holds it, [:, 0] not
             split = f.reshape(-1, 2, 1 << i)
             margin = split[:, 1] - split[:, 0]
             term = cost / margin
-            term[margin <= 0.0] = 0.0 if cost <= 0.0 else math.inf
+            term[margin <= 0.0] = math.inf
             pay.reshape(-1, 2, 1 << i)[:, 1] += term
     f.flags.writeable = pay.flags.writeable = False
     return f, pay
@@ -577,9 +588,13 @@ def profit(inst: Instance, team: int) -> float:
     """
     _check_team(team, inst.n)
     f_team, marg = _margins(inst.reward, team)
+    return _profit(f_team, _pay(inst, marg))
+
+
+def _profit(f_team: float, pay: float) -> float:
+    """``profit`` of a team from its f(S) and p(S)."""
     if f_team == 0.0:
         return 0.0
-    pay = _pay(inst, marg)
     if pay == math.inf:
         return -math.inf
     return (1.0 - pay) * f_team

@@ -24,6 +24,7 @@ from .core import (
     EPS,
     Instance,
     InputError,
+    _profit,
     _subset_sums,
     _sum_over,
     bits,
@@ -81,17 +82,32 @@ WELFARE = Welfare()
 OBJECTIVES: dict[str, Objective] = {o.name: o for o in (REWARD, PROFIT, WELFARE)}
 
 
-def evaluate(obj: Objective, inst: Instance, team: int) -> float:
-    """Evaluate an objective on a team. Welfare is returned unclamped."""
+def evaluate(
+    obj: Objective,
+    inst: Instance,
+    team: int,
+    f_team: float | None = None,
+    pay: float | None = None,
+) -> float:
+    """Evaluate an objective on a team. Welfare is returned unclamped.
+
+    A caller that already holds f(S) passes it as ``f_team``, and p(S) as
+    ``pay``, each equal to ``value`` and ``payment`` bit for bit, so the
+    oracle is not asked again; profit uses them only when given both.
+    """
     if isinstance(obj, Reward):
-        return value(inst.reward, team)
+        return value(inst.reward, team) if f_team is None else f_team
     if isinstance(obj, Profit):
-        return profit(inst, team)
+        if f_team is None or pay is None:
+            return profit(inst, team)
+        return _profit(f_team, pay)
     if isinstance(obj, Welfare):
-        return value(inst.reward, team) - _sum_over(inst.costs, bits(team))
+        if f_team is None:
+            f_team = value(inst.reward, team)
+        return f_team - _sum_over(inst.costs, bits(team))
     total = 0.0  # not sum(): see core._sum_over
     for c, w in zip(obj.components, obj.weights):
-        total += w * evaluate(c, inst, team)
+        total += w * evaluate(c, inst, team, f_team, pay)
     return total
 
 

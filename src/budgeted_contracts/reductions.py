@@ -33,6 +33,7 @@ from .core import (
     SolverContractError,
     _best_team,
     _check_team,
+    _empty_value,
     _margins,
     _pay,
     bits,
@@ -41,10 +42,9 @@ from .core import (
     mask_of,
     restrict,
     singleton_team_payment,
-    value,
 )
 from .downsizing import downsize_submodular, downsize_xos
-from .objectives import Objective, evaluate
+from .objectives import REWARD, Objective, evaluate
 from .solvers import brute_force_max
 
 Path = Literal["xos", "submodular"]
@@ -117,7 +117,8 @@ def reduce_to_mrl(
     if mrl_team & ~light:
         raise PreconditionError("hub input must contain only light agents")
 
-    pool = {0: 0.0}  # the empty team is paid nothing, so it is always feasible
+    # the empty team is paid nothing, so it is always feasible
+    pool = {0: (_empty_value(inst.reward), 0.0)}
     if mrl_team:
         if path == "xos":
             piece = downsize_xos(inst, mrl_team, 5)
@@ -125,10 +126,11 @@ def reduce_to_mrl(
             piece = downsize_submodular(inst, mrl_team, 3)
         if piece.payment_before > budget + EPS:  # p(S), bit for bit
             raise PreconditionError("hub input is not budget-feasible")
-        pool[piece.subset] = piece.payment_after
+        # both downsizings value the piece by the reward: f(T) is its psi
+        pool[piece.subset] = (piece.objective_after, piece.payment_after)
     _add_singletons(inst, pool, range(inst.n), budget)
     factor = 40.0 * gamma + 1.0 if path == "xos" else 6.0 * gamma + 1.0
-    return _pick(pool, lambda team: evaluate(obj, inst, team), factor, path)
+    return _pick(inst, pool, obj, factor, path)
 
 
 def reduce_from_mrl(
@@ -147,7 +149,7 @@ def reduce_from_mrl(
     is budget-feasible at B. Every pool member is re-checked feasible at B.
     """
     scaled = scale_instance(inst, budget, budget_prime)
-    pool = {0: 0.0}
+    pool = {0: (_empty_value(inst.reward), 0.0)}
     if scaled.agents:
         team_scaled = solver(scaled.instance, budget_prime, obj)
         _check_team(team_scaled, scaled.instance.n)
@@ -155,36 +157,48 @@ def reduce_from_mrl(
         # ``restrict`` keeps each agent's oracle values and the mapping keeps
         # member order, so the mapped team's marginals give both payments
         # bit for bit: at B' over the scaled costs, and at B
-        marg = _margins(inst.reward, mapped)[1]
+        f_mapped, marg = _margins(inst.reward, mapped)
         scaled_marg = dict(zip(bits(team_scaled), marg.values()))
         if _pay(scaled.instance, scaled_marg) > budget_prime + EPS:
             raise SolverContractError("solver output exceeds the scaled budget")
         pay_mapped = _pay(inst, marg)
         if pay_mapped <= budget + EPS:
-            pool[mapped] = pay_mapped
+            pool[mapped] = (f_mapped, pay_mapped)
         _add_singletons(inst, pool, scaled.agents, budget)
     factor = 20.0 * gamma if path == "xos" else 6.0 * gamma
-    return _pick(pool, lambda team: value(inst.reward, team), factor, path)
+    return _pick(inst, pool, REWARD, factor, path)
 
 
 def _add_singletons(
-    inst: Instance, pool: dict[int, float], agents: Iterable[int], budget: float
+    inst: Instance,
+    pool: dict[int, tuple[float, float]],
+    agents: Iterable[int],
+    budget: float,
 ) -> None:
     """Add each one-agent team among ``agents`` paid within ``budget``."""
     for i in agents:
         pay = singleton_team_payment(inst, i)
         if pay <= budget + EPS:
-            pool[1 << i] = pay
+            pool[1 << i] = (inst._singleton_values[i], pay)
 
 
 def _pick(
-    pool: dict[int, float], score: Callable[[int], float], factor: float, path: Path
+    inst: Instance,
+    pool: dict[int, tuple[float, float]],
+    obj: Objective,
+    factor: float,
+    path: Path,
 ) -> ReductionOutcome:
-    """The pool member scoring highest (ties to the smallest bitmask), valued
-    at the score it was picked by. ``pool`` maps each member to its payment,
-    equal to ``payment()`` bit for bit, so the winner is not paid again."""
-    candidate, candidate_value = _best_team(pool, score)
-    return ReductionOutcome(candidate, candidate_value, factor, pool[candidate], path)
+    """The pool member scoring highest under ``obj`` (ties to the smallest
+    bitmask), valued at the score it was picked by. ``pool`` maps each member
+    to its f(S) and p(S), equal to ``value`` and ``payment`` bit for bit, so
+    each member is scored, and the winner paid, without asking the oracle."""
+    candidate, candidate_value = _best_team(
+        pool, lambda team: evaluate(obj, inst, team, *pool[team])
+    )
+    return ReductionOutcome(
+        candidate, candidate_value, factor, pool[candidate][1], path
+    )
 
 
 def equivalence_pipeline(

@@ -636,6 +636,81 @@ def test_classify_skips_pair_kernels_within_the_hierarchy(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# the team table against the per-agent payment loop kept here
+
+
+def _tabulate_reference(inst):
+    """``team_table`` with one payment pass for every agent, free ones too."""
+    f = core._value_array(inst.reward)
+    pay = np.zeros(f.shape)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i, cost in enumerate(inst.costs):
+            split = f.reshape(-1, 2, 1 << i)
+            margin = split[:, 1] - split[:, 0]
+            term = cost / margin
+            term[margin <= 0.0] = 0.0 if cost <= 0.0 else math.inf
+            pay.reshape(-1, 2, 1 << i)[:, 1] += term
+    return f, pay
+
+
+_PLANTED = (0.0, -0.0, 5e-324)
+
+
+def _team_table_cases(n, seed):
+    """Seeded instances over n agents: a coverage table (monotone, with a
+    planted f({})), a random table (not monotone), XOS clauses and additive
+    values, with 0.0, -0.0 and 5e-324 planted among the values; each once
+    with free agents (costs 0.0 and -0.0) and once without (every cost
+    positive, 5e-324 among them)."""
+    rng = random.Random(seed)
+    noise = np.random.default_rng(seed)
+
+    def plant(xs):
+        xs = list(xs)
+        for k in rng.sample(range(len(xs)), min(len(xs), 3)):
+            xs[k] = rng.choice(_PLANTED)
+        return xs
+
+    coverage = np.array(random_submodular_instance(rng, n).reward.values)
+    coverage[0] = rng.choice(_PLANTED)
+    clauses = random_xos_instance(rng, n, rng.randrange(1, 4)).reward.clauses
+    additive = corpora.random_additive_instance(rng, n).reward.values
+    rewards = {
+        "coverage": Table(coverage),
+        "random": Table(plant(noise.random(1 << n))),
+        "xos": XosClauses(tuple(plant(row) for row in clauses)),
+        "additive": Additive(plant(additive)),
+    }
+    for kind, reward in rewards.items():
+        costs = [rng.uniform(0.01, 0.3) for _ in range(n)]
+        paid = list(costs)
+        paid[rng.randrange(n)] = 5e-324
+        yield kind + "-paid", Instance(n, paid, reward)
+        free = list(costs)
+        zeros = rng.sample((0.0, -0.0), 2)
+        for k, zero in zip(rng.sample(range(n), min(n, 2)), zeros):
+            free[k] = zero
+        yield kind + "-free", Instance(n, free, reward)
+
+
+def test_team_table_equals_the_per_agent_loop_byte_for_byte():
+    # bytes, not ==, which cannot tell -0.0 from 0.0
+    sizes = [*range(1, 13), 16]
+    free_at, monotone, infinite = set(), set(), set()
+    for n in sizes:
+        for kind, inst in _team_table_cases(n, 60 * n):
+            got, want = team_table(inst), _tabulate_reference(inst)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (kind, n)
+                assert not a.flags.writeable
+            free_at.add((n, any(c == 0.0 for c in inst.costs)))
+            monotone.add(core._table_is_monotone(got[0], n, 0.0))
+            infinite.add(bool(np.isinf(got[1]).any()))
+    assert free_at == {(n, free) for n in sizes for free in (True, False)}
+    assert monotone == infinite == {True, False}
+
+
+# ---------------------------------------------------------------------------
 # size caps raise before allocating
 # ---------------------------------------------------------------------------
 

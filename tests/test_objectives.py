@@ -128,15 +128,22 @@ def test_evaluate_all_matches_evaluate():
         + submodular_corpus(4, seed=507, n_hi=6)
         + _nondyadic_instances(10, seed=508)
     )
+    # free agents at cost -0.0 as well as 0.0, which the team table skips
+    corpus += [
+        Instance(inst.n, [-c if c == 0.0 else c for c in inst.costs], inst.reward)
+        for inst in corpus
+        if 0.0 in inst.costs
+    ]
+    # compared by bits (float.hex), since == cannot tell -0.0 from 0.0
     for inst in corpus:
         f, pay = team_table(inst)
         for obj in (REWARD, PROFIT, WELFARE, mix):
             table = evaluate_all(obj, inst, f, pay)
             for team in range(1 << inst.n):
-                assert table[team] == evaluate(obj, inst, team)
+                assert table[team].hex() == evaluate(obj, inst, team).hex()
         for team in range(1 << inst.n):
-            assert f[team] == value(inst.reward, team)
-            assert pay[team] == payment(inst, team)
+            assert f[team].hex() == value(inst.reward, team).hex()
+            assert pay[team].hex() == payment(inst, team).hex()
 
 
 def test_sandwich_pointwise():

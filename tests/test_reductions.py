@@ -219,18 +219,22 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
     # each pool member is scored once and the winner keeps its score: 4
-    # queries find the light agents, 8 downsize the hub input (p(S), which
+    # queries find the light agents and 8 downsize the hub input (p(S), which
     # also checks it is feasible, among them; psi(S) = f(S) comes from the
     # pass that takes the shares, and p({0, 1}) asks only the 2 drops, f of
-    # the piece coming from its bag test) and 12 score the pool: f({})
-    # for the empty team, then f(S) and each f(S - {i}) once for the piece
-    # {0, 1} (3) and the 4 singletons (2 each);
+    # the piece coming from its bag test); the pool asks none. 12 went when
+    # each member was scored from the f(S) and p(S) already held, not from
+    # f({}) for the empty team and f(S) and each f(S - {i}) for the piece
+    # {0, 1} (3) and the 4 singletons (2 each): f({}) is the table's own
+    # entry, f({i}) the one the light scan took, and the piece's f(S) and
+    # p(S) the ones its downsizing returned;
     # the feasible singletons are found from the singleton payments the
-    # light scan took, and the winner's payment is the one its pool kept,
-    # with no query of their own
+    # light scan took, and the winner's payment is the one its pool kept
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
-    assert len(table_queries) == 24
+    assert table_queries == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b1110,
+                             0b1101, 0b1011, 0b0111, 0b0011, 0b0010, 0b0001]
+    assert len(table_queries) == 24 - 12 == 12
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):
@@ -246,7 +250,11 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     # when profit took f(S) and p(S) from one pass, one for each of the 5
     # non-empty teams the last pool scores; 3 more when the hub solver's
     # 2-member team was paid at B' and at B from one pass of f(S) and its
-    # 2 drops, not from one pass for each budget
+    # 2 drops, not from one pass for each budget; 18 more when both pools
+    # scored their members from the f(S) and p(S) already held: the first
+    # pool's f({}), 5 light singletons and the solver's mapped team (7),
+    # and the last pool's f({}) for the empty team, then f({i}) and f({})
+    # for each of its 5 one-agent members (11)
     calls = []
     xos_value = XosClauses.value
 
@@ -259,8 +267,8 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 - 3 == 34
-    assert light_agents(inst) == 0b1001111 and len(calls) == 34
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 - 3 - 18 == 16
+    assert light_agents(inst) == 0b1001111 and len(calls) == 16
 
 
 def test_pools_admit_singletons_by_their_team_payment():
