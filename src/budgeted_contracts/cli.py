@@ -42,7 +42,7 @@ from .corpora import (
     random_submodular_instance,
     random_xos_instance,
 )
-from .downsizing import downsize_submodular, downsize_xos
+from .downsizing import check_reward_class, downsize_submodular, downsize_xos
 from .frugality import (
     PofQuery,
     best_head_count,
@@ -303,6 +303,9 @@ def cmd_downsize(args, inst: Instance) -> dict[str, str]:
 def cmd_reduce(args, inst: Instance) -> dict[str, str]:
     obj_from, b_from = parse_objective_at_budget(args.from_spec)
     obj_to, b_to = parse_objective_at_budget(args.to_spec)
+    # enforce the class precondition of the path's downsizing, as downsize
+    # does, once and before any stage
+    check_reward_class(inst.reward, args.path)
     outcome = equivalence_pipeline(
         inst, obj_from, b_from, obj_to, b_to, SOLVERS[args.solver], path=args.path
     )

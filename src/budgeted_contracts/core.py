@@ -16,6 +16,7 @@ races another gives the same arrays.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -32,6 +33,15 @@ ENUM_CAP = 20
 #: Cap on n for the subadditivity kernels of class verification (3^n and 4^n
 #: steps); submodularity is checked wherever a reward tabulates.
 CLASSIFY_CAP = 16
+
+#: Cap on n for the class audits that gather their faces (monotonicity, the
+#: submodular pairs, the drop condition of BEST objectives): up to it, from
+#: a size set per audit, each audit checks its first agent or pair alone and
+#: then every other face in one gather over index arrays cached per n; above
+#: it, one pass per agent or pair, since from n = 11 on a fresh process
+#: spends more building the indices and their temporaries than the gather
+#: saves.
+GATHER_CAP = 10
 
 #: Cap on the level count n^2 / epsilon of an FPTAS's rounded DP. The
 #: knapsack's dense row then holds at most 128 MiB, and the profit DP's keys
@@ -577,7 +587,8 @@ def singleton_team_payment(inst: Instance, agent: int) -> float:
     if not 0 <= agent < inst.n:
         raise InputError(f"agent {agent} out of range")
     margin = inst._singleton_values[agent] - _empty_value(inst.reward)
-    return _pay_term(inst.costs[agent], margin)
+    # p(S) sums the shares from 0.0, so a free agent's -0.0 share pays +0.0
+    return 0.0 + _pay_term(inst.costs[agent], margin)
 
 
 def profit(inst: Instance, team: int) -> float:
@@ -734,11 +745,17 @@ def _class_gate(n: int) -> None:
 
 
 def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:
-    """t[A + i] >= t[A] - slack for every team A and agent i not in it."""
+    """t[A + i] >= t[A] - slack for every team A and agent i not in it: agent
+    by agent, or within the gather's range agent 0 and then the others in one
+    gather."""
+    gather = _gather_gate(n, _AGENTS_GATHER_FROM)
     for i in range(n):
         split = t.reshape(-1, 2, 1 << i)  # [:, 1] holds agent i, [:, 0] not
         if not np.all(split[:, 1] >= split[:, 0] - slack):
             return False
+        if gather:
+            up, down, _ = _agent_faces(n)
+            return bool(np.all(t.take(up) >= t.take(down) - slack))
     return True
 
 
@@ -774,7 +791,10 @@ def _near_modular(t: np.ndarray, n: int) -> bool:
 
 
 def _submodular_pairs(t: np.ndarray, n: int, slack: float) -> bool:
-    """The pair kernel: every face of every pair i < j, one vector per pair."""
+    """The pair kernel: every face of every pair i < j, one vector per pair,
+    or within the gather's range the first pair and then the others in one
+    gather."""
+    gather = _gather_gate(n, _PAIRS_GATHER_FROM)
     for i in range(n):
         for j in range(i + 1, n):
             # axis 1 splits teams by agent j, axis 3 by agent i
@@ -782,7 +802,69 @@ def _submodular_pairs(t: np.ndarray, n: int, slack: float) -> bool:
             with_i, with_j = q[:, 0, :, 1], q[:, 1, :, 0]
             if not np.all(with_i + with_j >= q[:, 1, :, 1] + q[:, 0, :, 0] - slack):
                 return False
+            if gather:
+                with_i, with_j, both, base = map(t.take, _pair_faces(n))
+                return bool(np.all(with_i + with_j >= both + base - slack))
     return True
+
+
+def _drop_condition(phi: np.ndarray, f: np.ndarray, n: int) -> bool:
+    """phi[S] <= f[S - {i}] + phi[{i}] + EPS for every team S and member i:
+    dropping an agent loses at most its own singleton value. Agent by agent,
+    or within the gather's range agent 0 and then the others in one gather."""
+    gather = _gather_gate(n, _AGENTS_GATHER_FROM)
+    for i in range(n):
+        split_phi = phi.reshape(-1, 2, 1 << i)
+        split_f = f.reshape(-1, 2, 1 << i)
+        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + EPS):
+            return False
+        if gather:
+            up, down, single = _agent_faces(n)
+            return bool(np.all(phi.take(up) <= f.take(down) + phi.take(single) + EPS))
+    return True
+
+
+#: The smallest n at which the agent audits (monotonicity, the drop
+#: condition) and the pair kernel gather. On fewer agents the passes the
+#: loop has left after its first, n - 1 or n(n - 1)/2 - 1, cost a fresh
+#: process less than building the indices; from these sizes on a first call
+#: costs about as much as the loop's and every later one less.
+_AGENTS_GATHER_FROM = 9
+_PAIRS_GATHER_FROM = 6
+
+
+def _gather_gate(n: int, smallest: int) -> bool:
+    """The one GATHER_CAP gate: whether a class audit over n agents that
+    gathers from ``smallest`` agents on gathers the faces after its first
+    agent or pair."""
+    return smallest <= n <= GATHER_CAP
+
+
+def _insert_zero(k: np.ndarray, i: np.ndarray) -> np.ndarray:
+    """k with a 0 bit inserted at position i: the bits from i up move one up."""
+    return k + (k >> i << i)
+
+
+@functools.cache
+def _agent_faces(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The faces after agent 0 of the agent loops, as int32 masks: A + i and A
+    for each agent i >= 1 (a row) and team A without i (ascending), and {i}
+    (a column)."""
+    i = np.arange(1, n, dtype=np.int32)[:, None]
+    down, single = _insert_zero(np.arange(1 << (n - 1), dtype=np.int32), i), 1 << i
+    return down + single, down, single
+
+
+@functools.cache
+def _pair_faces(n: int) -> tuple[np.ndarray, ...]:
+    """The faces after pair (0, 1) of the pair loop, as int32 masks: A + i,
+    A + j, A + i + j and A for each pair i < j (a row, in the loop's order)
+    and team A without either (ascending)."""
+    pairs = list(itertools.combinations(range(n), 2))[1:]
+    i, j = np.array(pairs, np.int32).reshape(-1, 2, 1).transpose(1, 0, 2)
+    base = _insert_zero(_insert_zero(np.arange(1 << (n - 2), dtype=np.int32), i), j)
+    with_i = base + (1 << i)
+    return with_i, base + (1 << j), with_i + (1 << j), base
 
 
 def _all_pairs_subadditive(t: np.ndarray, n: int) -> bool:

@@ -70,8 +70,7 @@ def downsize_submodular(
     """
     _check_downsize(inst, team, m)
     if check:
-        if not is_submodular(inst.reward):
-            raise PreconditionError("reward function is not submodular")
+        check_reward_class(inst.reward, "submodular")
         if not isinstance(psi, Reward):  # a submodular reward is subadditive
             _assert_subadditive(psi, inst)
     f_team, marg = _margins(inst.reward, team)
@@ -81,6 +80,23 @@ def downsize_submodular(
     f_after = psi_after if psi == REWARD else None  # the bag test asked f(T)
     pay_after = _pay(inst, _margins(inst.reward, after, f_after)[1])
     return DownsizeResult(after, pay_team, pay_after, psi_team, psi_after, singleton)
+
+
+def check_reward_class(f: SetFunction, mode: str) -> None:
+    """Raise ``PreconditionError`` unless f is in the class that the downsizing
+    of ``mode`` assumes: submodular for ``"submodular"``, XOS for ``"xos"``.
+
+    Clause and additive forms are XOS, and so is a submodular table; other
+    rewards are checked with ``is_submodular``, which raises ``SizeCapError``
+    where a non-additive reward does not tabulate (n > ENUM_CAP).
+    """
+    if mode == "xos" and isinstance(f, XosClauses):
+        return
+    if not is_submodular(f):
+        raise PreconditionError(
+            "reward representation cannot be certified XOS" if mode == "xos"
+            else "reward function is not submodular"
+        )
 
 
 def _check_downsize(inst: Instance, team: int, m: int) -> None:
@@ -188,9 +204,9 @@ def downsize_xos(
     its payment and value. The result equals running
     ``downsize_submodular`` and then ``recover_marginals_xos`` bit for bit.
     """
-    f = inst.reward  # clause and additive forms are XOS, and so is a submodular table
-    if check and not (isinstance(f, XosClauses) or is_submodular(f)):
-        raise PreconditionError("reward representation cannot be certified XOS")
+    f = inst.reward
+    if check:
+        check_reward_class(f, "xos")
     _check_downsize(inst, team, m)
     f_team, team_marg = _margins(f, team)
     share, pay_team = _paid(inst, team_marg)

@@ -24,6 +24,7 @@ from .core import (
     EPS,
     Instance,
     InputError,
+    _drop_condition,
     _profit,
     _subset_sums,
     _sum_over,
@@ -135,13 +136,7 @@ def check_best_conditions(obj: Objective, inst: Instance) -> bool:
     if not (np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + EPS)
             and np.all(phi <= f + EPS)):
         return False
-    # dropping agent i: phi(S) <= f(S - {i}) + phi({i}) for every S holding i
-    for i in range(inst.n):
-        split_phi = phi.reshape(-1, 2, 1 << i)
-        split_f = f.reshape(-1, 2, 1 << i)
-        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + EPS):
-            return False
-    return True
+    return _drop_condition(phi, f, inst.n)
 
 
 def key_property_gap(

@@ -212,6 +212,72 @@ def test_reduce_on_a_table_with_positive_empty_value(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["budget_used"] <= 0.3
 
 
+@pytest.mark.parametrize("path, gen, kind", [
+    # an XOS reward that is not submodular on the submodular path, and a
+    # monotone subadditive table that is not XOS-certified on the XOS path,
+    # printed a guarantee factor (37.0 and 801.0) that does not hold; a
+    # check that needs a table past ENUM_CAP ends in sizecap, as in downsize
+    ("submodular", None, "precondition"),
+    ("xos", ["--family", "subadd-lb", "--n", 6, "--b", 0.5, "--B", 1.0], "precondition"),
+    ("submodular", ["--family", "random-xos", "--n", 25, "--seed", 1], "sizecap"),
+], ids=["xos-6-submodular", "subadd-lb-6-xos", "xos-25-submodular"])
+def test_reduce_checks_the_class_its_path_needs(tmp_path, capsys, path, gen, kind):
+    inst = tmp_path / "inst.json"
+    if gen is None:
+        save_instance(random_xos_instance(random.Random(1), 6, 3), str(inst))
+    else:
+        assert run_cli("gen", *gen, "--out", inst) == 0
+    capsys.readouterr()
+    assert run_cli("reduce", "--instance", inst, "--from", "reward@0.5",
+                   "--to", "reward@0.5", "--path", path) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {kind}: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_reduce_checks_the_class_once_before_any_stage(tmp_path, capsys, monkeypatch):
+    # the rule downsize applies, asked once: a clause reward is XOS as it
+    # stands, a submodular table is checked on either path, and a failing
+    # reward stops reduce before its solver runs
+    from budgeted_contracts import downsizing
+
+    asked, real = [], downsizing.is_submodular
+    monkeypatch.setattr(downsizing, "is_submodular", lambda f: asked.append(f) or real(f))
+    solved, brute = [], SOLVERS["brute"]
+    monkeypatch.setitem(SOLVERS, "brute", lambda *a: solved.append(a) or brute(*a))
+    clauses, table = tmp_path / "clauses.json", tmp_path / "table.json"
+    save_instance(random_xos_instance(random.Random(1), 6, 3), str(clauses))
+    save_instance(random_submodular_instance(random.Random(1), 6), str(table))
+    for path, inst, code, checks in (("xos", clauses, 0, 0), ("submodular", clauses, 2, 1),
+                                     ("xos", table, 0, 1), ("submodular", table, 0, 1)):
+        asked.clear()
+        solved.clear()
+        assert run_cli("reduce", "--instance", inst, "--from", "profit@0.5",
+                       "--to", "reward@0.5", "--path", path) == code, (path, inst)
+        assert len(asked) == checks and len(solved) == (code == 0), (path, inst)
+    capsys.readouterr()
+
+
+def test_reduce_pays_a_free_agent_positive_zero(tmp_path, capsys):
+    # agent 0 costs -0.0: its one-agent team pays 0.0 in reduce as in solve
+    path = tmp_path / "free.json"
+    path.write_text(json.dumps({
+        "n": 2, "costs": [-0.0, 0.25],
+        "reward": {"type": "additive", "values": [0.5, 0.25]},
+    }))
+    assert run_cli("reduce", "--instance", path, "--from", "reward@0.5",
+                   "--to", "reward@0.5") == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["candidate"] == [0]
+    assert '"budget_used": 0.0,' in out
+    assert run_cli("solve", "--instance", path, "--objective", "reward",
+                   "--budget", 0.5) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out)["optimum"] == [0]
+    assert '"payment": 0.0,' in out
+
+
 def test_pof_family_sweep_tight(tmp_path):
     out = tmp_path / "report.csv"
     assert run_cli("pof", "--family", "additive-lb", "--n", 10, "--B", 1.0,
@@ -686,13 +752,15 @@ def test_only_core_reads_the_size_caps():
         names = {getattr(node, "id", None) for node in ast.walk(tree)}
         names |= {getattr(node, "attr", None) for node in ast.walk(tree)}
         names |= {getattr(node, "name", None) for node in ast.walk(tree)}
-        assert not {"ENUM_CAP", "CLASSIFY_CAP", "LEVEL_CAP"} & names, path.name
+        assert not {"ENUM_CAP", "CLASSIFY_CAP", "GATHER_CAP", "LEVEL_CAP"} & names, (
+            path.name
+        )
 
 
 def test_each_cap_is_read_by_its_own_gate():
     # inside core each cap has one reader, its gate: one size rule per cap
     gates = {"ENUM_CAP": "_enum_gate", "CLASSIFY_CAP": "_class_gate",
-             "LEVEL_CAP": "_level_gate"}
+             "GATHER_CAP": "_gather_gate", "LEVEL_CAP": "_level_gate"}
     tree = ast.parse(Path(budgeted_contracts.core.__file__).read_text(encoding="utf-8"))
     readers = {cap: set() for cap in gates}
     for func in ast.walk(tree):

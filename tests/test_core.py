@@ -454,7 +454,8 @@ def test_classify_checks_overlapping_pairs_when_not_monotone():
 
 
 # ---------------------------------------------------------------------------
-# monotonicity and submodularity kernels against the gather versions kept here
+# the class audits against references kept here: the fancy-index gathers of
+# monotonicity and submodularity, and the agent-by-agent drop condition
 
 
 def _monotone_reference(t, n, slack):
@@ -475,25 +476,143 @@ def _submodular_reference(t, n, slack=EPS):
     return True
 
 
+def _drop_reference(phi, f, n):
+    """The drop condition agent by agent, as check_best_conditions ran it
+    before the audits gathered."""
+    for i in range(n):
+        split_phi = phi.reshape(-1, 2, 1 << i)
+        split_f = f.reshape(-1, 2, 1 << i)
+        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + EPS):
+            return False
+    return True
+
+
+#: n = 1 .. GATHER_CAP + 2: sizes at which the audits loop and at which they gather
+GATHER_SIZES = range(1, core.GATHER_CAP + 3)
+
+
+def _agents_gather(n):
+    return core._gather_gate(n, core._AGENTS_GATHER_FROM)
+
+
+def _pairs_gather(n):
+    return core._gather_gate(n, core._PAIRS_GATHER_FROM)
+
+
 def test_class_kernels_match_gather_references():
-    # the tie tables put the terms of both checks EPS apart, either way
-    outcomes = {
-        "monotone": set(), "exact": set(), "submodular": set(), "exact-sub": set()
-    }
-    for n in range(1, 11):
+    # the tie tables put the terms of both checks EPS apart, either way; both
+    # answers of each check are seen where it loops and where it gathers
+    outcomes = {}
+    for n in GATHER_SIZES:
         for seed in range(2):
             for kind, t in _seeded_tables(n, 10 * n + seed):
                 for slack, key in ((EPS, "monotone"), (0.0, "exact")):
                     want = _monotone_reference(t, n, slack)
                     assert core._table_is_monotone(t, n, slack) == want, (kind, n, key)
-                    outcomes[key].add(want)
+                    outcomes.setdefault((key, _agents_gather(n)), set()).add(want)
                 want = _submodular_reference(t, n)
                 assert core._table_is_submodular(t, n) == want, (kind, n, seed)
-                outcomes["submodular"].add(want)
+                outcomes.setdefault(("submodular", _pairs_gather(n)), set()).add(want)
                 want = _submodular_reference(t, n, 0.0)
                 assert core._table_is_submodular(t, n, 0.0) == want, (kind, n, seed)
-                outcomes["exact-sub"].add(want)
-    assert all(seen == {True, False} for seen in outcomes.values())
+                outcomes.setdefault(("exact-sub", _pairs_gather(n)), set()).add(want)
+    assert len(outcomes) == 8
+    assert all(seen == {True, False} for seen in outcomes.values()), outcomes
+
+
+def _drop_tie_table(n, rng, noise):
+    """Dyadic additive sums within [0, 1] plus {-1, 0, 1} EPS at each team:
+    f(S) - f(S - {i}) - f({i}) is exactly 0 before the noise, so the drop
+    condition of the reward holds or fails by the noise alone."""
+    sums = core._subset_sums([rng.randrange(1, 65) / (64 * n) for _ in range(n)], n)
+    return sums + EPS * noise.choice((-1.0, 0.0, 1.0), sums.size)
+
+
+def test_drop_condition_matches_agent_loop():
+    # the drop test alone, on every seeded table (profit ones hold -inf)
+    # against a coverage reward
+    outcomes = {}
+    for n in GATHER_SIZES:
+        rng = random.Random(n)
+        noise = np.random.default_rng(n)
+        f = np.asarray(random_submodular_instance(rng, n).reward.values)
+        tables = [*_seeded_tables(n, 20 * n), ("drop-tie", _drop_tie_table(n, rng, noise))]
+        for kind, phi in tables:
+            for g in (f, phi):
+                want = _drop_reference(phi, g, n)
+                assert core._drop_condition(phi, g, n) == want, (kind, n)
+                outcomes.setdefault(_agents_gather(n), set()).add(want)
+    assert outcomes == {True: {True, False}, False: {True, False}}
+
+
+def test_best_conditions_match_agent_loop():
+    # check_best_conditions against the sandwich and the agent-by-agent drop
+    # loop, for every named objective, on the seeded rewards and on +-EPS drop
+    # ties; each objective's drop test is seen both ways where it loops and
+    # where it gathers
+    drops = {}
+    for n in GATHER_SIZES:
+        for seed in range(2):
+            rng = random.Random(30 * n + seed)
+            noise = np.random.default_rng(30 * n + seed)
+            tables = [
+                t for _, t in _seeded_tables(n, 30 * n + seed)
+                if -EPS <= t.min() and t.max() <= 1.0 + EPS
+            ]
+            tables += [_drop_tie_table(n, rng, noise) for _ in range(3)]
+            for t in tables:
+                costs = [rng.choice((0.0, rng.random() / (4 * n))) for _ in range(n)]
+                inst = Instance(n, costs, Table(t))
+                f, pay = team_table(inst)
+                for obj in (REWARD, PROFIT, WELFARE):
+                    phi = evaluate_all(obj, inst, f, pay)
+                    sandwich = bool(np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + EPS)
+                                    and np.all(phi <= f + EPS))
+                    drop = _drop_reference(phi, f, n)
+                    assert check_best_conditions(obj, inst) == (sandwich and drop), (obj, n)
+                    if sandwich:
+                        drops.setdefault((obj.name, _agents_gather(n)), set()).add(drop)
+    assert len(drops) == 6
+    assert all(seen == {True, False} for seen in drops.values()), drops
+
+
+def test_gathered_faces_follow_the_loops():
+    # the cached faces are the loops' faces after their first agent or pair,
+    # in the loops' order, as int32 masks
+    for n in range(2, core.GATHER_CAP + 1):
+        up, down, single = core._agent_faces(n)
+        want = [(a | 1 << i, a, 1 << i)
+                for i in range(1, n) for a in range(1 << n) if not a >> i & 1]
+        got = zip(up.ravel().tolist(), down.ravel().tolist(),
+                  np.broadcast_to(single, up.shape).ravel().tolist())
+        assert list(got) == want, n
+        faces = core._pair_faces(n)
+        want = [(a | 1 << i, a | 1 << j, a | 1 << i | 1 << j, a)
+                for i in range(n) for j in range(i + 1, n) if (i, j) != (0, 1)
+                for a in range(1 << n) if not (a >> i & 1 or a >> j & 1)]
+        assert list(zip(*(x.ravel().tolist() for x in faces))) == want, n
+        assert {x.dtype for x in (up, down, single, *faces)} == {np.dtype(np.int32)}
+
+
+def test_audits_build_faces_only_within_the_gather_range():
+    # each audit builds the faces of the sizes it gathers at, from its
+    # smallest n up to GATHER_CAP, and of no other size
+    for builder in (core._agent_faces, core._pair_faces):
+        builder.cache_clear()
+    for n in GATHER_SIZES:
+        # concave in the mask: monotone, passes every drop and pair (0, 1)
+        t = np.sqrt(np.arange(1 << n))
+        assert core._table_is_monotone(t, n, 0.0)
+        assert core._drop_condition(t, t, n)
+        core._submodular_pairs(t, n, 0.0)
+    for builder, smallest in ((core._agent_faces, core._AGENTS_GATHER_FROM),
+                              (core._pair_faces, core._PAIRS_GATHER_FROM)):
+        built = range(smallest, core.GATHER_CAP + 1)
+        assert builder.cache_info().currsize == len(built)
+        hits = builder.cache_info().hits
+        for n in built:
+            builder(n)
+        assert builder.cache_info().hits == hits + len(built)
 
 
 # ---------------------------------------------------------------------------
@@ -1096,6 +1215,25 @@ def test_singleton_team_payment_is_the_one_agent_payment():
             assert got == singleton_payment(inst, i) == payment(inst, 1 << i)
             got = core.singleton_team_payment(shifted, i)
             assert got == payment(shifted, 1 << i) >= singleton_payment(shifted, i)
+
+
+def test_singleton_team_payment_keeps_the_sign_of_zero():
+    # a free agent's share is -0.0 at cost -0.0, and p(S) sums shares from
+    # 0.0, so the one-agent team pays +0.0: equal values are not enough
+    rng = random.Random(43)
+    signs = set()
+    for inst in (*xos_corpus(6, seed=43, n_hi=6), *submodular_corpus(6, seed=43, n_hi=6),
+                 *corpora.additive_corpus(6, 6, 43)):
+        costs = [rng.choice((0.0, -0.0, c)) for c in inst.costs]
+        for reward in (inst.reward, Table(0.25 + 0.75 * core._value_array(inst.reward))):
+            free = Instance(inst.n, costs, reward)
+            for i in range(inst.n):
+                got = core.singleton_team_payment(free, i)
+                want = payment(free, 1 << i)
+                assert got == want and math.copysign(1, got) == math.copysign(1, want)
+                if costs[i] == 0.0:
+                    signs.add(math.copysign(1, costs[i]))
+    assert signs == {1.0, -1.0}
 
 
 @given(
