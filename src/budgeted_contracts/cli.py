@@ -171,12 +171,15 @@ def _build_parser() -> argparse.ArgumentParser:
     Reuse is safe: ``parse_args`` fills a fresh namespace on every call and
     no argument has a mutable default. The choices are read here, once, so
     ``OBJECTIVES``, ``SOLVERS`` and the family tables are complete at import.
+    ``commands`` maps each command's name to its own parser, which ``_parse``
+    hands the rest of a command line.
     """
     parser = _Parser(
         prog="budgeted-contracts",
         description="budget-feasible multi-agent contract design toolkit",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    parser.commands = subs.choices
 
     p = subs.add_parser("solve", help="maximize an objective under a budget")
     p.add_argument("--instance", help="instance JSON file")
@@ -434,6 +437,21 @@ _COMMANDS = {
 }
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, with one parse, not two, for a
+    command line that starts with a command.
+
+    The top-level parser only hands a command's words to that command's
+    parser and names the command; it still parses an empty line, ``-h`` or
+    ``--help``, and a first word that is no command.
+    """
+    parser = _build_parser()
+    sub = parser.commands.get(argv[0]) if argv else None
+    if sub is None:
+        return parser.parse_args(argv)
+    return sub.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
 def _out_path_for(out: str, key: str) -> str:
     if key == "":
         return out
@@ -445,7 +463,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     start = time.perf_counter()
     try:
-        args = _build_parser().parse_args(argv)
+        args = _parse(argv)
         run = functools.partial(_COMMANDS[args.command], args)
         hashes = {}
         if hasattr(args, "instance"):  # solve, downsize, reduce and check

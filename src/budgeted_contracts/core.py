@@ -401,6 +401,10 @@ class Instance:
         return _tabulate(self)
 
     @functools.cached_property
+    def _profit_table(self) -> np.ndarray:
+        return _profits(*self._team_table)
+
+    @functools.cached_property
     def _singleton_values(self) -> tuple[float, ...]:
         f = self.reward
         return tuple(f.value(1 << i) for i in range(self.n))
@@ -611,6 +615,13 @@ def _profit(f_team: float, pay: float) -> float:
     return (1.0 - pay) * f_team
 
 
+def _profits(f: np.ndarray, pay: np.ndarray) -> np.ndarray:
+    """``_profit`` of every team, bit for bit, from a team table's f and p."""
+    with np.errstate(invalid="ignore"):
+        earned = np.where(pay == math.inf, -math.inf, (1.0 - pay) * f)
+    return np.where(f == 0.0, 0.0, earned)
+
+
 def optimal_contract_for(inst: Instance, team: int) -> Contract:
     """Cheapest contract making this team an equilibrium: alpha_i = c_i / f_S(i)."""
     _check_team(team, inst.n)
@@ -751,11 +762,11 @@ def _table_is_monotone(t: np.ndarray, n: int, slack: float) -> bool:
     gather = _gather_gate(n, _AGENTS_GATHER_FROM)
     for i in range(n):
         split = t.reshape(-1, 2, 1 << i)  # [:, 1] holds agent i, [:, 0] not
-        if not np.all(split[:, 1] >= split[:, 0] - slack):
+        if not (split[:, 1] >= split[:, 0] - slack).all():
             return False
         if gather:
             up, down, _ = _agent_faces(n)
-            return bool(np.all(t.take(up) >= t.take(down) - slack))
+            return bool((t.take(up) >= t.take(down) - slack).all())
     return True
 
 
@@ -800,11 +811,11 @@ def _submodular_pairs(t: np.ndarray, n: int, slack: float) -> bool:
             # axis 1 splits teams by agent j, axis 3 by agent i
             q = t.reshape(-1, 2, 1 << (j - i - 1), 2, 1 << i)
             with_i, with_j = q[:, 0, :, 1], q[:, 1, :, 0]
-            if not np.all(with_i + with_j >= q[:, 1, :, 1] + q[:, 0, :, 0] - slack):
+            if not (with_i + with_j >= q[:, 1, :, 1] + q[:, 0, :, 0] - slack).all():
                 return False
             if gather:
                 with_i, with_j, both, base = map(t.take, _pair_faces(n))
-                return bool(np.all(with_i + with_j >= both + base - slack))
+                return bool((with_i + with_j >= both + base - slack).all())
     return True
 
 
@@ -816,11 +827,11 @@ def _drop_condition(phi: np.ndarray, f: np.ndarray, n: int) -> bool:
     for i in range(n):
         split_phi = phi.reshape(-1, 2, 1 << i)
         split_f = f.reshape(-1, 2, 1 << i)
-        if not np.all(split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + EPS):
+        if not (split_phi[:, 1] <= split_f[:, 0] + phi[1 << i] + EPS).all():
             return False
         if gather:
             up, down, single = _agent_faces(n)
-            return bool(np.all(phi.take(up) <= f.take(down) + phi.take(single) + EPS))
+            return bool((phi.take(up) <= f.take(down) + phi.take(single) + EPS).all())
     return True
 
 
@@ -869,7 +880,7 @@ def _pair_faces(n: int) -> tuple[np.ndarray, ...]:
 
 def _all_pairs_subadditive(t: np.ndarray, n: int) -> bool:
     masks = np.arange(1 << n)
-    return all(np.all(t[masks | m] <= t[m] + t + EPS) for m in range(1 << n))
+    return all((t[masks | m] <= t[m] + t + EPS).all() for m in range(1 << n))
 
 
 def _disjoint_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -887,6 +898,6 @@ def _table_is_subadditive(t: np.ndarray, n: int) -> bool:
     a, b = _disjoint_pairs(low)
     rows = t.reshape(-1, 1 << low)  # row h: the teams whose high agents are h
     for ha, hb in zip(*(h.tolist() for h in _disjoint_pairs(n - low))):
-        if not np.all(rows[ha | hb][a | b] <= rows[ha][a] + rows[hb][b] + EPS):
+        if not (rows[ha | hb][a | b] <= rows[ha][a] + rows[hb][b] + EPS).all():
             return False
     return True

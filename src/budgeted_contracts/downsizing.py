@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import (
     Instance,
@@ -33,6 +34,7 @@ from .core import (
     XosClauses,
     _check_team,
     _class_gate,
+    _empty_value,
     _margins,
     _pay,
     _paid,
@@ -76,7 +78,9 @@ def downsize_submodular(
     f_team, marg = _margins(inst.reward, team)
     share, pay_team = _paid(inst, marg)
     psi_team = f_team if psi == REWARD else evaluate(psi, inst, team)
-    after, psi_after, singleton = _fill_bags(inst, m, psi, share, pay_team, psi_team)
+    after, psi_after, singleton = _fill_bags(
+        inst, m, psi, share, pay_team, psi_team, lambda i: evaluate(psi, inst, 1 << i)
+    )
     f_after = psi_after if psi == REWARD else None  # the bag test asked f(T)
     pay_after = _pay(inst, _margins(inst.reward, after, f_after)[1])
     return DownsizeResult(after, pay_team, pay_after, psi_team, psi_after, singleton)
@@ -114,15 +118,16 @@ def _fill_bags(
     share: dict[int, float],
     pay_team: float,
     psi_team: float,
+    single: Callable[[int], float],
 ) -> tuple[int, float, bool]:
     """The piece bag filling returns, psi of it, and whether it is an outlier
-    singleton, from p(S), psi(S) and ``share``, which maps each member to
-    its payment share, members ascending."""
+    singleton, from p(S), psi(S), ``share``, which maps each member to its
+    payment share, members ascending, and ``single``, which maps i to psi({i})."""
     threshold = pay_team / m
     floor = psi_team / (m - 1)
     outliers = [i for i, s in share.items() if s > threshold]
     for i in outliers:
-        psi_single = evaluate(psi, inst, 1 << i)
+        psi_single = single(i)
         if psi_single >= floor:
             return 1 << i, psi_single, True
 
@@ -151,13 +156,18 @@ def _fill_bags(
 
 
 def _recover(
-    f: SetFunction, current: int, team_marg: dict[int, float]
+    f: SetFunction,
+    current: int,
+    team_marg: dict[int, float],
+    held: tuple[float, dict[int, float]] | None = None,
 ) -> tuple[int, float, dict[int, float]]:
     """``recover_marginals_xos`` from the members' team marginals; it also
     returns the value and the marginals of the set it keeps, which are what
-    p() of that set asks."""
+    p() of that set asks. ``held`` is f and the marginals of ``current``
+    where the caller has them, which the first round then takes."""
     while True:
-        f_cur, own_marg = _margins(f, current)
+        f_cur, own_marg = held or _margins(f, current)
+        held = None
         worst, worst_ratio = None, math.inf
         violated = False
         for i, own in own_marg.items():
@@ -201,7 +211,11 @@ def downsize_xos(
     The two stages share their queries: f(S) and each f(S - {i}) are taken
     once, for the bag stage's shares and psi(S) and for recovery's team
     marginals, and the value and marginals of the set recovery keeps give
-    its payment and value. The result equals running
+    its payment and value. An outlier singleton {i} takes f({i}) from the
+    singleton values the instance keeps (the scan that the light-agent test
+    and the reduction pools share, run here on an instance that has not run
+    it) and f({}) from no oracle, for the bag test and for recovery's first
+    round. The result equals running
     ``downsize_submodular`` and then ``recover_marginals_xos`` bit for bit.
     """
     f = inst.reward
@@ -210,8 +224,13 @@ def downsize_xos(
     _check_downsize(inst, team, m)
     f_team, team_marg = _margins(f, team)
     share, pay_team = _paid(inst, team_marg)
-    after, _, singleton = _fill_bags(inst, m, REWARD, share, pay_team, f_team)
-    kept, f_kept, kept_marg = _recover(f, after, team_marg)
+    after, f_after, singleton = _fill_bags(
+        inst, m, REWARD, share, pay_team, f_team, lambda i: inst._singleton_values[i]
+    )
+    held = None
+    if singleton:  # f({i}) is the instance's, and f({}) is asked of no oracle
+        held = (f_after, {after.bit_length() - 1: f_after - _empty_value(f)})
+    kept, f_kept, kept_marg = _recover(f, after, team_marg, held)
     return DownsizeResult(
         kept, pay_team, _pay(inst, kept_marg), f_team, f_kept, singleton
     )

@@ -14,7 +14,6 @@ Both conditions can be verified exhaustively at desk scale.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -26,6 +25,7 @@ from .core import (
     InputError,
     _drop_condition,
     _profit,
+    _profits,
     _subset_sums,
     _sum_over,
     bits,
@@ -119,9 +119,7 @@ def evaluate_all(
     if isinstance(obj, Reward):
         return f
     if isinstance(obj, Profit):
-        with np.errstate(invalid="ignore"):
-            earned = np.where(pay == math.inf, -math.inf, (1.0 - pay) * f)
-        return np.where(f == 0.0, 0.0, earned)
+        return _profits(f, pay)
     if isinstance(obj, Welfare):
         return f - _subset_sums(inst.costs, inst.n)
     return sum(
@@ -130,11 +128,16 @@ def evaluate_all(
 
 
 def check_best_conditions(obj: Objective, inst: Instance) -> bool:
-    """Exhaustively verify the sandwich and single-agent-drop conditions."""
+    """Exhaustively verify the sandwich and single-agent-drop conditions.
+
+    The profit of every team, the sandwich's floor, is built once and kept on
+    the instance beside its team table, so the objectives ``check`` verifies
+    share it, and it is phi itself for the profit objective.
+    """
     f, pay = team_table(inst)
-    phi = evaluate_all(obj, inst, f, pay)
-    if not (np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + EPS)
-            and np.all(phi <= f + EPS)):
+    floor = inst._profit_table
+    phi = floor if isinstance(obj, Profit) else evaluate_all(obj, inst, f, pay)
+    if not ((floor <= phi + EPS).all() and (phi <= f + EPS).all()):
         return False
     return _drop_condition(phi, f, inst.n)
 

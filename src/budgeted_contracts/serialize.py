@@ -181,25 +181,37 @@ def save_instance(inst: Instance, path: str) -> None:
     write_text(path, instance_text(inst))
 
 
+#: The flags of ``open(path, "w")`` less ``O_TRUNC``; ``os.open`` adds
+#: ``O_CLOEXEC`` as ``open`` does.
+_WRITE_FLAGS = os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0)
+
+
 def write_text(path: str, body: str) -> bool:
     """Write ``body`` to ``path`` as UTF-8: the one way this package writes a
     file. Returns whether ``path`` is a regular file.
 
-    An existing file is rewritten in place and then cut to the written
-    length, not truncated to empty first: on ext4 (``auto_da_alloc``, the
-    default) closing a file truncated from non-empty to empty starts a
-    writeback, which costs several times the write itself. The flags, file
-    mode, umask and symlink behaviour are those of ``open(path, "w")``. Only a
-    regular file is cut: a FIFO, a terminal or ``/dev/null`` takes the body
-    as it would from ``open(path, "w")``. The rewrite is not atomic: a
-    writer killed mid-write may leave the old file's tail after the new
-    bytes.
+    The body is encoded once and written through one descriptor, with no
+    buffered file object around it. An existing file is rewritten in place
+    and then cut to the written length, not truncated to empty first: on
+    ext4 (``auto_da_alloc``, the default) closing a file truncated from
+    non-empty to empty starts a writeback, which costs several times the
+    write itself. The flags, file mode (``0o666`` under the umask) and
+    symlink behaviour are those of ``open(path, "w")``. Only a regular file
+    is cut: a FIFO, a terminal or ``/dev/null`` takes the body as it would
+    from ``open(path, "w")``. The rewrite is not atomic: a writer killed
+    mid-write may leave the old file's tail after the new bytes.
     """
-    with open(path, "w", encoding="utf-8", newline="", opener=_open_untruncated) as fh:
-        fh.write(body)
-        regular = stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+    data = memoryview(body.encode("utf-8"))
+    fd = os.open(path, _WRITE_FLAGS, 0o666)
+    try:
+        rest = data
+        while rest:  # a FIFO or a signal may take part of the bytes
+            rest = rest[os.write(fd, rest):]
+        regular = stat.S_ISREG(os.fstat(fd).st_mode)
         if regular:
-            fh.truncate()
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
     return regular
 
 
@@ -217,12 +229,6 @@ def differs(path: str, body: str) -> bool:
         return False
     with open(path, "rb") as fh:
         return fh.read() != body.encode("utf-8")
-
-
-def _open_untruncated(path: str, flags: int) -> int:
-    """``open``'s own flags for mode ``"w"`` and its default file mode,
-    less ``O_TRUNC``."""
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
 
 
 def objective_from_name(name: str) -> Objective:

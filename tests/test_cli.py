@@ -38,6 +38,7 @@ from budgeted_contracts import (
     gen_subadditive_lb,
     gen_xos_separation,
 )
+from budgeted_contracts import core, objectives
 from budgeted_contracts.cli import main
 from budgeted_contracts.corpora import (
     CORPUS_VERSION,
@@ -86,6 +87,34 @@ def test_gen_check_solve_roundtrip(tmp_path, capsys):
     solved = json.loads(capsys.readouterr().out)
     assert solved["optimum"] == [0, 1, 2]
     assert solved["value"] == pytest.approx(1.0)
+
+
+def test_check_builds_the_profit_table_once(tmp_path, capsys, monkeypatch):
+    # the sandwich of each of the three objectives and phi of the profit
+    # objective share one profit table: the log read reward, profit,
+    # profit, profit, welfare, profit when each built its own
+    path = tmp_path / "add9.json"
+    assert run_cli("gen", "--family", "random-additive", "--n", 9, "--seed", 5,
+                   "--out", path) == 0
+    assert run_cli("check", "--instance", path) == 0
+    before = capsys.readouterr().out
+    log = []
+    evaluate_all, profits = objectives.evaluate_all, core._profits
+
+    def logged_evaluate_all(obj, *args):
+        log.append(obj.name)
+        return evaluate_all(obj, *args)
+
+    def logged_profits(*args):
+        log.append("profit table")
+        return profits(*args)
+
+    monkeypatch.setattr(objectives, "evaluate_all", logged_evaluate_all)
+    for module in (core, objectives):
+        monkeypatch.setattr(module, "_profits", logged_profits)
+    assert run_cli("check", "--instance", path) == 0
+    assert capsys.readouterr().out == before
+    assert log == ["profit table", "reward", "welfare"]
 
 
 def test_solve_fptas(tmp_path, capsys):
@@ -817,12 +846,15 @@ def test_the_tie_rule_lives_in_core():
                 assert not any(m.split(".")[-1] == "solvers" for m in modules)
 
 
-@pytest.mark.parametrize("argv", [
+_USAGE_ARGVS = [
     ["solve", "--budget", "0.5", "--frob"],
     ["solve", "--instance", "x.json"],
     ["solve", "--budget", "abc"],
     ["frob", "--budget", "0.5"],
-])
+]
+
+
+@pytest.mark.parametrize("argv", _USAGE_ARGVS)
 def test_usage_errors_print_one_line(argv, capsys):
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -831,17 +863,75 @@ def test_usage_errors_print_one_line(argv, capsys):
     assert captured.err.count("\n") == 1, captured.err
 
 
-@pytest.mark.parametrize("argv, text", [
+_HELP_CASES = [
     (["--help"], "solve,downsize,reduce,pof,gen,check"),
     (["solve", "--help"], "--budget"),
     (["pof", "-h"], "--emit-curve"),
-], ids=["top", "solve", "pof"])
+]
+
+
+@pytest.mark.parametrize("argv, text", _HELP_CASES, ids=["top", "solve", "pof"])
 def test_help_returns_zero(capsys, argv, text):
     # in-process callers get an exit code, not a SystemExit
     assert main(argv) == 0
     captured = capsys.readouterr()
     assert text in captured.out
     assert captured.err == ""
+
+
+#: Command lines for the parse check: the usage errors and help requests
+#: above, every valid command of the fuzz menu with each flag value, and the
+#: cases where the top-level parser still decides or where argparse reads a
+#: word in a way of its own.
+_PARSE_CASES = {
+    "usage": _USAGE_ARGVS,
+    "help": [argv for argv, _ in _HELP_CASES],
+    "menu": [
+        _fuzzed_argv(*case, {"add3": "add3.json", "xos3": "xos3.json",
+                             "bad": "bad.json", "missing": "missing.json", "dir": "."})
+        for case in _ARGV_CASES
+    ],
+    "edge": [
+        [],
+        ["frob"],
+        ["sol", "--budget", "0.5"],
+        ["-h", "solve"],
+        ["--frob", "solve"],
+        ["solve", "-h"],
+        ["solve", "--inst", "x.json", "--budget", "0.5"],
+        ["solve", "--budget=0.5", "--obj", "reward"],
+        ["pof", "--family", "additive-lb", "--b", "-0.5"],
+        ["pof", "--family", "additive-lb", "--b=-0.5", "--B", "-1"],
+        ["solve", "--instance", "x.json", "--budget", "0.5", "--", "extra"],
+        ["check", "--", "--instance", "x.json"],
+        ["--", "check", "--instance", "x.json"],
+        ["check", "--instance", "x.json", "--out", "o.json", "--verify", "-h"],
+    ],
+}
+
+
+def _parse_outcome(parse, argv, capsys):
+    """What a parse of argv gives: its namespace, in attribute order and as
+    ``repr`` shows it (nan, -0.0), its usage error, or the exit code of its
+    help, with what it printed."""
+    try:
+        got = ("args", repr(vars(parse(argv))))
+    except cli.UsageError as exc:
+        got = ("usage", str(exc))
+    except cli._ParserExit as exc:
+        got = ("exit", exc.status)
+    return got, capsys.readouterr()
+
+
+@pytest.mark.parametrize("group", _PARSE_CASES)
+def test_main_parses_as_the_parser_tree_does(group, capsys):
+    # main hands a command's words to that command's own parser; the whole
+    # tree's parse_args, which also passes them through the top level, is
+    # the reference
+    reference = cli._build_parser().parse_args
+    for argv in _PARSE_CASES[group]:
+        got = _parse_outcome(cli._parse, argv, capsys)
+        assert got == _parse_outcome(reference, argv, capsys), argv
 
 
 def _parse_both(argv):
@@ -1088,6 +1178,47 @@ def test_write_text_to_dev_null():
     write_text(os.devnull, "body\n")
 
 
+def test_write_text_writes_until_every_byte_is_out(tmp_path, monkeypatch):
+    # os.write may take part of the bytes (a FIFO, a signal): each call here
+    # takes at most 7, and the body still lands whole over a longer old file
+    real_write = os.write
+    sizes = []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, bytes(data[:7])))
+        return sizes[-1]
+
+    path = tmp_path / "out.json"
+    path.write_bytes(b"x" * 500)
+    monkeypatch.setattr(os, "write", short_write)
+    body = "{\"ratio\": 0.25, \"name\": \"ünï\"}\n" * 3
+    assert write_text(str(path), body) is True
+    assert path.read_bytes() == body.encode("utf-8")
+    assert len(sizes) == -(-len(body.encode("utf-8")) // 7)
+
+
+def test_write_text_closes_its_descriptor_on_a_failed_write(tmp_path, monkeypatch):
+    written, closed = [], []
+    real_close = os.close
+
+    def failing_write(fd, data):
+        written.append(fd)
+        raise OSError(28, "No space left on device")
+
+    def recording_close(fd):
+        closed.append(fd)
+        real_close(fd)
+
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    monkeypatch.setattr(os, "write", failing_write)
+    monkeypatch.setattr(os, "close", recording_close)
+    with pytest.raises(OSError, match="No space left"):
+        write_text(str(path), "new body\n")
+    assert len(written) == 1 and closed == written
+    assert path.read_text() == "old\n"
+
+
 def test_new_file_mode_is_that_of_open_w(tmp_path):
     old = os.umask(0o027)
     try:
@@ -1207,15 +1338,18 @@ def test_fifo_out_gets_the_body_and_no_manifest(tmp_path, two_agent_file, capsys
 
 
 def _opens_for_writing(node: ast.Call) -> bool:
-    """Whether a call opens a file for writing: ``os.open``, a path's
-    ``write_text`` or ``write_bytes``, a temporary file, or ``open`` with a
-    writing or non-literal mode."""
+    """Whether a call opens or writes a file: ``os.open``, a write or cut
+    through a raw descriptor (``os.write``, ``os.ftruncate``, ``os.truncate``,
+    ``os.fdopen``), a path's ``write_text`` or ``write_bytes``, a temporary
+    file, or ``open`` with a writing or non-literal mode."""
     func = node.func
     if isinstance(func, ast.Attribute):
         name = func.attr
         if name in {"write_text", "write_bytes"}:
             return True
-        if name == "open" and getattr(func.value, "id", None) == "os":
+        if getattr(func.value, "id", None) == "os" and name in {
+            "open", "write", "ftruncate", "truncate", "fdopen"
+        }:
             return True
     else:
         name = getattr(func, "id", None)
@@ -1236,6 +1370,9 @@ def _opens_for_writing(node: ast.Call) -> bool:
     ("os.open(p, flags)", True), ("p.write_text(s)", True),
     ("tempfile.mkstemp()", True), ("open(p)", False), ("open(p, 'rb')", False),
     ("write_text(p, s)", False), ("fh.write(s)", False),
+    ("os.write(fd, b)", True), ("os.ftruncate(fd, n)", True),
+    ("os.truncate(p, n)", True), ("os.fdopen(fd, 'w')", True),
+    ("fh.truncate()", False), ("os.fstat(fd)", False), ("os.close(fd)", False),
 ])
 def test_write_detector(source, writes):
     assert _opens_for_writing(ast.parse(source).body[0].value) == writes

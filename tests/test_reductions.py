@@ -254,7 +254,12 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     # scored their members from the f(S) and p(S) already held: the first
     # pool's f({}), 5 light singletons and the solver's mapped team (7),
     # and the last pool's f({}) for the empty team, then f({i}) and f({})
-    # for each of its 5 one-agent members (11)
+    # for each of its 5 one-agent members (11); 3 more when downsize_xos took
+    # its outlier singleton {3} from what the instance holds: f({3}) for the
+    # bag test from the scan, and for recovery's first round f({3}) from the
+    # bag test and f({}) from no oracle. What is left: the scan (7), the
+    # solver's team {1, 3} paid (3) and its drops asked again by downsize_xos
+    # for the shares (3)
     calls = []
     xos_value = XosClauses.value
 
@@ -267,8 +272,9 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     out = equivalence_pipeline(inst, PROFIT, 0.5, REWARD, 0.5, brute_solver)
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 - 3 - 18 == 16
-    assert light_agents(inst) == 0b1001111 and len(calls) == 16
+    assert calls[7:] == [0b1010, 0b1000, 0b0010] * 2
+    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 - 3 - 18 - 3 == 13
+    assert light_agents(inst) == 0b1001111 and len(calls) == 13
 
 
 def test_pools_admit_singletons_by_their_team_payment():
