@@ -33,6 +33,7 @@ from .core import (
     ContractsError,
     InputError,
     Instance,
+    _same_instance,
     classify,
     mask_of,
     payment,
@@ -360,12 +361,17 @@ def cmd_pof(args) -> dict[str, str]:
     )
     curves: list[tuple[float, str, float, float]] = []
     skipped: list[InputError] = []
+    kept = None  # the last cell's instance, with its team table and class flag
     for b in grid:
         try:
             inst = _POF_FAMILIES[args.family](args, b)
         except InputError as exc:
             skipped.append(exc)  # cell outside the family's validity range
             continue
+        if kept is not None and _same_instance(inst, kept):
+            inst = kept
+        # an earlier instance is dropped here, before this cell's table is built
+        kept = inst
         rep = pof(inst, PofQuery(b=b, B=args.B, objective=obj))
         tight = rep.ratio is not None and abs(rep.ratio - rep.theoretical_bound) <= EPS
         writer.writerow(
@@ -388,7 +394,6 @@ def cmd_pof(args) -> dict[str, str]:
             curves += [(b, REWARD.name, p, v) for p, v in reward]
             curves += [(b, WELFARE.name, p, v) for p, v in welfare]
             curves += [(b, "profit_envelope", p, (1 - p) * v) for p, v in reward]
-        del inst  # free this cell's team table before the next cell's is built
     if len(skipped) == len(grid):
         raise skipped[0]
 

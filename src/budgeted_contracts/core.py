@@ -405,6 +405,10 @@ class Instance:
         return _profits(*self._team_table)
 
     @functools.cached_property
+    def _submodular(self) -> bool:
+        return is_submodular(self.reward)
+
+    @functools.cached_property
     def _singleton_values(self) -> tuple[float, ...]:
         f = self.reward
         return tuple(f.value(1 << i) for i in range(self.n))
@@ -412,6 +416,30 @@ class Instance:
     @functools.cached_property
     def _singleton_payments(self) -> tuple[float, ...]:
         return tuple(map(_pay_term, self.costs, self._singleton_values))
+
+
+def _same_instance(a: Instance, b: Instance) -> bool:
+    """Whether two instances are equal bit for bit: the same n, the same cost
+    bits, and the same reward representation with the same value bits. Unlike
+    ``==``, -0.0 and 0.0 differ, so an instance found the same as one already
+    built can stand in for it, with the team table and class flag it keeps."""
+    fa, fb = a.reward, b.reward
+    # costs that differ as floats differ in their bits too, and the float
+    # test is the cheaper one where they do
+    if a.n != b.n or type(fa) is not type(fb) or a.costs != b.costs:
+        return False
+    pairs = ((a.costs, b.costs), (_reward_floats(fa), _reward_floats(fb)))
+    return all(
+        np.array_equal(
+            np.asarray(x, np.float64).view(np.uint64),
+            np.asarray(y, np.float64).view(np.uint64),
+        )
+        for x, y in pairs
+    )
+
+
+def _reward_floats(f: SetFunction):
+    return f.clauses if isinstance(f, XosClauses) else f.values
 
 
 def _empty_value(f: SetFunction) -> float:
@@ -505,8 +533,9 @@ def team_table(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     +-0.0 in every team, and adding +-0.0 leaves each payment, +0.0, positive
     or inf, with the same bits. The pair is built on the first call and kept
     on the instance, which is immutable, so callers asking again about one
-    instance (a ``pof`` cell and its curves, the three objectives ``check``
-    verifies) share one build; it lives as long as the instance does.
+    instance (a ``pof`` cell and its curves, the ``pof`` cells whose instance
+    is bit for bit the last cell's, the three objectives ``check`` verifies)
+    share one build; it lives as long as the instance does.
     """
     return inst._team_table
 

@@ -215,7 +215,8 @@ def downsize_xos(
     singleton values the instance keeps (the scan that the light-agent test
     and the reduction pools share, run here on an instance that has not run
     it) and f({}) from no oracle, for the bag test and for recovery's first
-    round. The result equals running
+    round; any other piece T hands its bag test's f(T) to that round. The
+    result equals running
     ``downsize_submodular`` and then ``recover_marginals_xos`` bit for bit.
     """
     f = inst.reward
@@ -227,9 +228,10 @@ def downsize_xos(
     after, f_after, singleton = _fill_bags(
         inst, m, REWARD, share, pay_team, f_team, lambda i: inst._singleton_values[i]
     )
-    held = None
     if singleton:  # f({i}) is the instance's, and f({}) is asked of no oracle
         held = (f_after, {after.bit_length() - 1: f_after - _empty_value(f)})
+    else:  # the bag test asked f(T) already
+        held = _margins(f, after, f_after)
     kept, f_kept, kept_marg = _recover(f, after, team_marg, held)
     return DownsizeResult(
         kept, pay_team, _pay(inst, kept_marg), f_team, f_kept, singleton

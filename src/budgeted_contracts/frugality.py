@@ -43,7 +43,6 @@ from .core import (
     _subset_sums,
     ceil_tol,
     floor_tol,
-    is_submodular,
     singleton_payment,
     team_table,
 )
@@ -107,7 +106,7 @@ def pof(inst: Instance, query: PofQuery) -> PofReport:
         ratio = None
     else:
         ratio = hi / lo
-    func_class = "submodular" if is_submodular(inst.reward) else "xos"
+    func_class = "submodular" if inst._submodular else "xos"
     kind = pof_bound_kind(query.objective.name, func_class)
     return PofReport(
         b=query.b,
@@ -190,7 +189,7 @@ def gen_additive_lb(n: int, b: float, B: float) -> Instance:
     # feasibility at b, so the cost is capped there.
     head_cost = min(B / (m_heads * m_heads), b / m_heads)
     costs = [head_cost] * m_heads + [0.0] * (n - m_heads)
-    heads = _subset_sums([1] * m_heads + [0] * (n - m_heads), n)
+    heads = _subset_sums(np.array([1] * m_heads + [0] * (n - m_heads), np.uint8), n)
     return Instance(n=n, costs=tuple(costs), reward=Table(heads / m_heads))
 
 
@@ -233,7 +232,7 @@ def gen_subadditive_lb(n: int, b: float, B: float) -> Instance:
     cost = rho * B / ((n / 2 + 1) * root)
     half = [rho * (1 / root + size / n) for size in range(1, n // 2 + 1)]
     by_size = np.array([0.0, *half] + [rho * peak] * (n // 2))
-    vals = by_size[_subset_sums([1] * n, n)]
+    vals = by_size[_subset_sums(np.ones(n, np.uint8), n)]
     return Instance(n=n, costs=(cost,) * n, reward=Table(vals))
 
 

@@ -96,18 +96,20 @@ def brute_force_max(
 
 def _items(
     inst: Instance, values: Sequence[float], cap: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The agents that are items of a level DP, ascending, and their weights.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The agents that are items of a level DP, ascending, their weights and
+    their costs.
 
     An item's weight is its payment alone, c_i / f({i}). An agent with value
     0 never lowers a level's payment, nor does one whose weight exceeds
     ``cap``: neither is an item.
     """
     values = np.asarray(values, dtype=np.float64)
+    costs = np.asarray(inst.costs, dtype=np.float64)
     with np.errstate(all="ignore"):  # a zero or subnormal value
-        weights = np.asarray(inst.costs, dtype=np.float64) / values
+        weights = costs / values
     (agents,) = ((values > 0) & (weights <= cap)).nonzero()
-    return agents, weights[agents]
+    return agents, weights[agents], costs[agents]
 
 
 def _cheapest_per_level(
@@ -290,7 +292,7 @@ def _rounded_steps(
     shifts = np.maximum(-np.frexp(anchors)[1], 0)
     grids = delta * np.ldexp(anchors, shifts)
     cap = budget + PAY_TOL
-    agents, weights = _items(inst, values, cap)
+    agents, weights, _ = _items(inst, values, cap)
     with np.errstate(divide="ignore", over="ignore"):
         lifted = np.ldexp(np.asarray(values)[agents], shifts[:, None])
         lev = _floor_levels(lifted / grids[:, None], n_levels)
@@ -409,8 +411,12 @@ def knapsack_fptas(
     _level_gate(inst.n, epsilon)
 
     cap = budget + PAY_TOL
-    agents, weights = _items(inst, values, cap)
-    worths = np.array([evaluate(obj, inst, 1 << i) for i in agents.tolist()])
+    agents, weights, costs = _items(inst, values, cap)
+    # phi({i}) from the values held: evaluate's (0.0 + v) - (0.0 + c) is
+    # v - c bit for bit, as every item's v is positive
+    worths = np.asarray(values)[agents]
+    if isinstance(obj, Welfare):
+        worths = worths - costs
     valued = worths > 0
     agents, weights, worths = agents[valued], weights[valued], worths[valued]
     if not agents.size:

@@ -45,6 +45,7 @@ from budgeted_contracts.core import (
     EPS,
     _best_team,
     _margins,
+    _same_instance,
     _paid,
     ceil_tol,
     is_submodular,
@@ -1276,3 +1277,24 @@ def test_restrict_matches_subtable(separation):
     assert restricted.values.tolist() == [
         sub.values[mask_of([0, 2][j] for j in bits(m))] for m in range(4)
     ]
+
+
+def test_same_instance_compares_bits_not_values():
+    # -0.0 == 0.0, so instances equal under == can still differ in a bit;
+    # only a bit-for-bit equal instance may stand in for a built one
+    base = Instance(2, (0.25, 0.0), Table([0.0, 0.5, 0.25, 0.75]))
+    twin = Instance(2, (0.25, 0.0), Table([0.0, 0.5, 0.25, 0.75]))
+    assert _same_instance(base, twin) and _same_instance(base, base)
+    neg_cost = Instance(2, (0.25, -0.0), Table([0.0, 0.5, 0.25, 0.75]))
+    neg_value = Instance(2, (0.25, 0.0), Table([-0.0, 0.5, 0.25, 0.75]))
+    for other in (neg_cost, neg_value):
+        assert other == base
+        assert not _same_instance(base, other) and not _same_instance(other, base)
+    # the same values in another representation are another instance
+    add = Instance(2, (0.25, 0.0), Additive((0.5, 0.25)))
+    xos = Instance(2, (0.25, 0.0), XosClauses(((0.5, 0.25),)))
+    assert not _same_instance(add, xos) and not _same_instance(add, base)
+    assert _same_instance(add, Instance(2, (0.25, 0.0), Additive((0.5, 0.25))))
+    assert not _same_instance(add, Instance(2, (0.25, 0.0), Additive((0.5, -0.0))))
+    assert not _same_instance(xos, Instance(2, (0.25, 0.0), XosClauses(((0.5, 0.25),) * 2)))
+    assert not _same_instance(add, Instance(3, (0.25, 0.0, 0.0), Additive((0.5, 0.25, 0.0))))

@@ -430,13 +430,14 @@ def test_downsizings_equal_their_reference_oracles():
 def test_downsize_xos_asks_each_drop_once(additive_queries):
     # one pass over S gives the shares, psi(S) and the team marginals (5),
     # the first bag {0, 1} is valued (1), and recovery's one round over it
-    # (3) gives its payment and value: 20 queries when each stage asked its
-    # own, 5 + 1 + 1 + 3 for the bag stage and 3 + 3 + 4 for recovery
+    # takes that value and asks its two drops (2), which give its payment and
+    # value: 20 queries when each stage asked its own, 5 + 1 + 1 + 3 for the
+    # bag stage and 3 + 3 + 4 for recovery
     inst = Instance(4, (1 / 16,) * 4, Additive((0.25,) * 4))
     res = downsize_xos(inst, ALL4, 4)
     assert (res.subset, res.payment_after, res.objective_after) == (0b0011, 0.5, 0.5)
     assert additive_queries == [ALL4, 0b1110, 0b1101, 0b1011, 0b0111, 0b0011,
-                                0b0011, 0b0010, 0b0001]
+                                0b0010, 0b0001]
 
 
 def test_small_additive_team_asks_per_member_queries(monkeypatch, additive_queries):

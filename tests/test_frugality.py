@@ -406,21 +406,35 @@ def test_pof_optima_equal_brute_force_bit_for_bit():
 
 
 def test_pof_builds_one_team_table_per_cell(monkeypatch, capsys):
-    builds = []
+    # one build, and one submodularity audit, per distinct instance: a sweep
+    # whose next cell is bit for bit the last one's runs on the one it holds
+    builds, audits = [], []
 
     def counting(inst):
         builds.append(inst.n)
         return tabulate(inst)
 
-    tabulate = core._tabulate
+    tabulate, audit = core._tabulate, core.is_submodular
     monkeypatch.setattr(core, "_tabulate", counting)
+    monkeypatch.setattr(core, "is_submodular", lambda f: audits.append(f.n) or audit(f))
     inst = gen_additive_lb(6, 0.3, 1.0)
     pof(inst, PofQuery(b=0.3, B=1.0, objective=PROFIT))
-    assert len(builds) == 1
-    # four cells, each with its report, reward curve and welfare curve
-    argv = ["pof", "--family", "additive-lb", "--n", "6", "--grid", "b=0.2:0.8:0.2"]
-    for extra in ([], ["--emit-curve"]):
+    pof(inst, PofQuery(b=0.3, B=1.0, objective=REWARD))
+    assert len(builds) == len(audits) == 1
+    cases = [
+        # four cells with four head counts, each with its report, reward
+        # curve and welfare curve
+        (["--family", "additive-lb", "--n", "6", "--grid", "b=0.2:0.8:0.2"], 4),
+        (["--family", "additive-lb", "--n", "6", "--grid", "b=0.2:0.8:0.2",
+          "--emit-curve"], 4),
+        # the family ignores b: three cells, one instance
+        (["--family", "subadd-lb", "--n", "8", "--grid", "b=0.3:0.9:0.3"], 1),
+        # head counts 3, 3, 2, 2, 2, and each head costs B / 4 from b = 0.7
+        (["--family", "additive-lb", "--n", "6", "--grid", "b=0.5:0.9:0.1"], 2),
+    ]
+    for argv, distinct in cases:
         builds.clear()
-        assert cli.main(argv + extra) == 0
-        assert len(builds) == 4
+        audits.clear()
+        assert cli.main(["pof", *argv]) == 0
+        assert len(builds) == len(audits) == distinct, argv
     capsys.readouterr()

@@ -91,6 +91,8 @@ CASES = {
     "pof-additive-lb-n13-reward": ["pof", "--family", "additive-lb", "--n", "13", "--grid", "b=0.1:0.9:0.2"],
     "pof-additive-lb-n13-welfare": ["pof", "--family", "additive-lb", "--n", "13", "--grid", "b=0.1:0.9:0.2", "--objective", "welfare"],
     "pof-additive-lb-n16": ["pof", "--family", "additive-lb", "--n", "16", "--b", "0.1"],
+    "pof-xos-sep-repeat-curve": ["pof", "--family", "xos-sep", "--grid", "b=0.1:0.9:0.1", "--emit-curve"],
+    "pof-subadd-lb-n10-repeat": ["pof", "--family", "subadd-lb", "--n", "10", "--grid", "b=0.1:0.9:0.1"],
     **{f"gen-{name}": ["gen", *GENERATED[name]]
        for name in ["cov8", "sublb8", "alb6", "xos9", "add10", "sep"]},
     "gen-cov10": ["gen", "--family", "random-submodular", "--n", "10", "--seed", "2"],

@@ -13,6 +13,7 @@ from budgeted_contracts import (
     InputError,
     PreconditionError,
     SizeCapError,
+    bits,
     brute_force_max,
     build_rounded_table,
     fptas_additive_profit,
@@ -273,6 +274,23 @@ def test_knapsack_examples():
     res = knapsack_fptas(free, 0.5, 0.2, WELFARE)
     assert res.optimum == ALL3
     assert res.value == pytest.approx(0.9)
+
+
+def test_knapsack_asks_only_the_final_teams_value_and_payment(additive_queries):
+    # item worths come from the values held, v_i for reward and v_i - c_i for
+    # welfare (-0.0 cost included): the oracle is asked f(S) for the value of
+    # the team returned and one pass of f(S) and each f(S - {i}) for its
+    # payment, where one query per agent went before
+    inst = Instance(
+        5, (1 / 16, -0.0, 1 / 32, 0.0, 1 / 8), Additive((0.25, 0.125, 0.25, 0.0, 0.375))
+    )
+    for obj in (REWARD, WELFARE):
+        additive_queries.clear()
+        res = knapsack_fptas(inst, 1.0, 0.1, obj)
+        team = res.optimum
+        assert team == 0b10111
+        assert res.value == brute_force_max(obj, inst, 1.0).value
+        assert additive_queries == [team, team, *(team & ~(1 << i) for i in bits(team))]
 
 
 def test_knapsack_exact_when_rounding_lossless():
