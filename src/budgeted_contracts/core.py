@@ -402,7 +402,9 @@ class Instance:
 
     @functools.cached_property
     def _profit_table(self) -> np.ndarray:
-        return _profits(*self._team_table)
+        earned = _profits(*self._team_table)
+        earned.flags.writeable = False
+        return earned
 
     @functools.cached_property
     def _submodular(self) -> bool:
@@ -490,13 +492,16 @@ def _margins(
     less time. Other teams are asked f(S), unless the caller already holds
     it as ``f_team``, and then f(S - {i}) for each member, every one even
     where a share turns out infinite, which leaves a sum of shares as it was
-    (inf + x = inf).
+    (inf + x = inf). f({}) is asked of no oracle: it is ``_empty_value``,
+    both as f(S) of the empty team and as the drop of a one-member team.
     """
     if isinstance(f, Additive) and team.bit_count() > 3:
         f_team, drops = f.drop_values(team)
         return f_team, {i: f_team - drop for i, drop in zip(bits(team), drops)}
     if f_team is None:
-        f_team = f.value(team)
+        f_team = f.value(team) if team else _empty_value(f)
+    if team.bit_count() == 1:
+        return f_team, {team.bit_length() - 1: f_team - _empty_value(f)}
     marg = {}
     for i in bits(team):  # a loop, not a comprehension: faster on a small team
         marg[i] = f_team - f.value(team & ~(1 << i))

@@ -34,14 +34,12 @@ from .core import (
     XosClauses,
     _check_team,
     _class_gate,
-    _empty_value,
     _margins,
     _pay,
     _paid,
     _table_is_subadditive,
     is_submodular,
     mask_of,
-    team_table,
 )
 from .objectives import REWARD, Objective, Reward, evaluate, evaluate_all
 
@@ -214,10 +212,9 @@ def downsize_xos(
     its payment and value. An outlier singleton {i} takes f({i}) from the
     singleton values the instance keeps (the scan that the light-agent test
     and the reduction pools share, run here on an instance that has not run
-    it) and f({}) from no oracle, for the bag test and for recovery's first
-    round; any other piece T hands its bag test's f(T) to that round. The
-    result equals running
-    ``downsize_submodular`` and then ``recover_marginals_xos`` bit for bit.
+    it), and every piece T hands its bag test's f(T) to recovery's first
+    round. The result equals running ``downsize_submodular`` and then
+    ``recover_marginals_xos`` bit for bit.
     """
     f = inst.reward
     if check:
@@ -228,10 +225,7 @@ def downsize_xos(
     after, f_after, singleton = _fill_bags(
         inst, m, REWARD, share, pay_team, f_team, lambda i: inst._singleton_values[i]
     )
-    if singleton:  # f({i}) is the instance's, and f({}) is asked of no oracle
-        held = (f_after, {after.bit_length() - 1: f_after - _empty_value(f)})
-    else:  # the bag test asked f(T) already
-        held = _margins(f, after, f_after)
+    held = _margins(f, after, f_after)  # the bag test asked f(T) already
     kept, f_kept, kept_marg = _recover(f, after, team_marg, held)
     return DownsizeResult(
         kept, pay_team, _pay(inst, kept_marg), f_team, f_kept, singleton
@@ -243,5 +237,5 @@ def _assert_subadditive(psi: Objective, inst: Instance) -> None:
     # subadditivity across disjoint pairs is required (welfare satisfies
     # this whenever the reward does, despite failing on overlapping pairs).
     _class_gate(inst.n)
-    if not _table_is_subadditive(evaluate_all(psi, inst, *team_table(inst)), inst.n):
+    if not _table_is_subadditive(evaluate_all(psi, inst), inst.n):
         raise PreconditionError("psi is not subadditive on this instance")

@@ -94,8 +94,8 @@ def pof(inst: Instance, query: PofQuery) -> PofReport:
             raise PreconditionError(
                 "singletons_feasible_at_b set but some singleton exceeds b"
             )
-    f, pay = team_table(inst)
-    vals = evaluate_all(query.objective, inst, f, pay)
+    _, pay = team_table(inst)
+    vals = evaluate_all(query.objective, inst)
     hi = float(vals[_best(vals, pay, query.B)])
     lo = float(vals[_best(vals, pay, query.b)])
     if lo <= 0.0:
@@ -281,9 +281,9 @@ def value_payment_curve(inst: Instance, obj: Objective) -> list[tuple[float, flo
     Returns (payment, value) vertices sorted by payment, keeping only
     points where the running maximum increases; plot-ready step data.
     """
-    f, pay = team_table(inst)
+    _, pay = team_table(inst)
     finite = pay != math.inf
-    pay, vals = pay[finite], evaluate_all(obj, inst, f, pay)[finite]
+    pay, vals = pay[finite], evaluate_all(obj, inst)[finite]
     order = np.lexsort((vals, pay))
     pay, vals = pay[order], vals[order]
     # vertices: strict new running maxima, the last one at each payment

@@ -25,7 +25,6 @@ from .core import (
     InputError,
     _drop_condition,
     _profit,
-    _profits,
     _subset_sums,
     _sum_over,
     bits,
@@ -112,19 +111,20 @@ def evaluate(
     return total
 
 
-def evaluate_all(
-    obj: Objective, inst: Instance, f: np.ndarray, pay: np.ndarray
-) -> np.ndarray:
-    """``evaluate`` on every team mask, bit for bit, from ``core.team_table``."""
+def evaluate_all(obj: Objective, inst: Instance) -> np.ndarray:
+    """``evaluate`` on every team mask, bit for bit, from ``core.team_table``.
+
+    Reward and profit are the read-only arrays the instance keeps, so every
+    caller shares one profit table per instance.
+    """
+    f, _ = team_table(inst)
     if isinstance(obj, Reward):
         return f
     if isinstance(obj, Profit):
-        return _profits(f, pay)
+        return inst._profit_table
     if isinstance(obj, Welfare):
         return f - _subset_sums(inst.costs, inst.n)
-    return sum(
-        w * evaluate_all(c, inst, f, pay) for c, w in zip(obj.components, obj.weights)
-    )
+    return sum(w * evaluate_all(c, inst) for c, w in zip(obj.components, obj.weights))
 
 
 def check_best_conditions(obj: Objective, inst: Instance) -> bool:
@@ -134,9 +134,8 @@ def check_best_conditions(obj: Objective, inst: Instance) -> bool:
     the instance beside its team table, so the objectives ``check`` verifies
     share it, and it is phi itself for the profit objective.
     """
-    f, pay = team_table(inst)
-    floor = inst._profit_table
-    phi = floor if isinstance(obj, Profit) else evaluate_all(obj, inst, f, pay)
+    f, _ = team_table(inst)
+    floor, phi = evaluate_all(PROFIT, inst), evaluate_all(obj, inst)
     if not ((floor <= phi + EPS).all() and (phi <= f + EPS).all()):
         return False
     return _drop_condition(phi, f, inst.n)

@@ -77,13 +77,13 @@ def brute_force_max(
     so the result is never worse than incentivizing nobody.
     """
     check_budget(budget)
-    f, pay = team_table(inst)
+    _, pay = team_table(inst)
     light = (1 << inst.n) - 1
     allowed = None
     if light_only:
         light = light_agents(inst)
         allowed = (np.arange(1 << inst.n) & ~light) == 0
-    vals = evaluate_all(obj, inst, f, pay)
+    vals = evaluate_all(obj, inst)
     best = _best(vals, pay, budget, allowed)
     examined = 1 << light.bit_count()
     return SolveResult(best, float(vals[best]), float(pay[best]), examined)
@@ -95,21 +95,29 @@ def brute_force_max(
 
 
 def _items(
-    inst: Instance, values: Sequence[float], cap: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The agents that are items of a level DP, ascending, their weights and
-    their costs.
+    inst: Instance, budget: float, epsilon: float
+) -> tuple[np.ndarray, float, np.ndarray, np.ndarray, np.ndarray]:
+    """The one set-up of every level DP: its values, its cap, and its items,
+    the agents ascending, with their weights and their costs.
 
-    An item's weight is its payment alone, c_i / f({i}). An agent with value
-    0 never lowers a level's payment, nor does one whose weight exceeds
-    ``cap``: neither is an item.
+    It checks, in this order, that the reward is additive, the budget, the
+    epsilon and the level gate, so a DP is never set up past its size. The
+    cap is ``budget + PAY_TOL``. An item's weight is its payment alone,
+    c_i / f({i}). An agent with value 0 never lowers a level's payment, nor
+    does one whose weight exceeds the cap: neither is an item.
     """
-    values = np.asarray(values, dtype=np.float64)
+    if not isinstance(inst.reward, Additive):
+        raise PreconditionError("this solver requires an additive reward")
+    check_budget(budget)
+    check_epsilon(epsilon)
+    _level_gate(inst.n, epsilon)
+    values = np.asarray(inst.reward.values, dtype=np.float64)
     costs = np.asarray(inst.costs, dtype=np.float64)
+    cap = budget + PAY_TOL
     with np.errstate(all="ignore"):  # a zero or subnormal value
         weights = costs / values
     (agents,) = ((values > 0) & (weights <= cap)).nonzero()
-    return agents, weights[agents], costs[agents]
+    return values, cap, agents, weights[agents], costs[agents]
 
 
 def _cheapest_per_level(
@@ -270,13 +278,10 @@ class _LevelSteps:
 
 
 def _rounded_steps(
-    inst: Instance,
-    values: Sequence[float],
-    epsilon: float,
-    anchors: Sequence[float],
-    budget: float,
+    inst: Instance, items: tuple, epsilon: float, anchors: Sequence[float]
 ) -> tuple[np.ndarray, _LevelSteps]:
-    """Lifted grid per anchor and the Pareto steps of its rounded-reward table.
+    """Lifted grid per anchor and the Pareto steps of its rounded-reward table,
+    from the set-up ``items`` that ``_items`` returned for this epsilon.
 
     An anchor's grid and the values divided by it are lifted by the power
     of two that puts the anchor in [0.5, 1]: the grid of a tiny anchor then
@@ -284,17 +289,15 @@ def _rounded_steps(
     quotient value / grid is unchanged. A lifted value that overflows, like
     a quotient that does, is level top.
     """
+    values, cap, agents, weights, _ = items
     n = inst.n
-    _level_gate(n, epsilon)
     delta = epsilon / n
     n_levels = ceil_tol(n / delta)
     anchors = np.asarray(anchors, dtype=np.float64)
     shifts = np.maximum(-np.frexp(anchors)[1], 0)
     grids = delta * np.ldexp(anchors, shifts)
-    cap = budget + PAY_TOL
-    agents, weights, _ = _items(inst, values, cap)
     with np.errstate(divide="ignore", over="ignore"):
-        lifted = np.ldexp(np.asarray(values)[agents], shifts[:, None])
+        lifted = np.ldexp(values[agents], shifts[:, None])
         lev = _floor_levels(lifted / grids[:, None], n_levels)
     steps = _LevelSteps.fill(n, n_levels, lev, agents, weights, cap)
     return grids, steps
@@ -337,12 +340,10 @@ def build_rounded_table(
     Only payments within ``budget`` are kept; every level that no team
     within the budget reaches reads infinite.
     """
-    values = _additive_values(inst)
-    check_epsilon(epsilon)
-    check_budget(budget)
+    items = _items(inst, budget, epsilon)
     if not 0 < anchor < math.inf:  # NaN fails every comparison
         raise InputError(f"anchor must be positive and finite, got {anchor!r}")
-    _, steps = _rounded_steps(inst, values, epsilon, [anchor], budget)
+    _, steps = _rounded_steps(inst, items, epsilon, [anchor])
     levels = np.arange(steps.n_levels + 1)
     payments = steps.row(len(steps.weights), np.zeros_like(levels), levels)
     payments.flags.writeable = False
@@ -380,14 +381,13 @@ def fptas_additive_profit(inst: Instance, budget: float, epsilon: float) -> Solv
     ties; the best candidate team across anchors is returned with its true
     profit. All anchors' tables are filled by one DP over Pareto steps.
     """
-    values = _additive_values(inst)
-    check_budget(budget)
-    check_epsilon(epsilon)
-    anchors = sorted({v for v in values if v > 0})
+    items = _items(inst, budget, epsilon)
+    values = items[0]
+    anchors = sorted(set(values[values > 0].tolist()))
     if not anchors:
         return SolveResult(0, profit(inst, 0), 0.0, 1)
 
-    grids, steps = _rounded_steps(inst, values, epsilon, anchors, budget)
+    grids, steps = _rounded_steps(inst, items, epsilon, anchors)
     candidates = steps.teams(_proxy_levels(steps, grids))
     examined = len(anchors) * (steps.n_levels + 1)
     best_team, best_profit = _best_team([0, *candidates], lambda t: profit(inst, t))
@@ -403,18 +403,12 @@ def knapsack_fptas(
     rounded down on a grid of epsilon * max_value / n so the table stays
     polynomial, and the returned team is (1 - epsilon)-optimal.
     """
-    values = _additive_values(inst)
     if not isinstance(obj, (Reward, Welfare)):
         raise PreconditionError("knapsack reduction applies to reward or welfare only")
-    check_budget(budget)
-    check_epsilon(epsilon)
-    _level_gate(inst.n, epsilon)
-
-    cap = budget + PAY_TOL
-    agents, weights, costs = _items(inst, values, cap)
+    values, cap, agents, weights, costs = _items(inst, budget, epsilon)
     # phi({i}) from the values held: evaluate's (0.0 + v) - (0.0 + c) is
     # v - c bit for bit, as every item's v is positive
-    worths = np.asarray(values)[agents]
+    worths = values[agents]
     if isinstance(obj, Welfare):
         worths = worths - costs
     valued = worths > 0
@@ -434,8 +428,3 @@ def knapsack_fptas(
     team = _walk_back(take, lev, agents, best_level)
     return SolveResult(team, evaluate(obj, inst, team), payment(inst, team), total + 1)
 
-
-def _additive_values(inst: Instance) -> tuple[float, ...]:
-    if not isinstance(inst.reward, Additive):
-        raise PreconditionError("this solver requires an additive reward")
-    return inst.reward.values

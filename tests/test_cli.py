@@ -38,7 +38,7 @@ from budgeted_contracts import (
     gen_subadditive_lb,
     gen_xos_separation,
 )
-from budgeted_contracts import core, objectives
+from budgeted_contracts import core
 from budgeted_contracts.cli import main
 from budgeted_contracts.corpora import (
     CORPUS_VERSION,
@@ -90,31 +90,25 @@ def test_gen_check_solve_roundtrip(tmp_path, capsys):
 
 
 def test_check_builds_the_profit_table_once(tmp_path, capsys, monkeypatch):
-    # the sandwich of each of the three objectives and phi of the profit
-    # objective share one profit table: the log read reward, profit,
-    # profit, profit, welfare, profit when each built its own
+    # check verifies three objectives, and each asks for the profit of every
+    # team as its sandwich's floor, the profit objective again as its phi:
+    # the instance builds that table on the first ask and keeps it
     path = tmp_path / "add9.json"
     assert run_cli("gen", "--family", "random-additive", "--n", 9, "--seed", 5,
                    "--out", path) == 0
     assert run_cli("check", "--instance", path) == 0
     before = capsys.readouterr().out
     log = []
-    evaluate_all, profits = objectives.evaluate_all, core._profits
-
-    def logged_evaluate_all(obj, *args):
-        log.append(obj.name)
-        return evaluate_all(obj, *args)
+    profits = core._profits
 
     def logged_profits(*args):
         log.append("profit table")
         return profits(*args)
 
-    monkeypatch.setattr(objectives, "evaluate_all", logged_evaluate_all)
-    for module in (core, objectives):
-        monkeypatch.setattr(module, "_profits", logged_profits)
+    monkeypatch.setattr(core, "_profits", logged_profits)
     assert run_cli("check", "--instance", path) == 0
     assert capsys.readouterr().out == before
-    assert log == ["profit table", "reward", "welfare"]
+    assert log == ["profit table"]
 
 
 def test_solve_fptas(tmp_path, capsys):
@@ -138,6 +132,21 @@ def test_solve_fptas_rejects_epsilon_below_the_level_gate(
     save_instance(Instance(1, (0.1,), Additive((0.5,))), str(path))
     assert run_cli("solve", "--instance", path, "--objective", objective,
                    "--budget", 0.5, "--method", "fptas", "--epsilon", epsilon) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: sizecap: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("objective", list(OBJECTIVES))
+def test_solve_fptas_gates_epsilon_where_every_value_is_zero(
+    tmp_path, capsys, objective
+):
+    # the profit FPTAS once returned the empty team here, before its gate,
+    # while reward and welfare ended in sizecap
+    path = tmp_path / "zero.json"
+    save_instance(Instance(2, (0.1, 0.0), Additive((0.0, 0.0))), str(path))
+    assert run_cli("solve", "--instance", path, "--objective", objective,
+                   "--budget", 0.5, "--method", "fptas", "--epsilon", "1e-300") == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: sizecap: ") and err.count("\n") == 1, err

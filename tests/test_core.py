@@ -143,8 +143,8 @@ def test_profit_sentinels():
 
 
 def test_profit_asks_each_drop_once(additive_queries):
-    # f(S) and p(S) come from one pass over S: S and each S - {i} once (5),
-    # where asking f(S) apart from p(S) took 6
+    # f(S) and p(S) come from one pass over S, which asks S and each
+    # S - {i} once (5)
     inst = Instance(4, (1 / 32,) * 4, Additive((0.25,) * 4))
     assert profit(inst, ALL4) == 0.5
     assert additive_queries == [ALL4, 0b1110, 0b1101, 0b1011, 0b0111]
@@ -404,9 +404,8 @@ def _seeded_tables(n, seed):
     yield "tie-both", tie(dyadic, (-1.0, -0.5, 0.0, 0.5, 1.0))
     yield "tie-flat", tie(flat, (0.0, 1.0))
     for inst in (coverage, xos):
-        f, pay = team_table(inst)
-        yield "profit", evaluate_all(PROFIT, inst, f, pay)
-        yield "welfare", evaluate_all(WELFARE, inst, f, pay)
+        yield "profit", evaluate_all(PROFIT, inst)
+        yield "welfare", evaluate_all(WELFARE, inst)
 
 
 def test_subadditivity_kernel_matches_references():
@@ -564,10 +563,10 @@ def test_best_conditions_match_agent_loop():
             for t in tables:
                 costs = [rng.choice((0.0, rng.random() / (4 * n))) for _ in range(n)]
                 inst = Instance(n, costs, Table(t))
-                f, pay = team_table(inst)
+                f, _ = team_table(inst)
                 for obj in (REWARD, PROFIT, WELFARE):
-                    phi = evaluate_all(obj, inst, f, pay)
-                    sandwich = bool(np.all(evaluate_all(PROFIT, inst, f, pay) <= phi + EPS)
+                    phi = evaluate_all(obj, inst)
+                    sandwich = bool(np.all(evaluate_all(PROFIT, inst) <= phi + EPS)
                                     and np.all(phi <= f + EPS))
                     drop = _drop_reference(phi, f, n)
                     assert check_best_conditions(obj, inst) == (sandwich and drop), (obj, n)

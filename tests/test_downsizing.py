@@ -204,10 +204,11 @@ def test_bag_stage_query_budget(uniform4, table_queries):
 def test_downsizing_reuses_what_it_holds(uniform4, table_queries):
     # p(S) and psi(S) = f(S) come from the shares, and psi of the returned
     # piece from its test, which p({0}) reuses as f({0}): 5 queries for the
-    # shares, 1 for psi of the first outlier and 1, f({}), for p({0})
+    # shares and 1 for psi of the first outlier; p({0}) takes f({}) from the
+    # table's entry 0, not from the oracle
     res = downsize_submodular(uniform4, ALL4, 5)
     assert res.singleton_exit and res.subset == 0b0001
-    assert table_queries == [0b1111, 0b1110, 0b1101, 0b1011, 0b0111, 0b0001, 0]
+    assert table_queries == [0b1111, 0b1110, 0b1101, 0b1011, 0b0111, 0b0001]
 
 
 def test_before_fields_equal_the_oracles():
@@ -428,11 +429,10 @@ def test_downsizings_equal_their_reference_oracles():
 
 
 def test_downsize_xos_asks_each_drop_once(additive_queries):
-    # one pass over S gives the shares, psi(S) and the team marginals (5),
-    # the first bag {0, 1} is valued (1), and recovery's one round over it
-    # takes that value and asks its two drops (2), which give its payment and
-    # value: 20 queries when each stage asked its own, 5 + 1 + 1 + 3 for the
-    # bag stage and 3 + 3 + 4 for recovery
+    # one pass over S gives the shares, psi(S) and recovery's team marginals
+    # (5); the bag test values the first bag {0, 1} (1); and recovery's one
+    # round over it takes that value and asks its two drops (2), which also
+    # give the payment and the value of the set it keeps
     inst = Instance(4, (1 / 16,) * 4, Additive((0.25,) * 4))
     res = downsize_xos(inst, ALL4, 4)
     assert (res.subset, res.payment_after, res.objective_after) == (0b0011, 0.5, 0.5)

@@ -136,10 +136,12 @@ def test_golden_output(name, instance_paths, tmp_path):
 
 
 def record() -> None:
-    """Rewrite ``tests/golden/`` from the current code."""
+    """Rewrite the CLI outputs in ``tests/golden/`` from the current code;
+    the result digests of ``tests/test_digests.py`` are recorded apart."""
     GOLDEN.mkdir(exist_ok=True)
     for old in GOLDEN.iterdir():
-        old.unlink()
+        if old.name != "result-digests.json":
+            old.unlink()
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_instances(Path(tmp))
         for name in sorted(CASES):

@@ -1,6 +1,10 @@
+import ast
 import random
+from pathlib import Path
 
 import pytest
+
+import budgeted_contracts
 
 from budgeted_contracts import (
     Additive,
@@ -138,12 +142,45 @@ def test_evaluate_all_matches_evaluate():
     for inst in corpus:
         f, pay = team_table(inst)
         for obj in (REWARD, PROFIT, WELFARE, mix):
-            table = evaluate_all(obj, inst, f, pay)
+            table = evaluate_all(obj, inst)
             for team in range(1 << inst.n):
                 assert table[team].hex() == evaluate(obj, inst, team).hex()
         for team in range(1 << inst.n):
             assert f[team].hex() == value(inst.reward, team).hex()
             assert pay[team].hex() == payment(inst, team).hex()
+
+
+def test_objective_arrays_are_the_instances_own():
+    inst = xos_corpus(1, seed=509, n_hi=6)[0]
+    f, _ = team_table(inst)
+    assert evaluate_all(REWARD, inst) is f
+    assert evaluate_all(PROFIT, inst) is inst._profit_table
+    assert not inst._profit_table.flags.writeable
+
+
+def test_objective_dispatch_sits_in_four_functions():
+    # the evaluators and the two preconditions that name an objective class
+    # are the only functions that test one
+    classes = {"Reward", "Profit", "Welfare", "Convex"}
+    package = Path(budgeted_contracts.__file__).parent
+    testers = set()
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            for node in ast.walk(func):
+                if (isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) == "isinstance"
+                        and classes & {n.id for n in ast.walk(node.args[1])
+                                       if isinstance(n, ast.Name)}):
+                    testers.add(f"{path.stem}.{func.name}")
+    assert testers == {
+        "objectives.evaluate",
+        "objectives.evaluate_all",
+        "solvers.knapsack_fptas",
+        "downsizing.downsize_submodular",
+    }
 
 
 def test_sandwich_pointwise():

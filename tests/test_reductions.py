@@ -218,48 +218,32 @@ def test_every_outcome_is_feasible_at_original_budget():
 
 
 def test_candidate_value_is_the_score_it_was_picked_by(uniform4, table_queries):
-    # each pool member is scored once and the winner keeps its score: 4
-    # queries find the light agents and 8 downsize the hub input (p(S), which
-    # also checks it is feasible, among them; psi(S) = f(S) comes from the
-    # pass that takes the shares, and p({0, 1}) asks only the 2 drops, f of
-    # the piece coming from its bag test); the pool asks none. 12 went when
-    # each member was scored from the f(S) and p(S) already held, not from
-    # f({}) for the empty team and f(S) and each f(S - {i}) for the piece
-    # {0, 1} (3) and the 4 singletons (2 each): f({}) is the table's own
-    # entry, f({i}) the one the light scan took, and the piece's f(S) and
-    # p(S) the ones its downsizing returned;
-    # the feasible singletons are found from the singleton payments the
-    # light scan took, and the winner's payment is the one its pool kept
+    # each pool member is scored once and the winner keeps its score. The
+    # 12 queries and why each is made: the light scan asks f({i}) of the 4
+    # agents (4); the downsizing of the hub input asks f(S) and its 4 drops
+    # for the shares (5), which give p(S), the feasibility check, and
+    # psi(S) = f(S); the bag test values the piece {0, 1} (1); and p({0, 1})
+    # asks its 2 drops (2). The pool asks nothing: f({}) is the table's
+    # entry 0, each singleton's f({i}) and payment come from the light scan,
+    # and the piece's f(S) and p(S) from its downsizing; the winner's
+    # payment is the one its pool kept
     out = reduce_to_mrl(uniform4, 1.0, PROFIT, 0b1111, path="submodular")
     assert (out.candidate, out.candidate_value, out.budget_used) == (0b0011, 0.25, 0.5)
     assert table_queries == [0b0001, 0b0010, 0b0100, 0b1000, 0b1111, 0b1110,
                              0b1101, 0b1011, 0b0111, 0b0011, 0b0010, 0b0001]
-    assert len(table_queries) == 24 - 12 == 12
+    assert len(table_queries) == 12
 
 
 def test_pipeline_scans_singletons_once(monkeypatch):
-    # 77 clause-oracle queries before the singleton payments were kept on the
-    # instance: the light scan ran in scale_instance and again in
-    # reduce_to_mrl (7 each), and the two pool filters took 5 light and 7
-    # singleton payments anew; 5 more paid each stage's winner again, and 3
-    # paid the hub input apart from the downsizing that pays it too; 8 more
-    # went when downsize_xos's two stages shared their queries: psi(S) and
-    # the 2 team marginals recovery needs come from the pass that takes the
-    # shares, recovery's first round asks the 2 queries p(T) took, and its
-    # last round gives the kept set's payment and value (3); 5 more went
-    # when profit took f(S) and p(S) from one pass, one for each of the 5
-    # non-empty teams the last pool scores; 3 more when the hub solver's
-    # 2-member team was paid at B' and at B from one pass of f(S) and its
-    # 2 drops, not from one pass for each budget; 18 more when both pools
-    # scored their members from the f(S) and p(S) already held: the first
-    # pool's f({}), 5 light singletons and the solver's mapped team (7),
-    # and the last pool's f({}) for the empty team, then f({i}) and f({})
-    # for each of its 5 one-agent members (11); 3 more when downsize_xos took
-    # its outlier singleton {3} from what the instance holds: f({3}) for the
-    # bag test from the scan, and for recovery's first round f({3}) from the
-    # bag test and f({}) from no oracle. What is left: the scan (7), the
-    # solver's team {1, 3} paid (3) and its drops asked again by downsize_xos
-    # for the shares (3)
+    # the 13 clause queries and why each is made: the light scan asks f({i})
+    # of the 7 agents (7), which the instance keeps for both pools'
+    # singletons and for downsize_xos's outlier test; the hub solver's team
+    # {1, 3} is paid at B' and at B from one pass of f(S) and its 2 drops
+    # (3); and downsize_xos asks that pass again for its shares (3), since
+    # reduce_to_mrl is handed the team alone. The piece it returns, the
+    # outlier {3}, takes f({3}) from the scan, and its drop f({}) is asked
+    # of no oracle. The pools ask nothing: each member is scored from the
+    # f(S) and p(S) held
     calls = []
     xos_value = XosClauses.value
 
@@ -273,7 +257,7 @@ def test_pipeline_scans_singletons_once(monkeypatch):
     assert (out.candidate, out.candidate_value) == (0b1000000, 0.0732421875)
     assert calls[:7] == [1 << i for i in range(7)]  # the one scan
     assert calls[7:] == [0b1010, 0b1000, 0b0010] * 2
-    assert len(calls) == 77 - 7 - 5 - 7 - 5 - 3 - 8 - 5 - 3 - 18 - 3 == 13
+    assert len(calls) == 13
     assert light_agents(inst) == 0b1001111 and len(calls) == 13
 
 

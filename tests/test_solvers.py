@@ -278,9 +278,9 @@ def test_knapsack_examples():
 
 def test_knapsack_asks_only_the_final_teams_value_and_payment(additive_queries):
     # item worths come from the values held, v_i for reward and v_i - c_i for
-    # welfare (-0.0 cost included): the oracle is asked f(S) for the value of
-    # the team returned and one pass of f(S) and each f(S - {i}) for its
-    # payment, where one query per agent went before
+    # welfare (-0.0 cost included), so the oracle is asked only about the
+    # team returned: f(S) for its value, and one pass of f(S) and each
+    # f(S - {i}) for its payment
     inst = Instance(
         5, (1 / 16, -0.0, 1 / 32, 0.0, 1 / 8), Additive((0.25, 0.125, 0.25, 0.0, 0.375))
     )
@@ -336,6 +336,57 @@ def test_level_gate_boundary(n):
     for eps in (5e-324, 1e-320, 1e-300):
         with pytest.raises(SizeCapError):
             _level_gate(n, eps)
+
+
+@pytest.mark.parametrize("obj", [PROFIT, REWARD, WELFARE], ids=lambda o: o.name)
+def test_the_gate_holds_where_no_agent_is_worth_anything(obj):
+    # with every value 0 no team is worth anything, yet an epsilon past the
+    # level gate is rejected as it is on any other instance: the set-up
+    # gates before any FPTAS returns early
+    inst = Instance(3, (0.1, 0.0, 0.2), Additive((0.0, 0.0, 0.0)))
+    solve = fptas_additive_profit if obj == PROFIT else (
+        lambda inst, budget, eps: knapsack_fptas(inst, budget, eps, obj)
+    )
+    with pytest.raises(SizeCapError):
+        solve(inst, 0.5, 1e-300)
+    assert solve(inst, 0.5, 0.1) == SolveResult(0, 0.0, 0.0, 1)
+
+
+def test_every_level_dp_checks_in_one_order(uniform4):
+    # the additive reward, the budget, epsilon, then the level gate
+    inst = Instance(2, (0.1, 0.1), Additive((0.5, 0.5)))
+    calls = [
+        lambda inst, budget, eps: fptas_additive_profit(inst, budget, eps),
+        lambda inst, budget, eps: knapsack_fptas(inst, budget, eps, REWARD),
+        lambda inst, budget, eps: build_rounded_table(inst, eps, 0.5, budget),
+    ]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="additive reward"):
+            call(uniform4, 2.0, 1e-300)  # a table-backed reward
+        with pytest.raises(InputError, match="budget must lie in"):
+            call(inst, 2.0, 5.0)
+        with pytest.raises(InputError, match="epsilon must lie in"):
+            call(inst, 0.5, 5.0)
+        with pytest.raises(SizeCapError):
+            call(inst, 0.5, 1e-300)
+
+
+def test_only_the_set_up_checks_and_gates():
+    # inside solvers one function, _items, checks epsilon and gates the
+    # level count; the budget is checked there and by brute force alone
+    tree = ast.parse(Path(solvers.__file__).read_text(encoding="utf-8"))
+    callers = {"check_epsilon": set(), "_level_gate": set(), "check_budget": set()}
+    for func in ast.walk(tree):
+        if isinstance(func, ast.FunctionDef):
+            for node in ast.walk(func):
+                name = getattr(node, "func", None)
+                if isinstance(name, ast.Name) and name.id in callers:
+                    callers[name.id].add(func.name)
+    assert callers == {
+        "check_epsilon": {"_items"},
+        "_level_gate": {"_items"},
+        "check_budget": {"_items", "brute_force_max"},
+    }
 
 
 @pytest.mark.parametrize("solve", ["profit", "knapsack", "table"])
@@ -446,7 +497,8 @@ def _dense_profit_fptas(inst, budget, epsilon):
 def _pareto_anchor_choices(inst, budget, epsilon):
     values = inst.reward.values
     anchors = sorted({v for v in values if v > 0})
-    grids, steps = solvers._rounded_steps(inst, values, epsilon, anchors, budget)
+    items = solvers._items(inst, budget, epsilon)
+    grids, steps = solvers._rounded_steps(inst, items, epsilon, anchors)
     levels = solvers._proxy_levels(steps, grids)
     return levels.tolist(), steps.teams(levels)
 
@@ -619,7 +671,8 @@ def test_sentinel_steps_match_masked_reference():
     for inst, budget, eps in _sentinel_cases([*range(1, 25), 32, 40, 63]):
         values = inst.reward.values
         anchors = sorted({v for v in values if v > 0})
-        grids, steps = solvers._rounded_steps(inst, values, eps, anchors, budget)
+        items = solvers._items(inst, budget, eps)
+        grids, steps = solvers._rounded_steps(inst, items, eps, anchors)
         n_levels, count = steps.n_levels, len(anchors)
         ref = _reference_fill(n_levels, steps.lev, steps.weights, budget + PAY_TOL)
         assert len(steps.stages) == len(ref)
@@ -646,7 +699,8 @@ def test_every_anchor_ends_in_one_sentinel():
     for inst, budget, eps in _sentinel_cases(range(1, 64, 6)):
         values = inst.reward.values
         anchors = sorted({v for v in values if v > 0})
-        grids, steps = solvers._rounded_steps(inst, values, eps, anchors, budget)
+        items = solvers._items(inst, budget, eps)
+        grids, steps = solvers._rounded_steps(inst, items, eps, anchors)
         width = steps.n_levels + 2
         sentinels = np.arange(len(anchors)) * width + steps.n_levels + 1
         for key, pay in steps.stages:
