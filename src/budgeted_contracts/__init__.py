@@ -4,6 +4,7 @@ from .core import (
     Additive,
     Contract,
     ContractsError,
+    Coverage,
     FunctionClasses,
     InfeasibleSetError,
     InputError,

@@ -19,7 +19,8 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence, Union
 
 import numpy as np
@@ -243,7 +244,18 @@ class Table:
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.values, np.float64)
+        self._take(np.array(self.values, np.float64))
+
+    @classmethod
+    def _owning(cls, vals: np.ndarray) -> Table:
+        """A table holding ``vals`` itself, checked as a copied input is: for
+        a fresh float64 array that its caller drops, so a 2^n table is not
+        built twice."""
+        table = object.__new__(cls)
+        table._take(vals)
+        return table
+
+    def _take(self, vals: np.ndarray) -> None:
         size = vals.size
         if vals.ndim != 1 or size == 0 or size & (size - 1):
             raise InputError("table length must be a power of two")
@@ -265,6 +277,94 @@ class Table:
 
     def value(self, team: int) -> float:
         return self.values.item(team)
+
+
+@functools.cache
+def _superset_matrix() -> np.ndarray:
+    """The 64 x 64 matrix with 1.0 at [B, A] where B is a superset of A,
+    else 0.0; its leading 2^k block is the k-bit one. Built on first use."""
+    masks = np.arange(64)
+    return (masks & ~masks[:, None] == 0).astype(np.float64)
+
+
+def _superset_sums(h: np.ndarray, n: int) -> None:
+    """Replace each h[A], over the 2^n masks, by the sum of h[B] over the
+    supersets B of A, in place.
+
+    The low min(n, 6) bits go in one product with the superset matrix, 1024
+    rows (512 KiB) at a time, the others one in-place pass each. On integer
+    entries whose total is below 2^53 every partial sum is an integer below
+    2^53, so each sum is exact in any order of addition.
+    """
+    k = min(n, 6)
+    up = _superset_matrix()[: 1 << k, : 1 << k]
+    rows = h.reshape(-1, 1 << k)
+    for a in range(0, len(rows), 1024):
+        rows[a : a + 1024] = rows[a : a + 1024] @ up
+    for i in range(k, n):
+        split = h.reshape(-1, 2, 1 << i)  # [:, 1] holds bit i, [:, 0] not
+        split[:, 0] += split[:, 1]
+
+
+@dataclass(frozen=True, eq=False)
+class Coverage(Table):
+    """Weighted coverage: f(S) is the weight of the elements that some member
+    of S covers, divided by ``scale``.
+
+    ``weights`` are non-negative integers summing below 2^53, ``covers[i]``
+    holds the element indices agent i covers (kept sorted, without repeats),
+    and ``scale`` is a power of two, so each f(S) is an exact integer
+    divided by a power of two: one rounding, whatever the order of addition.
+    The table is built once, at construction: with h[A] the weight of the
+    elements that exactly the agents in A leave uncovered, the superset sums
+    g[T] of h weigh what T leaves uncovered, and f(T) = (W - g[T]) / scale
+    for the total weight W. Queries, equality and every table-reading path
+    are a ``Table``'s. A non-negative coverage function is monotone,
+    submodular and subadditive, so ``classify`` and ``is_submodular``
+    answer without a kernel.
+    """
+
+    values: np.ndarray = field(init=False, repr=False)
+    weights: tuple[int, ...]
+    covers: tuple[tuple[int, ...], ...]
+    scale: float
+
+    def __post_init__(self):
+        weights = tuple(self.weights)
+        if not all(type(w) is int and w >= 0 for w in weights):
+            raise InputError("coverage weights must be non-negative integers")
+        total = sum(weights)
+        if total >= 1 << 53:
+            raise InputError("coverage weights must sum below 2^53")
+        covers = tuple(map(tuple, self.covers))
+        n = len(covers)
+        _enum_gate(n)
+        missed = [(1 << n) - 1] * len(weights)  # the agents not covering u
+        for i, c in enumerate(covers):
+            for u in c:
+                if type(u) is not int or not 0 <= u < len(weights):
+                    raise InputError(
+                        f"cover elements must be integers in 0..{len(weights) - 1}"
+                    )
+                missed[u] &= ~(1 << i)
+        scale = self.scale
+        if type(scale) not in (float, int) or not (
+            0 < scale <= sys.float_info.max and math.frexp(scale)[0] == 0.5
+        ):
+            raise InputError(f"coverage scale must be a power of two, got {scale!r}")
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "covers", tuple(tuple(sorted(set(c))) for c in covers))
+        object.__setattr__(self, "scale", float(scale))
+        h = np.bincount(
+            np.array(missed, np.int64),
+            weights=np.array(weights, np.float64),
+            minlength=1 << n,
+        ).astype(np.float64, copy=False)  # counts of no elements come as int64
+        _superset_sums(h, n)  # h[T]: the weight no member of T covers
+        np.subtract(float(total), h, out=h)
+        with np.errstate(over="ignore"):  # an overflow fails as not finite
+            h /= scale
+        self._take(h)
 
 
 SetFunction = Union[Additive, XosClauses, Table]
@@ -321,7 +421,7 @@ def to_table(f: SetFunction) -> Table:
     """Materialize any representation as an explicit table."""
     if isinstance(f, Table):
         return f
-    return Table(_value_array(f))
+    return Table._owning(_value_array(f))
 
 
 def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
@@ -337,7 +437,7 @@ def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
     if isinstance(f, XosClauses):
         return XosClauses(tuple(tuple(row[i] for i in agents) for row in f.clauses))
     masks = _subset_sums(np.array([1 << i for i in agents], np.int64), len(agents))
-    return Table(f.values[masks])
+    return Table._owning(f.values[masks])
 
 
 def demand(f: SetFunction, prices: Sequence[float]) -> int:
@@ -736,11 +836,14 @@ def classify(f: SetFunction) -> FunctionClasses:
     nested set pairs. Subadditivity follows from the XOS form or from exact
     submodularity where rounding provably cannot change the answer; other
     tables go through a pair kernel. Additive functions are classified
-    analytically at any size; other representations raise above the cap.
+    analytically at any size; other representations raise above the cap,
+    where a coverage function is then in all three classes by construction.
     """
     if isinstance(f, Additive):
         return FunctionClasses(True, True, True)
     _class_gate(f.n)
+    if isinstance(f, Coverage):
+        return FunctionClasses(True, True, True)
     t, n = _value_array(f), f.n
     # Each kernel runs exactly (slack 0) first: fl(y - EPS) <= y, so a table
     # that passes exactly passes with EPS too, and the EPS pass runs only
@@ -775,9 +878,10 @@ def classify(f: SetFunction) -> FunctionClasses:
 
 
 def is_submodular(f: SetFunction) -> bool:
-    """Submodularity check alone; additive functions pass at any size, others
-    wherever they tabulate (n <= ENUM_CAP)."""
-    if isinstance(f, Additive):
+    """Submodularity check alone; additive functions pass at any size and
+    coverage functions by construction, others are checked wherever they
+    tabulate (n <= ENUM_CAP)."""
+    if isinstance(f, (Additive, Coverage)):
         return True
     return _table_is_submodular(_value_array(f), f.n)
 

@@ -7,11 +7,14 @@ regenerating with the same seed reproduces the same instances byte for byte.
 
 Submodular instances are weighted coverage functions (each agent covers a
 random subset of a weighted universe), which are monotone submodular by
-construction. XOS instances are random non-negative clause matrices, and
-additive instances are random value vectors; all are normalized to keep
-rewards within [0, 1] by power-of-two scaling. Costs are dyadic fractions
-of the owner's singleton value, so the corpora mix light and heavy agents
-while every singleton stays incentivizable.
+construction; they are ``core.Coverage`` rewards, written to instance files
+as their weights, covers and scale, and tabulated (so capped at
+``core.ENUM_CAP`` agents) when built or loaded. XOS instances are random
+non-negative clause matrices, and additive instances are random value
+vectors; all are normalized to keep rewards within [0, 1] by power-of-two
+scaling. Costs are dyadic fractions of the owner's singleton value, so the
+corpora mix light and heavy agents while every singleton stays
+incentivizable.
 """
 
 from __future__ import annotations
@@ -20,13 +23,12 @@ import random
 
 from .core import (
     Additive,
+    Coverage,
     Instance,
     InputError,
-    Table,
     XosClauses,
     _check_agent_count,
     _enum_gate,
-    _subset_sums,
 )
 
 #: Bump when any recipe below changes; recorded in run manifests.
@@ -61,7 +63,9 @@ def _costs_for(rng: random.Random, singleton_values: list[float]) -> tuple[float
 
 
 def random_submodular_instance(rng: random.Random, n: int) -> Instance:
-    """Weighted-coverage reward over a universe of 2n elements."""
+    """Weighted-coverage reward over a universe of 2n elements: integer
+    weights 1-8, a random cover per agent, and the smallest power-of-two
+    scale at least the total weight."""
     _check_agent_count(n)
     _enum_gate(n)
     universe = 2 * n
@@ -69,13 +73,8 @@ def random_submodular_instance(rng: random.Random, n: int) -> Instance:
     covers = []
     for _ in range(n):
         size = rng.randrange(1, max(2, universe // 2))
-        covers.append(set(rng.sample(range(universe), size)))
-    norm = _pow2_at_least(float(sum(weights)))
-
-    # subset "sums" of bools are ORs: does the team meet the agents covering u?
-    covering = [[u in cover for cover in covers] for u in range(universe)]
-    meets = (w * _subset_sums(agents, n) for w, agents in zip(weights, covering))
-    reward = Table(sum(meets) / norm)  # exact integer weights, one rounding
+        covers.append(rng.sample(range(universe), size))
+    reward = Coverage(weights, covers, _pow2_at_least(float(sum(weights))))
     singles = [reward.value(1 << i) for i in range(n)]
     return Instance(n=n, costs=_costs_for(rng, singles), reward=reward)
 

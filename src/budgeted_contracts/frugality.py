@@ -190,7 +190,7 @@ def gen_additive_lb(n: int, b: float, B: float) -> Instance:
     head_cost = min(B / (m_heads * m_heads), b / m_heads)
     costs = [head_cost] * m_heads + [0.0] * (n - m_heads)
     heads = _subset_sums(np.array([1] * m_heads + [0] * (n - m_heads), np.uint8), n)
-    return Instance(n=n, costs=tuple(costs), reward=Table(heads / m_heads))
+    return Instance(n=n, costs=tuple(costs), reward=Table._owning(heads / m_heads))
 
 
 def gen_xos_separation(b: float, B: float) -> Instance:
@@ -233,7 +233,7 @@ def gen_subadditive_lb(n: int, b: float, B: float) -> Instance:
     half = [rho * (1 / root + size / n) for size in range(1, n // 2 + 1)]
     by_size = np.array([0.0, *half] + [rho * peak] * (n // 2))
     vals = by_size[_subset_sums(np.ones(n, np.uint8), n)]
-    return Instance(n=n, costs=(cost,) * n, reward=Table(vals))
+    return Instance(n=n, costs=(cost,) * n, reward=Table._owning(vals))
 
 
 def gen_profit_lb_two(b: float, B: float, eps: float) -> Instance:

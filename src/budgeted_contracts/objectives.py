@@ -24,6 +24,7 @@ from .core import (
     Instance,
     InputError,
     _drop_condition,
+    _empty_value,
     _profit,
     _subset_sums,
     _sum_over,
@@ -82,6 +83,10 @@ WELFARE = Welfare()
 OBJECTIVES: dict[str, Objective] = {o.name: o for o in (REWARD, PROFIT, WELFARE)}
 
 
+def _value(inst: Instance, team: int) -> float:
+    return value(inst.reward, team) if team else _empty_value(inst.reward)
+
+
 def evaluate(
     obj: Objective,
     inst: Instance,
@@ -94,16 +99,17 @@ def evaluate(
     A caller that already holds f(S) passes it as ``f_team``, and p(S) as
     ``pay``, each equal to ``value`` and ``payment`` bit for bit, so the
     oracle is not asked again; profit uses them only when given both.
+    f({}) is asked of no oracle: it is ``core._empty_value``.
     """
     if isinstance(obj, Reward):
-        return value(inst.reward, team) if f_team is None else f_team
+        return _value(inst, team) if f_team is None else f_team
     if isinstance(obj, Profit):
         if f_team is None or pay is None:
             return profit(inst, team)
         return _profit(f_team, pay)
     if isinstance(obj, Welfare):
         if f_team is None:
-            f_team = value(inst.reward, team)
+            f_team = _value(inst, team)
         return f_team - _sum_over(inst.costs, bits(team))
     total = 0.0  # not sum(): see core._sum_over
     for c, w in zip(obj.components, obj.weights):

@@ -6,10 +6,19 @@ Instance files look like::
      "costs": [0.2, 0.2, 0.0],
      "reward": {"type": "xos", "clauses": [[0.4, 0.4, 0.2], [0, 0, 0.4]]}}
 
-with ``type`` one of additive / xos / table (``values`` carries the payload
-for the other two). Teams serialize as sorted index arrays. Reals are
-accepted either as JSON numbers or as decimal strings, and each float is
-written as its shortest round-trip ``repr`` (``0.25``, ``1e-05``,
+with ``type`` one of additive / xos / table / coverage (``values`` carries
+the payload of additive and table rewards). A table lists f over all 2^n
+team masks; a weighted coverage reward is written from its parts instead::
+
+    {"type": "coverage", "weights": [3, 1, 4], "covers": [[0, 2], [1]],
+     "scale": 8.0}
+
+with integer element weights (summing below 2^53), each agent's covered
+element indices, and a power-of-two scale; it is tabulated on load, bit for
+bit the table that a ``table`` file of the same function holds, and such
+``table`` files still load. Teams serialize as sorted index arrays. Reals
+are accepted either as JSON numbers or as decimal strings, and each float
+is written as its shortest round-trip ``repr`` (``0.25``, ``1e-05``,
 ``5e-324``).
 """
 
@@ -27,7 +36,16 @@ from typing import Any
 
 import numpy as np
 
-from .core import Additive, Instance, InputError, SetFunction, Table, XosClauses, bits
+from .core import (
+    Additive,
+    Coverage,
+    Instance,
+    InputError,
+    SetFunction,
+    Table,
+    XosClauses,
+    bits,
+)
 from .corpora import CORPUS_VERSION
 from .objectives import OBJECTIVES, Objective
 
@@ -80,6 +98,13 @@ def reward_to_dict(f: SetFunction) -> dict:
         return {"type": "additive", "values": list(f.values)}
     if isinstance(f, XosClauses):
         return {"type": "xos", "clauses": [list(row) for row in f.clauses]}
+    if isinstance(f, Coverage):
+        return {
+            "type": "coverage",
+            "weights": list(f.weights),
+            "covers": [list(c) for c in f.covers],
+            "scale": f.scale,
+        }
     return {"type": "table", "values": f.values.tolist()}
 
 
@@ -93,7 +118,10 @@ def reward_from_dict(d: dict) -> SetFunction:
         rows = (_list(row, "a clause") for row in _list(d["clauses"], "clauses"))
         return XosClauses([_reals(row).tolist() for row in rows])
     if kind == "table":
-        return Table(_reals(_list(d["values"], "values")))
+        return Table._owning(_reals(_list(d["values"], "values")))
+    if kind == "coverage":
+        covers = [_list(c, "a cover") for c in _list(d["covers"], "covers")]
+        return Coverage(_list(d["weights"], "weights"), covers, _real(d["scale"]))
     raise InputError(f"unknown reward type {kind!r}")
 
 
@@ -156,15 +184,16 @@ def instance_text(inst: Instance) -> str:
     with ``indent=2`` and a final newline, byte for byte.
 
     An indented ``json.dumps`` formats every float in Python, one at a
-    time, so a ``Table`` is written apart: the head is encoded with an empty
-    ``values`` list (the text's last ``[]``, as ``values`` ends the last
-    key), and each distinct bit pattern of the values is formatted once and
-    spliced in there. Keying by bits keeps ``-0.0`` apart from ``0.0``;
-    ``float.__repr__`` is the text ``json`` writes for a finite float, and a
-    ``Table`` holds only finite values.
+    time, so a ``Table`` (not a ``Coverage``, whose file holds no table) is
+    written apart: the head is encoded with an empty ``values`` list (the
+    text's last ``[]``, as ``values`` ends the last key), and each distinct
+    bit pattern of the values is formatted once and spliced in there.
+    Keying by bits keeps ``-0.0`` apart from ``0.0``; ``float.__repr__`` is
+    the text ``json`` writes for a finite float, and a ``Table`` holds only
+    finite values.
     """
     f = inst.reward
-    if not isinstance(f, Table):
+    if type(f) is not Table:
         return json.dumps(instance_to_dict(inst), indent=2) + "\n"
     head = json.dumps(
         {"n": inst.n, "costs": list(inst.costs), "reward": {"type": "table", "values": []}},

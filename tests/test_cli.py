@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 import budgeted_contracts
 from budgeted_contracts import (
     Additive,
+    Coverage,
     Instance,
     InputError,
     Table,
@@ -456,6 +457,15 @@ def test_instance_file_must_be_an_object(tmp_path, capsys):
     _one_input_error(capsys)
 
 
+_COVERAGE = {"n": 3, "costs": [0.0625, 0.125, 0.0],
+             "reward": {"type": "coverage", "weights": [3, 1, 4, 0],
+                        "covers": [[0, 2], [1], []], "scale": 8.0}}
+
+
+def _coverage_with(**reward) -> str:
+    return json.dumps({**_COVERAGE, "reward": {**_COVERAGE["reward"], **reward}})
+
+
 _ONE_AGENT = {"n": 1, "costs": [0.1], "reward": {"type": "additive", "values": [0.5]}}
 
 
@@ -482,12 +492,93 @@ def _one_agent_with(**fields) -> str:
                  id="nan-in-table"),
     pytest.param(_one_agent_with(reward={"type": "additive", "values": [True]}),
                  id="value-bool"),
+    pytest.param(_coverage_with(weights=[True, 1, 4, 0]), id="weight-bool"),
+    pytest.param(_coverage_with(weights=[3, -1, 4, 0]), id="weight-negative"),
+    pytest.param(_coverage_with(weights=[3, 1, 4.0, 0]), id="weight-float"),
+    pytest.param(_coverage_with(weights=[3, 1, 2.5, 0]), id="weight-fraction"),
+    pytest.param(_coverage_with(weights=[3, "1", 4, 0]), id="weight-string"),
+    pytest.param(_coverage_with(weights=[3, 1, 4, 10**400]), id="weight-huge"),
+    pytest.param(_coverage_with(weights=[2**52, 2**52, 0, 0], scale=2.0**54),
+                 id="weights-sum-2^53"),
+    pytest.param(_coverage_with(covers=[[0, -1], [1], []]), id="element-negative"),
+    pytest.param(_coverage_with(covers=[[0, True], [1], []]), id="element-bool"),
+    pytest.param(_coverage_with(covers=[[0, 4], [1], []]), id="element-past-end"),
+    pytest.param(_coverage_with(covers=[[0, 2.0], [1], []]), id="element-float"),
+    pytest.param(_coverage_with(covers=[[0, 2], 1, []]), id="cover-number"),
+    pytest.param(_coverage_with(covers={"0": [0]}), id="covers-object"),
+    pytest.param(_coverage_with(scale=3.0), id="scale-3"),
+    pytest.param(_coverage_with(scale=0), id="scale-0"),
+    pytest.param(_coverage_with(scale=-8.0), id="scale-negative"),
+    pytest.param(_coverage_with(scale="inf"), id="scale-inf"),
+    pytest.param(_coverage_with(scale=True), id="scale-bool"),
+    pytest.param(_coverage_with(scale=10**400), id="scale-huge"),
+    pytest.param(_coverage_with(scale=4.0), id="values-above-1"),
+    pytest.param(_coverage_with(covers=[[0, 2], [1]]), id="two-covers-for-3"),
+    pytest.param(_coverage_with(covers=[[0, 2], [1], [], [3]]), id="four-covers-for-3"),
+    pytest.param(json.dumps({**_COVERAGE, "reward": {"type": "coverage", "weights": [1],
+                                                     "scale": 8.0}}), id="no-covers"),
 ])
 def test_instance_file_fields_are_validated(tmp_path, capsys, text):
     path = tmp_path / "bad.json"
     path.write_text(text)
     assert run_cli("check", "--instance", path) == 2
     _one_input_error(capsys)
+
+
+def test_coverage_file_past_the_cap_is_a_sizecap(tmp_path, capsys):
+    path = tmp_path / "cov21.json"
+    path.write_text(json.dumps({"n": 21, "costs": [0.0] * 21, "reward": {
+        "type": "coverage", "weights": [1], "covers": [[0]] * 21, "scale": 1.0}}))
+    assert run_cli("check", "--instance", path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sizecap: ") and err.count("\n") == 1, err
+
+
+def _coverage_instances():
+    """Seeded and hand-built coverage instances with n <= 9; the hand-built
+    one has zero weights, an empty cover and elements no agent covers."""
+    hand = Coverage([0, 3, 2, 5, 1, 4], [[0, 1], [], [1, 3], [0, 4]], 16.0)
+    yield "hand", Instance(4, (0.0625, 0.0, 0.03125, 0.125), hand)
+    for seed, n in ((1, 3), (2, 6), (3, 9)):
+        yield f"seed{seed}-n{n}", random_submodular_instance(random.Random(seed), n)
+
+
+def _equivalence_commands(n):
+    team = ",".join(map(str, range(max(2, 2 * n // 3))))
+    for obj in ("profit", "reward", "welfare"):
+        yield ["solve", "--objective", obj, "--budget", "0.5"]
+    yield ["check"]
+    for mode in ("submodular", "xos"):
+        yield ["downsize", "--set", team, "--m", "3", "--mode", mode]
+    for path in ("submodular", "xos"):
+        yield ["reduce", "--from", "welfare@0.5", "--to", "profit@0.5", "--path", path]
+
+
+@pytest.mark.parametrize("name, inst", list(_coverage_instances()))
+def test_coverage_file_answers_as_its_table_file(tmp_path, capsys, name, inst):
+    files = {"coverage": tmp_path / "coverage.json", "table": tmp_path / "table.json"}
+    save_instance(inst, str(files["coverage"]))
+    save_instance(Instance(inst.n, inst.costs, Table(inst.reward.values)), str(files["table"]))
+    assert json.loads(files["coverage"].read_text())["reward"]["type"] == "coverage"
+    for argv in _equivalence_commands(inst.n):
+        seen = {}
+        for form, path in files.items():
+            out = tmp_path / f"{form}.out"
+            code = run_cli(*argv, "--instance", path, "--out", out)
+            captured = capsys.readouterr()
+            seen[form] = code, captured.out, captured.err, out.read_bytes() if code == 0 else b""
+        assert seen["coverage"] == seen["table"], argv
+        assert seen["coverage"][0] == 0, (argv, seen["coverage"])
+
+
+@pytest.mark.parametrize("name, inst", list(_coverage_instances()))
+def test_coverage_file_load_save_is_byte_identical(tmp_path, name, inst):
+    first, again = tmp_path / "first.json", tmp_path / "again.json"
+    save_instance(inst, str(first))
+    loaded = load_instance(str(first))
+    assert type(loaded.reward) is Coverage and loaded == inst
+    save_instance(loaded, str(again))
+    assert again.read_bytes() == first.read_bytes()
 
 
 _FUZZ_BASES = [
@@ -497,6 +588,7 @@ _FUZZ_BASES = [
      "reward": {"type": "xos", "clauses": [[0.4, 0.4, 0.2], [0.0, 0.0, 0.4]]}},
     {"n": 3, "costs": [0.1, 0.1, 0.1],
      "reward": {"type": "table", "values": [0.0, 0.2, 0.2, 0.4, 0.2, 0.4, 0.4, 0.6]}},
+    _COVERAGE,
 ]
 _FUZZ_MENU = ["abc", math.nan, math.inf, -1, 2.5, True, None, [], {}, [[]], 10**400]
 

@@ -1,6 +1,11 @@
+import functools
 import math
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,9 +13,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import budgeted_contracts
 from budgeted_contracts import (
     Additive,
     Contract,
+    Coverage,
     Instance,
     InputError,
     InfeasibleSetError,
@@ -985,6 +992,175 @@ def test_generator_tables_match_python_tabulations(n):
             if n >= 4 and n % 2 == 0 and B <= n * b / 2:
                 got = gen_subadditive_lb(n, b, B).reward
                 assert _bits_of(got) == _bits_of(_subadditive_lb_reference(n))
+
+
+# ---------------------------------------------------------------------------
+# coverage rewards: the superset-sum table against a per-element reference
+# ---------------------------------------------------------------------------
+
+
+def _coverage_per_element(weights, covers, scale):
+    """f over every team mask, one integer array pass per element."""
+    masks = np.arange(1 << len(covers))
+    total = np.zeros(1 << len(covers), np.int64)
+    for u, w in enumerate(weights):
+        covering = mask_of(i for i, c in enumerate(covers) if u in c)
+        total += w * ((masks & covering) != 0)
+    return Table(total / scale)
+
+
+#: Hand-built coverage rewards: name -> (weights, covers, scale).
+HAND_COVERAGES = {
+    "zero-weights": ([0, 3, 0, 5], [[0, 1], [2], [1, 3]], 8.0),
+    "empty-covers": ([2, 2, 4], [[], [0, 2], []], 8.0),
+    "uncovered-elements": ([1, 7, 3, 5], [[0], [0, 2]], 16.0),
+    "no-elements": ([], [[], []], 1.0),
+    "one-agent": ([3], [[0]], 4.0),
+    "repeats-and-order": ([1, 2, 4], [[2, 0, 2], [1]], 8.0),
+    "all-zero": ([0, 0], [[0], [1], [0, 1]], 2.0),
+    "integer-scale": ([1, 1], [[0], [1]], 2),
+}
+
+
+@pytest.mark.parametrize("parts", HAND_COVERAGES.values(), ids=HAND_COVERAGES)
+def test_coverage_hand_built_tables(parts):
+    weights, covers, scale = parts
+    f = Coverage(weights, covers, scale)
+    assert _bits_of(f) == _bits_of(_coverage_per_element(weights, covers, scale))
+    assert f.weights == tuple(weights) and type(f.scale) is float
+    assert f.covers == tuple(tuple(sorted(set(c))) for c in covers)
+    assert f == Table(f.values) and not f.values.flags.writeable
+    assert core._empty_value(f) == 0.0 and f.n == len(covers)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 12, 17])
+def test_coverage_table_matches_per_element_sums(n):
+    # across the six bits of the matrix product, the passes above them and,
+    # at n = 17, two 1024-row blocks of the product; weights near 2^53 / m
+    # keep every sum exact only if each one is added without rounding
+    rng = random.Random(n)
+    for top in (8, 2**53 // (2 * n + 3)):
+        m = rng.randrange(2 * n + 3)
+        weights = [rng.randrange(top) for _ in range(m)]
+        covers = [rng.sample(range(m), rng.randrange(m + 1)) for _ in range(n)]
+        scale = 2.0 ** rng.randrange(-3, 60)
+        f = Coverage(weights, covers, scale)
+        assert _bits_of(f) == _bits_of(_coverage_per_element(weights, covers, scale))
+
+
+def test_coverage_weight_sum_boundary():
+    top = Coverage([2**53 - 1], [[0]], 2.0**53)
+    assert top.values.tolist() == [0.0, (2**53 - 1) / 2**53]
+    with pytest.raises(InputError, match="below 2"):
+        Coverage([2**52, 2**52], [[0]], 2.0**53)
+
+
+@pytest.mark.parametrize("parts", [
+    ([True], [[0]], 1.0),
+    ([-1], [[0]], 1.0),
+    ([1.0], [[0]], 1.0),
+    (["1"], [[0]], 1.0),
+    ([1], [[-1]], 1.0),
+    ([1], [[1]], 1.0),
+    ([1], [[True]], 1.0),
+    ([1], [[0.0]], 1.0),
+    ([1], [[0]], 3.0),
+    ([1], [[0]], 0.0),
+    ([1], [[0]], -2.0),
+    ([1], [[0]], math.inf),
+    ([1], [[0]], math.nan),
+    ([1], [[0]], True),
+    ([1], [[0]], 10**400),
+    ([1], [[0]], "2"),
+], ids=["weight-bool", "weight-negative", "weight-float", "weight-string",
+        "element-negative", "element-past-end", "element-bool", "element-float",
+        "scale-3", "scale-0", "scale-negative", "scale-inf", "scale-nan", "scale-bool",
+        "scale-huge-int", "scale-string"])
+def test_coverage_rejects_bad_parts(parts):
+    with pytest.raises(InputError):
+        Coverage(*parts)
+
+
+def test_coverage_scale_may_be_any_power_of_two():
+    assert Coverage([1], [[0]], 2.0**-1000).values.tolist() == [0.0, 2.0**1000]
+    assert Coverage([1], [[0]], 2.0**1023).values.tolist() == [0.0, 2.0**-1023]
+    assert Coverage([0], [[0]], 5e-324).scale == 2.0**-1074  # the least subnormal
+    with pytest.raises(InputError, match="finite"):  # 1 / 2^-1074 overflows
+        Coverage([1], [[0]], 5e-324)
+
+
+def test_coverage_cap_raises_before_allocating():
+    _assert_cap_without_allocating(lambda: Coverage([1], [[0]] * 21, 1.0))
+
+
+def _coverage_cases():
+    for name, parts in HAND_COVERAGES.items():
+        yield name, Coverage(*parts)
+    for n in range(1, 10):
+        for seed in range(3):
+            yield f"random-{n}-{seed}", random_submodular_instance(random.Random(seed), n).reward
+
+
+def test_coverage_classes_are_the_kernels_answers(monkeypatch):
+    cases = list(_coverage_cases())
+    want = {name: (classify(Table(f.values)), is_submodular(Table(f.values)))
+            for name, f in cases}
+    for kernel in ("_table_is_monotone", "_table_is_submodular", "_table_is_subadditive",
+                   "_all_pairs_subadditive"):
+        monkeypatch.setattr(core, kernel, None)  # a certificate runs none of them
+    for name, f in cases:
+        assert (classify(f), is_submodular(f)) == want[name], name
+        assert want[name] == (core.FunctionClasses(True, True, True), True), name
+
+
+def test_coverage_classify_keeps_its_cap():
+    f = Coverage([1], [[0]] * 17, 2.0)
+    assert is_submodular(f)
+    with pytest.raises(SizeCapError):
+        classify(f)
+
+
+def test_superset_matrix_is_built_on_first_use():
+    src = str(Path(budgeted_contracts.__file__).resolve().parent.parent)
+    code = ("import budgeted_contracts.cli\n"
+            "from budgeted_contracts import core\n"
+            "assert core._superset_matrix.cache_info().currsize == 0\n"
+            "core.Coverage([1], [[0]], 2.0)\n"
+            "assert core._superset_matrix.cache_info().currsize == 1\n")
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_table_owns_a_fresh_array_without_a_copy():
+    vals = np.array([0.0, 0.5, 0.25, 0.75])
+    t = Table._owning(vals)
+    assert type(t) is Table and t.values is vals and not vals.flags.writeable
+    for bad in (np.zeros(3), np.zeros((2, 2)), np.array([0.0, math.nan])):
+        with pytest.raises(InputError):
+            Table._owning(bad)
+    copied = np.array([0.0, 0.5])
+    assert Table(copied).values is not copied and copied.flags.writeable
+
+
+@pytest.mark.parametrize("n, build, bound", [
+    (14, lambda: gen_additive_lb(14, 0.3, 1.0), 2.0),
+    (14, lambda: gen_subadditive_lb(14, 0.3, 1.0), 2.0),
+    (14, lambda: to_table(Additive((1 / 16,) * 14)), 2.0),
+    (14, functools.partial(restrict, to_table(Additive((1 / 16,) * 15)), range(14)), 2.5),
+    (18, lambda: random_submodular_instance(random.Random(0), 18), 1.5),
+], ids=["additive-lb", "subadd-lb", "to_table", "restrict", "coverage"])
+def test_table_builders_hold_one_table(n, build, bound):
+    # each hands the 2^n floats it builds to its table without a copy, so
+    # its peak stays below two tables (restrict also holds the int64 index
+    # of the kept masks); a coverage table is built in place
+    build()  # first-use caches, such as the superset matrix
+    tracemalloc.start()
+    try:
+        built = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert built is not None and peak < bound * (8 << n), peak / (8 << n)
 
 
 # ---------------------------------------------------------------------------

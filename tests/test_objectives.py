@@ -27,6 +27,7 @@ from budgeted_contracts import (
     value,
 )
 from budgeted_contracts.core import team_table
+from budgeted_contracts.solvers import knapsack_fptas
 from budgeted_contracts.corpora import submodular_corpus, xos_corpus
 from budgeted_contracts.objectives import (
     OBJECTIVES,
@@ -209,6 +210,25 @@ def test_key_property_gap_examples(separation):
     lhs, rhs = key_property_gap(WELFARE, free, 0.5)
     assert lhs == pytest.approx(0.7)
     assert lhs <= rhs + 1e-9
+
+
+def test_evaluate_takes_the_empty_value_from_no_oracle(table_queries, additive_queries):
+    # f({}) is the table's entry 0, and 0.0 for the additive form
+    table = Instance(2, (0.125, 0.25), Table((0.125, 0.25, 0.5, 0.75)))
+    additive = Instance(2, (0.125, 0.25), Additive((0.25, 0.5)))
+    half = Convex((REWARD, WELFARE), (0.5, 0.5))
+    for obj, want in ((REWARD, 0.125), (WELFARE, 0.125), (PROFIT, 0.125), (half, 0.125)):
+        assert evaluate(obj, table, 0) == want
+        assert evaluate(obj, additive, 0) == 0.0
+    assert table_queries == [] and additive_queries == []
+
+
+@pytest.mark.parametrize("obj", [REWARD, WELFARE], ids=["reward", "welfare"])
+def test_knapsack_with_no_valued_item_asks_no_oracle(additive_queries, obj):
+    inst = Instance(2, (0.125, 0.125), Additive((0.0, 0.0)))
+    result = knapsack_fptas(inst, 0.5, 0.1, obj)
+    assert (result.optimum, result.value, result.payment) == (0, 0.0, 0.0)
+    assert additive_queries == []
 
 
 def test_key_property_gap_grid():
