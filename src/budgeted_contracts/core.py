@@ -279,31 +279,22 @@ class Table:
         return self.values.item(team)
 
 
-@functools.cache
-def _superset_matrix() -> np.ndarray:
-    """The 64 x 64 matrix with 1.0 at [B, A] where B is a superset of A,
-    else 0.0; its leading 2^k block is the k-bit one. Built on first use."""
-    masks = np.arange(64)
-    return (masks & ~masks[:, None] == 0).astype(np.float64)
+def _pass_order(i: int) -> str:
+    """The ufunc iteration order of a pass over bit i of a 2^n table seen as
+    (-1, 2, 2^i): "F" on bits 1 and 2, whose rows hold only 2 or 4 masks, so
+    the inner loop runs down the long axis; "K" (memory order) elsewhere."""
+    return "F" if 1 <= i <= 2 else "K"
 
 
 def _superset_sums(h: np.ndarray, n: int) -> None:
     """Replace each h[A], over the 2^n masks, by the sum of h[B] over the
-    supersets B of A, in place.
-
-    The low min(n, 6) bits go in one product with the superset matrix, 1024
-    rows (512 KiB) at a time, the others one in-place pass each. On integer
-    entries whose total is below 2^53 every partial sum is an integer below
-    2^53, so each sum is exact in any order of addition.
+    supersets B of A, in place, one add per bit. On integer entries whose
+    total is below 2^53 every partial sum is an integer below 2^53, so each
+    sum is exact in any order of addition.
     """
-    k = min(n, 6)
-    up = _superset_matrix()[: 1 << k, : 1 << k]
-    rows = h.reshape(-1, 1 << k)
-    for a in range(0, len(rows), 1024):
-        rows[a : a + 1024] = rows[a : a + 1024] @ up
-    for i in range(k, n):
+    for i in range(n):
         split = h.reshape(-1, 2, 1 << i)  # [:, 1] holds bit i, [:, 0] not
-        split[:, 0] += split[:, 1]
+        np.add(split[:, 0], split[:, 1], out=split[:, 0], order=_pass_order(i))
 
 
 @dataclass(frozen=True, eq=False)
@@ -653,20 +644,25 @@ def _tabulate(inst: Instance) -> tuple[np.ndarray, np.ndarray]:
     on a positive margin and 0 by the 0/0 convention otherwise, and the
     payments start at +0.0 and gain only shares that are +0.0, positive or
     inf, so adding +-0.0 to any of them changes no bit. With every cost left
-    positive, a non-positive margin always gives an infinite share.
+    positive, a margin <= 0 gives a share of +-inf, so its teams sum to +-inf
+    or nan, and one pass after the loop makes each of those payments inf.
     """
     f = _value_array(inst.reward)
     pay = np.zeros(f.shape)
+    term = np.empty(len(f) // 2)  # a pass's margins, then its shares
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for i, cost in enumerate(inst.costs):
             if cost == 0.0:  # -0.0 too
                 continue
             # axis 1 splits teams by agent i: [:, 1] holds it, [:, 0] not
-            split = f.reshape(-1, 2, 1 << i)
-            margin = split[:, 1] - split[:, 0]
-            term = cost / margin
-            term[margin <= 0.0] = math.inf
-            pay.reshape(-1, 2, 1 << i)[:, 1] += term
+            split, order = f.reshape(-1, 2, 1 << i), _pass_order(i)
+            rows = term.reshape(-1, 1 << i)
+            np.subtract(split[:, 1], split[:, 0], out=rows, order=order)
+            np.maximum(term, 0.0, out=term)  # a margin <= 0 divides to +-inf
+            np.divide(cost, term, out=term)
+            paid = pay.reshape(-1, 2, 1 << i)[:, 1]
+            np.add(paid, rows, out=paid, order=order)
+        pay[~(pay >= 0.0)] = math.inf  # -inf or nan: a member's margin was <= 0
     f.flags.writeable = pay.flags.writeable = False
     return f, pay
 
@@ -751,9 +747,12 @@ def _profit(f_team: float, pay: float) -> float:
 
 def _profits(f: np.ndarray, pay: np.ndarray) -> np.ndarray:
     """``_profit`` of every team, bit for bit, from a team table's f and p."""
-    with np.errstate(invalid="ignore"):
-        earned = np.where(pay == math.inf, -math.inf, (1.0 - pay) * f)
-    return np.where(f == 0.0, 0.0, earned)
+    earned = np.subtract(1.0, pay)
+    with np.errstate(invalid="ignore"):  # (1 - inf) * 0.0
+        np.multiply(earned, f, out=earned)
+    np.copyto(earned, -math.inf, where=pay == math.inf)
+    np.copyto(earned, 0.0, where=f == 0.0)
+    return earned
 
 
 def optimal_contract_for(inst: Instance, team: int) -> Contract:

@@ -1,9 +1,7 @@
+import ast
 import functools
 import math
-import os
 import random
-import subprocess
-import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -779,38 +777,51 @@ def _tabulate_reference(inst):
     return f, pay
 
 
+def _profits_reference(f, pay):
+    """``_profits`` as two ``np.where`` over fresh arrays."""
+    with np.errstate(invalid="ignore"):
+        earned = np.where(pay == math.inf, -math.inf, (1.0 - pay) * f)
+    return np.where(f == 0.0, 0.0, earned)
+
+
 _PLANTED = (0.0, -0.0, 5e-324)
+_TABLE_PLANTED = (*_PLANTED, -EPS, -EPS / 2, -5e-324)
 
 
 def _team_table_cases(n, seed):
     """Seeded instances over n agents: a coverage table (monotone, with a
     planted f({})), a random table (not monotone), XOS clauses and additive
-    values, with 0.0, -0.0 and 5e-324 planted among the values; each once
-    with free agents (costs 0.0 and -0.0) and once without (every cost
-    positive, 5e-324 among them)."""
+    values, with 0.0, -0.0 and 5e-324 planted among the values (and values
+    in [-EPS, 0) among a table's), a flat table, and a table in which agent
+    0's margin is -0.0 in every team; each once with free agents (costs 0.0
+    and -0.0) and once without (every cost positive, 5e-324 and 1e300
+    among them)."""
     rng = random.Random(seed)
     noise = np.random.default_rng(seed)
 
-    def plant(xs):
+    def plant(xs, pool=_PLANTED):
         xs = list(xs)
         for k in rng.sample(range(len(xs)), min(len(xs), 3)):
-            xs[k] = rng.choice(_PLANTED)
+            xs[k] = rng.choice(pool)
         return xs
 
     coverage = np.array(random_submodular_instance(rng, n).reward.values)
-    coverage[0] = rng.choice(_PLANTED)
+    coverage[0] = rng.choice(_TABLE_PLANTED)
     clauses = random_xos_instance(rng, n, rng.randrange(1, 4)).reward.clauses
     additive = corpora.random_additive_instance(rng, n).reward.values
     rewards = {
         "coverage": Table(coverage),
-        "random": Table(plant(noise.random(1 << n))),
+        "random": Table(plant(noise.uniform(-EPS, 1.0, 1 << n), _TABLE_PLANTED)),
         "xos": XosClauses(tuple(plant(row) for row in clauses)),
         "additive": Additive(plant(additive)),
+        "flat": Table(np.full(1 << n, rng.choice((0.0, -0.0, 0.5)))),
+        "signed-zero": Table(np.where(np.arange(1 << n) & 1, -0.0, 0.0)),
     }
     for kind, reward in rewards.items():
         costs = [rng.uniform(0.01, 0.3) for _ in range(n)]
         paid = list(costs)
-        paid[rng.randrange(n)] = 5e-324
+        for k, c in zip(rng.sample(range(n), min(n, 2)), (5e-324, 1e300)):
+            paid[k] = c
         yield kind + "-paid", Instance(n, paid, reward)
         free = list(costs)
         zeros = rng.sample((0.0, -0.0), 2)
@@ -819,21 +830,73 @@ def _team_table_cases(n, seed):
         yield kind + "-free", Instance(n, free, reward)
 
 
+def _assert_tables_match(inst, got):
+    want = _tabulate_reference(inst)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+    assert core._profits(*got).tobytes() == _profits_reference(*want).tobytes()
+
+
 def test_team_table_equals_the_per_agent_loop_byte_for_byte():
-    # bytes, not ==, which cannot tell -0.0 from 0.0
-    sizes = [*range(1, 13), 16]
+    # bytes, not ==, which cannot tell -0.0 from 0.0; profits too
+    sizes = [*range(1, 15), 16]
     free_at, monotone, infinite = set(), set(), set()
     for n in sizes:
         for kind, inst in _team_table_cases(n, 60 * n):
-            got, want = team_table(inst), _tabulate_reference(inst)
-            for a, b in zip(got, want):
-                assert a.tobytes() == b.tobytes(), (kind, n)
-                assert not a.flags.writeable
+            got = team_table(inst)
+            _assert_tables_match(inst, got)
+            assert not any(a.flags.writeable for a in got), (kind, n)
             free_at.add((n, any(c == 0.0 for c in inst.costs)))
             monotone.add(core._table_is_monotone(got[0], n, 0.0))
             infinite.add(bool(np.isinf(got[1]).any()))
     assert free_at == {(n, free) for n in sizes for free in (True, False)}
     assert monotone == infinite == {True, False}
+
+
+class _TieKeepingNumpy:
+    """numpy, but with ``maximum`` as documented, where(x1 >= x2, x1, x2),
+    which keeps x1 on a tie: maximum(-0.0, 0.0) is -0.0. numpy's x86 build
+    returns x2 there, 0.0."""
+
+    kept = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def maximum(self, x1, x2, out):
+        self.kept += int(np.signbit(x1[x1 == x2]).sum())
+        return np.copyto(out, np.where(x1 >= x2, x1, x2))
+
+
+def test_team_table_is_the_same_whichever_zero_maximum_keeps(monkeypatch):
+    # a margin of -0.0 kept by the maximum divides to -inf, and its teams sum
+    # to -inf or nan until the pass after the loop makes them inf
+    tie_keeping = _TieKeepingNumpy()
+    monkeypatch.setattr(core, "np", tie_keeping)
+    for n in range(1, 9):
+        for _, inst in _team_table_cases(n, 60 * n):
+            _assert_tables_match(inst, core._tabulate(inst))
+    assert tie_keeping.kept > 0
+
+
+def test_short_rows_pass_down_the_long_axis():
+    # bits 1 and 2 split a table into rows of 2 or 4 masks, so their passes
+    # run the inner loop down the long axis; from bit 3 (rows of 8) on, memory
+    # order is the faster at n >= 17 (per-pass times in BENCH_table_passes.json)
+    assert [core._pass_order(i) for i in range(21)] == ["K"] + ["F"] * 2 + ["K"] * 18
+
+
+def test_team_table_memory_stays_small():
+    # the payments, one half-size share buffer and a bool mask or two: the
+    # form with fresh temporaries in every pass peaked at 20.1 MiB
+    inst = random_submodular_instance(random.Random(0), 20)
+    tracemalloc.start()
+    try:
+        team_table(inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 14 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -1035,8 +1098,8 @@ def test_coverage_hand_built_tables(parts):
 
 @pytest.mark.parametrize("n", [1, 2, 5, 6, 7, 12, 17])
 def test_coverage_table_matches_per_element_sums(n):
-    # across the six bits of the matrix product, the passes above them and,
-    # at n = 17, two 1024-row blocks of the product; weights near 2^53 / m
+    # across the short-row passes of bits 1 and 2, the passes above them and,
+    # at n = 17, a table of more than 2^16 masks; weights near 2^53 / m
     # keep every sum exact only if each one is added without rounding
     rng = random.Random(n)
     for top in (8, 2**53 // (2 * n + 3)):
@@ -1046,6 +1109,50 @@ def test_coverage_table_matches_per_element_sums(n):
         scale = 2.0 ** rng.randrange(-3, 60)
         f = Coverage(weights, covers, scale)
         assert _bits_of(f) == _bits_of(_coverage_per_element(weights, covers, scale))
+
+
+@functools.cache
+def _superset_matrix():
+    """The 64 x 64 matrix with 1.0 at [B, A] where B is a superset of A."""
+    masks = np.arange(64)
+    return (masks & ~masks[:, None] == 0).astype(np.float64)
+
+
+def _superset_sums_by_product(h, n):
+    """Superset sums in place as a BLAS product did them: the low min(n, 6)
+    bits in one product with the superset matrix, 1024 rows at a time, the
+    others one pass each."""
+    k = min(n, 6)
+    up = _superset_matrix()[: 1 << k, : 1 << k]
+    rows = h.reshape(-1, 1 << k)
+    for a in range(0, len(rows), 1024):
+        rows[a : a + 1024] = rows[a : a + 1024] @ up
+    for i in range(k, n):
+        split = h.reshape(-1, 2, 1 << i)
+        split[:, 0] += split[:, 1]
+
+
+@pytest.mark.parametrize("n", [*range(1, 15), 16, 20])
+def test_superset_sums_match_the_product(n):
+    # integer sums below 2^53 are exact, so both forms agree bit for bit
+    rng = random.Random(n)
+    for top in (8, 2**53 // (2 * n + 3)):
+        m = rng.randrange(1, 2 * n + 3)
+        h = np.bincount([rng.randrange(1 << n) for _ in range(m)],
+                        [rng.randrange(top) for _ in range(m)], 1 << n)
+        want = h.copy()
+        core._superset_sums(h, n)
+        _superset_sums_by_product(want, n)
+        assert h.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [16, 20])
+def test_large_coverage_tables_match_the_forms_they_replaced(n, monkeypatch):
+    inst = random_submodular_instance(random.Random(n), n)
+    monkeypatch.setattr(core, "_superset_sums", _superset_sums_by_product)
+    want = random_submodular_instance(random.Random(n), n)
+    assert inst.reward.values.tobytes() == want.reward.values.tobytes()
+    _assert_tables_match(inst, team_table(inst))
 
 
 def test_coverage_weight_sum_boundary():
@@ -1114,21 +1221,31 @@ def test_coverage_classes_are_the_kernels_answers(monkeypatch):
 
 
 def test_coverage_classify_keeps_its_cap():
-    f = Coverage([1], [[0]] * 17, 2.0)
+    # n = CLASSIFY_CAP is classified; one agent more is not
+    top = Coverage([1], [[0]] * core.CLASSIFY_CAP, 2.0)
+    assert classify(top) == core.FunctionClasses(True, True, True)
+    f = Coverage([1], [[0]] * (core.CLASSIFY_CAP + 1), 2.0)
     assert is_submodular(f)
     with pytest.raises(SizeCapError):
         classify(f)
 
 
-def test_superset_matrix_is_built_on_first_use():
-    src = str(Path(budgeted_contracts.__file__).resolve().parent.parent)
-    code = ("import budgeted_contracts.cli\n"
-            "from budgeted_contracts import core\n"
-            "assert core._superset_matrix.cache_info().currsize == 0\n"
-            "core.Coverage([1], [[0]], 2.0)\n"
-            "assert core._superset_matrix.cache_info().currsize == 1\n")
-    env = {**os.environ, "PYTHONPATH": src}
-    subprocess.run([sys.executable, "-c", code], check=True, env=env)
+_PRODUCT_NAMES = {"dot", "matmul", "einsum", "tensordot", "inner", "vdot", "linalg"}
+
+
+def test_src_takes_no_matrix_products():
+    # no table is built by a BLAS call: a threaded product cost more per call
+    # than the add passes that replace it when other work runs between calls
+    src = Path(budgeted_contracts.__file__).resolve().parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)):
+                assert not isinstance(node.op, ast.MatMult), (path.name, node.lineno)
+            # np.dot, x.dot, np.linalg...; a bare name needs an import first
+            names = {getattr(node, "attr", None)}
+            if isinstance(node, ast.alias):
+                names.update(node.name.split("."))
+            assert not names & _PRODUCT_NAMES, (path.name, node.lineno)
 
 
 def test_table_owns_a_fresh_array_without_a_copy():

@@ -255,6 +255,16 @@ def test_fptas_zero_values():
     assert res.optimum == 0 and res.value == 0.0
 
 
+def test_an_agent_valued_minus_zero_is_no_item():
+    # c / -0.0 is -inf, which fits under any cap: only value > 0 keeps such
+    # an agent out of the items, so both FPTAS find team {1}, not the empty one
+    inst = Instance(3, (0.1, 0.05, 0.0), Additive((-0.0, 0.4, 0.0)))
+    got = fptas_additive_profit(inst, 0.5, 0.1)
+    assert (got.optimum, got.value) == (2, 0.35000000000000003)
+    got = knapsack_fptas(inst, 0.5, 0.1, REWARD)
+    assert (got.optimum, got.value) == (2, 0.4)
+
+
 # ---------------------------------------------------------------------------
 # knapsack FPTAS for reward / welfare
 # ---------------------------------------------------------------------------
