@@ -167,46 +167,11 @@ def _subset_sums(v: Sequence[float], n: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Additive:
-    """f(S) = sum of per-agent values over S."""
-
-    values: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-        if not all(0 <= v < math.inf for v in self.values):
-            raise InputError("additive values must be finite and non-negative")
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def value(self, team: int) -> float:
-        return _sum_over(self.values, bits(team))
-
-    def drop_values(self, team: int) -> tuple[float, list[float]]:
-        """f(S) and f(S - {i}) for each member i of S, ascending, in one pass.
-
-        Each equals ``value`` bit for bit. With members a_0 < a_1 < ...,
-        the sum over S - {a_j} first adds a_0 .. a_(j-1), which is the
-        prefix sum P_j, and then the values after a_j in order; ``reduce``
-        repeats exactly those additions. That is O(|S|^2) additions in C
-        against |S| + 1 walks of ``value``.
-        """
-        xs = list(map(self.values.__getitem__, bits(team)))
-        total, drops = 0.0, []
-        for j, x in enumerate(xs, 1):
-            drops.append(functools.reduce(operator.add, xs[j:], total))
-            total += x
-        return total, drops
-
-
-@dataclass(frozen=True)
 class XosClauses:
     """f(S) = max over clauses of the clause's additive sum on S.
 
     Every function of this form is fractionally subadditive (XOS); an
-    additive function is the one-clause special case.
+    additive function is the one-clause subclass ``Additive``.
     """
 
     clauses: tuple[tuple[float, ...], ...]
@@ -229,6 +194,41 @@ class XosClauses:
     def value(self, team: int) -> float:
         idx = list(bits(team))
         return max(_sum_over(row, idx) for row in self.clauses)
+
+
+@dataclass(frozen=True)
+class Additive(XosClauses):
+    """f(S) = sum of per-agent values over S: the one-clause XOS form, its
+    ``clauses`` the derived row ``(values,)``, compared and shown by ``values``."""
+
+    clauses: tuple[tuple[float, ...], ...] = field(init=False, repr=False, compare=False)
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        values = tuple(float(v) for v in self.values)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "clauses", (values,))
+        if not all(0 <= v < math.inf for v in values):
+            raise InputError("additive values must be finite and non-negative")
+
+    def value(self, team: int) -> float:
+        return _sum_over(self.values, bits(team))
+
+    def drop_values(self, team: int) -> tuple[float, list[float]]:
+        """f(S) and f(S - {i}) for each member i of S, ascending, in one pass.
+
+        Each equals ``value`` bit for bit. With members a_0 < a_1 < ...,
+        the sum over S - {a_j} first adds a_0 .. a_(j-1), which is the
+        prefix sum P_j, and then the values after a_j in order; ``reduce``
+        repeats exactly those additions. That is O(|S|^2) additions in C
+        against |S| + 1 walks of ``value``.
+        """
+        xs = list(map(self.values.__getitem__, bits(team)))
+        total, drops = 0.0, []
+        for j, x in enumerate(xs, 1):
+            drops.append(functools.reduce(operator.add, xs[j:], total))
+            total += x
+        return total, drops
 
 
 @dataclass(frozen=True, eq=False)
@@ -401,9 +401,8 @@ def _value_array(f: SetFunction) -> np.ndarray:
     _enum_gate(f.n)
     if isinstance(f, Table):
         return f.values
-    rows = f.clauses if isinstance(f, XosClauses) else (f.values,)
-    acc = _subset_sums(rows[0], f.n)
-    for row in rows[1:]:
+    acc = _subset_sums(f.clauses[0], f.n)
+    for row in f.clauses[1:]:
         np.maximum(acc, _subset_sums(row, f.n), out=acc)
     return acc
 
@@ -423,12 +422,11 @@ def restrict(f: SetFunction, agents: Sequence[int]) -> SetFunction:
     for i in agents:
         if not 0 <= i < f.n:
             raise InputError(f"agent {i} out of range")
-    if isinstance(f, Additive):
-        return Additive(tuple(f.values[i] for i in agents))
-    if isinstance(f, XosClauses):
-        return XosClauses(tuple(tuple(row[i] for i in agents) for row in f.clauses))
-    masks = _subset_sums(np.array([1 << i for i in agents], np.int64), len(agents))
-    return Table._owning(f.values[masks])
+    if isinstance(f, Table):
+        masks = _subset_sums(np.array([1 << i for i in agents], np.int64), len(agents))
+        return Table._owning(f.values[masks])
+    rows = tuple(tuple(row[i] for i in agents) for row in f.clauses)
+    return Additive(rows[0]) if isinstance(f, Additive) else XosClauses(rows)
 
 
 def demand(f: SetFunction, prices: Sequence[float]) -> int:
@@ -437,22 +435,22 @@ def demand(f: SetFunction, prices: Sequence[float]) -> int:
     For clause representations each clause j contributes the candidate
     S_j = {i : clause_j[i] > q_i} (price ties excluded); the surplus optimum
     is attained at one of these, so scoring the candidates under the true f
-    is exact. Ties break toward the lexicographically smallest bitmask, which
-    matches an ascending exhaustive scan.
+    is exact, and a lone candidate is returned unscored. Ties break toward
+    the lexicographically smallest bitmask, as an ascending exhaustive scan.
     """
     prices = [float(q) for q in prices]
     if len(prices) != f.n:
         raise InputError("price vector length must equal the agent count")
     if not all(q >= 0 for q in prices):  # NaN fails every comparison
         raise InputError("prices must be non-negative")
-    if isinstance(f, Additive):
-        return mask_of(i for i, v in enumerate(f.values) if v > prices[i])
-    if isinstance(f, XosClauses):
-        cands = (
-            mask_of(i for i, v in enumerate(row) if v > prices[i]) for row in f.clauses
-        )
-        return _best_team(cands, lambda t: f.value(t) - _sum_over(prices, bits(t)))[0]
-    return int(np.argmax(f.values - _subset_sums(prices, f.n)))
+    if isinstance(f, Table):
+        return int(np.argmax(f.values - _subset_sums(prices, f.n)))
+    cands = {
+        mask_of(i for i, v in enumerate(row) if v > prices[i]) for row in f.clauses
+    }
+    if len(cands) == 1:
+        return cands.pop()
+    return _best_team(cands, lambda t: f.value(t) - _sum_over(prices, bits(t)))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +477,7 @@ class Instance:
             raise InputError("cost vector length must equal the agent count")
         if any(c < 0 or not math.isfinite(c) for c in self.costs):
             raise InputError("costs must be finite and non-negative")
-        if not isinstance(self.reward, (Additive, XosClauses, Table)):
+        if not isinstance(self.reward, (XosClauses, Table)):
             raise InputError("reward must be an Additive, XosClauses or Table")
         if self.reward.n != self.n:
             raise InputError("reward function is over the wrong agent count")
@@ -532,7 +530,7 @@ def _same_instance(a: Instance, b: Instance) -> bool:
 
 
 def _reward_floats(f: SetFunction):
-    return f.clauses if isinstance(f, XosClauses) else f.values
+    return f.values if isinstance(f, Table) else f.clauses
 
 
 def _empty_value(f: SetFunction) -> float:
@@ -541,11 +539,9 @@ def _empty_value(f: SetFunction) -> float:
 
 
 def _value_range(f: SetFunction) -> tuple[float, float]:
-    if isinstance(f, Additive):
-        return 0.0, _sum_over(f.values, range(f.n))
-    if isinstance(f, XosClauses):
-        return 0.0, max(_sum_over(row, range(f.n)) for row in f.clauses)
-    return f.values.min(), f.values.max()
+    if isinstance(f, Table):
+        return f.values.min(), f.values.max()
+    return 0.0, max(_sum_over(row, range(f.n)) for row in f.clauses)
 
 
 @dataclass(frozen=True)

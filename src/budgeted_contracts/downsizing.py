@@ -88,9 +88,10 @@ def check_reward_class(f: SetFunction, mode: str) -> None:
     """Raise ``PreconditionError`` unless f is in the class that the downsizing
     of ``mode`` assumes: submodular for ``"submodular"``, XOS for ``"xos"``.
 
-    Clause and additive forms are XOS, and so is a submodular table; other
-    rewards are checked with ``is_submodular``, which raises ``SizeCapError``
-    where a non-additive reward does not tabulate (n > ENUM_CAP).
+    Clause forms (the one-clause ``Additive`` too) are XOS, and so is a
+    submodular table; other rewards are checked with ``is_submodular``, which
+    raises ``SizeCapError`` where a non-additive reward does not tabulate
+    (n > ENUM_CAP).
     """
     if mode == "xos" and isinstance(f, XosClauses):
         return

@@ -94,7 +94,7 @@ def team_to_list(team: int) -> list[int]:
 
 
 def reward_to_dict(f: SetFunction) -> dict:
-    if isinstance(f, Additive):
+    if isinstance(f, Additive):  # an XosClauses too, so it is tested first
         return {"type": "additive", "values": list(f.values)}
     if isinstance(f, XosClauses):
         return {"type": "xos", "clauses": [list(row) for row in f.clauses]}

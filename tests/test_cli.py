@@ -426,7 +426,7 @@ def test_downsize_rejects_agents_out_of_range(two_agent_file, capsys, mode):
     _one_input_error(capsys)
 
 
-@pytest.mark.parametrize("bad", ["10000", "999999999999", "-1"])
+@pytest.mark.parametrize("bad", ["2", "10000", "999999999999", "-1"])
 def test_downsize_names_a_huge_index_in_one_short_line(two_agent_file, capsys, bad):
     # the index is checked before 1 << i, so no mask that long is ever built
     assert run_cli("downsize", "--instance", two_agent_file, "--set", f"0,{bad}",
@@ -744,12 +744,17 @@ def test_subnormal_small_budget_runs(argv, capsys):
 @pytest.mark.parametrize("grid", [
     "b=0.1:0.9:0.2", "b=0.9:0.1:0.1", "b=0.1:inf:0.1", "b=-inf:1:0.1",
     "b=0.1:0.9:inf", "b=nan:0.9:0.1", "b=0.1:nan:0.1", "b=0.1:0.9:nan",
+    "b=0.1:0.9:0", "b=0.1:0.9:-0.1",
 ])
 def test_pof_sweep_without_a_valid_cell_is_rejected(capsys, grid):
     # n = 5 is odd, outside subadd-lb's range in every cell; the other
     # grids have no cells at all, and an infinite one must not run forever
     assert run_cli("pof", "--family", "subadd-lb", "--n", 5, "--grid", grid) == 2
-    _one_input_error(capsys)
+    err = _one_input_error(capsys)
+    # a bound that is not finite or a step that is not positive is named as
+    # such, not left to the point cap
+    bad_bounds = grid not in ("b=0.1:0.9:0.2", "b=0.9:0.1:0.1")
+    assert ("needs finite bounds and a finite step > 0" in err) == bad_bounds, err
 
 
 def _reference_grid(spec):

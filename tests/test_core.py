@@ -53,6 +53,7 @@ from budgeted_contracts.core import (
     _same_instance,
     _paid,
     ceil_tol,
+    floor_tol,
     is_submodular,
     team_table,
 )
@@ -197,6 +198,16 @@ def test_nash_examples(single_agent):
     assert is_nash_equilibrium(single_agent, Contract((0.5,)), 0b1)
     assert is_nash_equilibrium(single_agent, Contract((0.5,)), 0)
     assert not is_nash_equilibrium(single_agent, Contract((0.4,)), 0b1)
+    # a gain of exactly EPS from shirking, or from joining, is tolerated
+    shirker = Instance(1, (EPS,), Additive((1.0,)))
+    assert is_nash_equilibrium(shirker, Contract((0.0,)), 0b1)
+    joiner = Instance(1, (0.0,), Additive((1.0,)))
+    assert is_nash_equilibrium(joiner, Contract((EPS,)), 0)
+
+
+def test_tolerant_rounding_snaps_within_eps():
+    assert ceil_tol(EPS) == floor_tol(-EPS) == 0
+    assert ceil_tol(2 * EPS) == 1 and floor_tol(-2 * EPS) == -1
 
 
 def test_enumerate_equilibria(single_agent):
@@ -265,6 +276,26 @@ def test_demand_matches_table_scan():
             assert demand(inst.reward, q) == demand(table, q)
 
 
+@pytest.mark.parametrize("form", ["additive", "xos", "table"])
+def test_demand_leaves_out_an_agent_priced_at_its_value(form):
+    # agent 0's value 0.25 equals its price; the table ties {1} and {0, 1} at
+    # surplus 0.25 and takes the smaller mask, as the clause forms leave the
+    # agent out
+    f = Additive((0.25, 0.5))
+    f = {"additive": f, "xos": XosClauses((f.values,)), "table": to_table(f)}[form]
+    assert demand(f, [0.25, 0.25]) == 0b10
+
+
+def test_demand_of_agreeing_clauses_asks_no_oracle(monkeypatch):
+    # every clause leaves agent 0 out at a price equal to its value, so the
+    # one candidate {1} is returned unscored
+    calls = []
+    monkeypatch.setattr(XosClauses, "value", lambda self, team: calls.append(team))
+    f = XosClauses(((0.25, 0.5), (0.125, 0.375)))
+    assert demand(f, [0.25, 0.25]) == 0b10
+    assert calls == []
+
+
 # ---------------------------------------------------------------------------
 # the tie rule for team lists
 # ---------------------------------------------------------------------------
@@ -308,6 +339,11 @@ def test_light_agents(separation, single_agent):
     assert light_agents(free) == ALL3
     heavy = Instance(1, (0.9,), Additive((1.0,)))
     assert light_agents(heavy) == 0
+    # the threshold is 1/2 + EPS, light, and the next float above it is not
+    edge = Instance(1, (0.5 + EPS,), Additive((1.0,)))
+    assert light_agents(edge) == 0b1
+    past = Instance(1, (math.nextafter(0.5 + EPS, 1.0),), Additive((1.0,)))
+    assert light_agents(past) == 0
 
 
 def test_feasible_teams_have_at_most_one_heavy_agent():
@@ -1460,6 +1496,17 @@ def additive_instances(draw):
     return Instance(len(vals), costs, Additive(tuple(vals)))
 
 
+def test_additive_is_the_one_clause_xos_form():
+    f = Additive([0.25, 0.5])
+    assert isinstance(f, XosClauses)
+    assert f.clauses == ((0.25, 0.5),)
+    # its own oracle methods, which the query logs and oracle spans count
+    assert {"value", "drop_values"} <= set(vars(Additive))
+    assert repr(f) == "Additive(values=(0.25, 0.5))"
+    assert f == Additive((0.25, 0.5)) and hash(f) == hash(((0.25, 0.5),))
+    assert f != XosClauses(f.clauses) and XosClauses(f.clauses) != f
+
+
 @given(additive_instances())
 @settings(max_examples=120, deadline=None)
 def test_additive_equals_single_clause_xos(inst):
@@ -1561,6 +1608,17 @@ def test_to_table_matches_direct_queries():
         table = to_table(f)
         for team in range(1 << f.n):
             assert table.values[team] == value(f, team)
+
+
+@pytest.mark.parametrize("call", [
+    lambda inst: singleton_payment(inst, 2),
+    lambda inst: core.singleton_team_payment(inst, 2),
+    lambda inst: restrict(inst.reward, [0, 2]),
+], ids=["singleton_payment", "singleton_team_payment", "restrict"])
+def test_agent_index_n_is_out_of_range(call):
+    inst = Instance(2, (0.125, 0.25), Additive((0.25, 0.5)))
+    with pytest.raises(InputError, match="agent 2 out of range"):
+        call(inst)
 
 
 def test_restrict_matches_subtable(separation):

@@ -27,9 +27,11 @@ from budgeted_contracts import (
     Additive,
     Instance,
     PofQuery,
+    XosClauses,
     additive_corpus,
     brute_force_max,
     check_best_conditions,
+    classify,
     downsize_submodular,
     downsize_xos,
     equivalence_pipeline,
@@ -39,9 +41,12 @@ from budgeted_contracts import (
     payment,
     pof,
     profit,
+    restrict,
     submodular_corpus,
+    to_table,
     xos_corpus,
 )
+from budgeted_contracts.core import is_submodular
 from budgeted_contracts.objectives import PROFIT, REWARD, WELFARE
 from budgeted_contracts.reductions import brute_solver
 
@@ -200,6 +205,49 @@ def test_every_family_is_recorded():
 def test_recorded_digest_holds(family):
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))[family]
     assert digest(family) == want, f"the {family} results moved"
+
+
+def _forms(inst: Instance) -> list[Instance]:
+    """An additive instance as ``Additive``, as a one-clause ``XosClauses``
+    and as a ``Table``."""
+    f = inst.reward
+    return [Instance(inst.n, inst.costs, g) for g in (f, XosClauses((f.values,)), to_table(f))]
+
+
+def _form_results(inst: Instance):
+    for obj in OBJECTIVES:
+        for budget in (0.1, 0.4, 1.0):
+            yield brute_force_max(obj, inst, budget)
+    for team in _teams(inst, 4, 5)[1:]:
+        for m in (3, 4, 5, 8):
+            for psi in OBJECTIVES:
+                yield downsize_submodular(inst, team, m, psi)
+            yield downsize_xos(inst, team, m)
+    for path in ("xos", "submodular"):
+        for obj_from, obj_to in PAIRS:
+            for b_from, b_to in ((0.5, 0.5), (0.3, 0.8)):
+                yield equivalence_pipeline(
+                    inst, obj_from, b_from, obj_to, b_to, brute_solver, path=path
+                )
+    f = inst.reward
+    yield classify(f)
+    yield is_submodular(f)
+    # ascending agents, as the reductions restrict: a table keeps the sums of
+    # the original order, so a reordering moves the others' low bits
+    for agents in ([0], list(range(inst.n))[1::2], list(range(inst.n - 1))):
+        kept = restrict(f, agents)
+        assert type(kept) is type(f)
+        yield to_table(kept).values.tolist()
+
+
+def test_every_additive_form_gives_the_same_results():
+    # the one-clause XOS form and the table of an additive reward give the
+    # same bits as the additive form itself: solves, downsizings, both
+    # pipeline paths, class checks and restrictions
+    for k, inst in enumerate(inst for inst in _additive() if inst.n <= 9):
+        got = [list(map(_encode, _form_results(form))) for form in _forms(inst)]
+        for form, results in zip(("xos", "table"), got[1:]):
+            assert results == got[0], f"instance {k} (n = {inst.n}) moves as {form}"
 
 
 def record() -> None:

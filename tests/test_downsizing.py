@@ -114,6 +114,14 @@ def test_recover_marginals_examples(separation):
     assert kept == 0b11
     assert marginal(inst.reward, 0b11, 1) == pytest.approx(0.1)
 
+    # a ratio tie drops the smallest index: agents 0 and 1 keep 1/8 of a
+    # team marginal of 5/16 each in {0, 1}, and agent 1 alone keeps 1/2
+    clauses = ((0.5, 0.0, 0.0), (0.0, 0.5, 0.0), (0.3125, 0.3125, 0.375))
+    inst = Instance(3, (0.0, 0.0, 0.0), XosClauses(clauses))
+    assert marginal(inst.reward, 0b011, 0) == marginal(inst.reward, 0b011, 1) == 0.125
+    assert marginal(inst.reward, 0b111, 0) == marginal(inst.reward, 0b111, 1) == 0.3125
+    assert recover_marginals_xos(inst, 0b011, 0b111) == 0b010
+
 
 def test_recover_marginals_guarantee_on_corpus():
     rng = random.Random(13)

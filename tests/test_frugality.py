@@ -280,6 +280,8 @@ def test_gen_profit_two():
     assert rep.ratio >= (1 - 0.05) * 1.6 - 1e-9
     with pytest.raises(InputError):
         gen_profit_lb_two(0.4, 1.0, 0.7)
+    with pytest.raises(InputError, match="0 < eps"):
+        gen_profit_lb_two(0.4, 1.0, 0.0)
 
 
 def test_gen_profit_k():
@@ -300,6 +302,8 @@ def test_gen_profit_k():
         gen_profit_lb_k(0.5, 1.0, 4, 0.01)  # k >= 2B/b
     with pytest.raises(InputError):
         gen_profit_lb_k(0.5, 1.0, 3, 0.5)  # eps >= 2B/k - b
+    with pytest.raises(InputError, match="0 < eps"):
+        gen_profit_lb_k(1 / 3, 1.0, 3, 0.0)
 
 
 # ---------------------------------------------------------------------------

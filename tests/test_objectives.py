@@ -70,6 +70,8 @@ def test_convex_validation():
         Convex((REWARD, PROFIT), (1.2, -0.2))
     with pytest.raises(InputError):
         Convex((), ())
+    with pytest.raises(InputError, match="strictly positive"):
+        Convex((REWARD, PROFIT), (0.0, 1.0))  # sums to 1, but a weight of 0
     assert Convex((REWARD, PROFIT), (0.5, 0.5)).name == "convex"
 
 
@@ -181,6 +183,48 @@ def test_objective_dispatch_sits_in_four_functions():
         "objectives.evaluate_all",
         "solvers.knapsack_fptas",
         "downsizing.downsize_submodular",
+    }
+
+
+def _type_tests(node: ast.AST, scope: str):
+    """(scope, class name) for each class an ``isinstance`` call or a
+    ``type(x) is`` test under ``node`` names, scopes dotted as
+    ``module.Class.function``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _type_tests(child, f"{scope}.{child.name}")
+            continue
+        tested = []
+        if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "isinstance":
+            tested = [child.args[1]]
+        elif (isinstance(child, ast.Compare) and isinstance(child.left, ast.Call)
+                and getattr(child.left.func, "id", None) == "type"):
+            tested = child.comparators
+        for classes in tested:
+            yield from ((scope, n.id) for n in ast.walk(classes) if isinstance(n, ast.Name))
+        yield from _type_tests(child, scope)
+
+
+def test_additive_and_xos_type_tests_sit_where_the_form_is_used():
+    # an additive reward is the one-clause XOS form, so clause code serves
+    # both; Additive is named only where additivity itself is used, and
+    # XosClauses only where the XOS class or the clause form's dict is
+    package = Path(budgeted_contracts.__file__).parent
+    testers = {"Additive": set(), "XosClauses": set()}
+    for path in package.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for scope, name in _type_tests(tree, path.stem):
+            if name in testers:
+                testers[name].add(scope)
+    assert testers == {
+        "Additive": {
+            "core.restrict", "core._margins", "core.classify", "core.is_submodular",
+            "solvers._items", "serialize.reward_to_dict",
+        },
+        "XosClauses": {
+            "core.Instance.__post_init__", "core.classify",
+            "downsizing.check_reward_class", "serialize.reward_to_dict",
+        },
     }
 
 

@@ -38,3 +38,22 @@ def test_guarantee_sweeps_stay_within_their_bounds(capsys):
     for seen, op, bound in bounds:
         seen, bound = float(seen), float(bound)
         assert seen >= bound if op == ">=" else seen <= bound, (seen, op, bound)
+
+
+def test_mutants_swap_each_comparison_once():
+    # one mutant per comparison operator, in source order; a comment, a
+    # string, a shift and a return annotation hold none
+    mutants = _load("mutants")
+    source = (
+        "def f(a, b, c, d) -> bool:  # a < b\n"
+        "    return a < b <= c and d == 'x >= y' != (a << 2) >= b > c\n"
+    )
+    got = mutants.mutants(source)
+    assert [(line, old, new) for line, _, old, new in got] == [
+        (2, "<", "<="), (2, "<=", "<"), (2, "==", "!="),
+        (2, "!=", "=="), (2, ">=", ">"), (2, ">", ">="),
+    ]
+    assert mutants.mutate(source, got[1]).splitlines() == [
+        "def f(a, b, c, d) -> bool:  # a < b",
+        "    return a < b < c and d == 'x >= y' != (a << 2) >= b > c",
+    ]

@@ -66,6 +66,11 @@ def test_brute_force_cap_and_budget(separation, additive21):
     for budget in (0.0, 1.5, math.nan):
         with pytest.raises(InputError):
             brute_force_max(REWARD, separation, budget)
+    # a payment of exactly budget + EPS is within the budget
+    edge = Instance(1, (0.5 + EPS,), Additive((1.0,)))
+    assert brute_force_max(REWARD, edge, 0.5).optimum == 1
+    past = Instance(1, (math.nextafter(0.5 + EPS, 1.0),), Additive((1.0,)))
+    assert brute_force_max(REWARD, past, 0.5).optimum == 0
 
 
 def test_light_only_never_beats_unrestricted():
